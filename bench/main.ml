@@ -956,9 +956,9 @@ let e17 () =
     List.length
       (List.filter (function Script.Commit _ -> true | _ -> false) script)
   in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ()) "ariesrh-bench-e17"
-  in
+  (* a fresh directory per run: concurrent or leftover runs never share
+     database files *)
+  let root = Filename.temp_dir "ariesrh-bench-e17" "" in
   (* a pool big enough that the WAL rule rarely forces on eviction —
      the fsyncs measured here are the commit path's, which is what
      group commit batches *)
@@ -1574,11 +1574,11 @@ let e21 () =
   let grows = off_max > off_min in
   let pass = bounded && grows && ratio >= min_ratio in
   Format.printf
-    "@.ttfc at %dx the log: on-demand %d -> %d records (bounded: %s), \
+    "@.ttfc at %.1fx the log: on-demand %d -> %d records (bounded: %s), \
      offline %d -> %d; offline/on-demand at max %.1fx (gate: >= %.1fx, %s)@."
     (let a, _, _ = List.hd results
      and b, _, _ = List.nth results (List.length results - 1) in
-     b / a)
+     float_of_int b /. float_of_int a)
     od_min od_max
     (if bounded then "yes" else "NO")
     off_min off_max ratio min_ratio

@@ -640,78 +640,154 @@ let sim_cmd =
     Term.(const run $ obs_term $ backend_term $ clients $ txns $ objects
           $ rate $ seed)
 
-(* --- crash-storm --- *)
+(* --- storms: one flag term, per-command defaults ---
+
+   Every storm subcommand takes its flags from [storm_term]. An
+   optional argument gives a flag's default for that command; a flag
+   whose default is not given is not part of the command, and its field
+   holds the fallback. The flags only one command has are added next
+   to it. *)
+
+type storm_flags = {
+  seeds : int;
+  seed0 : int;
+  steps : int;
+  objects : int;
+  rate : float;
+  engines : Config.delegation_impl list;
+  depth : int;
+  crash_step : int;
+  clients : int;
+  group_commit : int;
+  record_cache : int;
+  audit : bool;
+  time_travel : bool;
+  forensic_dir : string option;
+  shards : int;
+}
+
+let storm_term ~seeds ~steps ~steps_doc ?objects ~rate ?depth
+    ?(depth_doc = "Nested crash-during-recovery levels.") ?crash_step
+    ?clients ?record_cache ?time_travel ?forensic_dir ?shards ~engines () =
+  let flag kind name ~doc fallback default =
+    match default with
+    | None -> Term.const fallback
+    | Some d -> Arg.(value & opt kind d & info [ name ] ~doc)
+  in
+  let engine =
+    let absent, all =
+      match engines with
+      | [ i ] -> (Some (Forensics.engine_name i), "")
+      | _ -> (None, " Default: all three.")
+    in
+    Arg.(value & opt (some impl_conv) None
+         & info [ "engine" ] ?absent
+             ~doc:("Engine: rh, eager, or lazy." ^ all))
+  in
+  let forensic_dir =
+    Term.(
+      const (fun d -> if d = "none" then None else Some d)
+      $ flag Arg.string "forensic-dir" "none" forensic_dir
+          ~doc:"Directory for forensic failure dumps (event trail, \
+                per-mismatch lineage, metrics); $(b,none) disables them.")
+  in
+  let make seeds seed0 steps objects rate engine depth crash_step clients
+      group_commit record_cache audit time_travel forensic_dir shards =
+    { seeds; seed0; steps; objects; rate; depth; crash_step; clients;
+      group_commit; record_cache; audit; time_travel; forensic_dir;
+      shards = max 1 shards;
+      engines = Option.fold ~none:engines ~some:(fun i -> [ i ]) engine }
+  in
+  Term.(
+    const make
+    $ flag Arg.int "seeds" 0 (Some seeds)
+        ~doc:"Number of storms (distinct seeds)."
+    $ flag Arg.int "seed" 1 (Some 1) ~doc:"First storm seed."
+    $ flag Arg.int "steps" 0 (Some steps) ~doc:steps_doc
+    $ flag Arg.int "objects" 0 objects ~doc:"Number of objects."
+    $ flag Arg.float "delegation-rate" 0. (Some rate)
+        ~doc:"Delegation weight in the mix."
+    $ engine
+    $ flag Arg.int "depth" 0 depth ~doc:depth_doc
+    $ flag Arg.int "crash-step" 1 crash_step
+        ~doc:"Escalate the crash I/O point by this much."
+    $ flag Arg.int "clients" 4 clients ~doc:"Concurrent clients."
+    $ flag Arg.int "group-commit" 0 (Some 0)
+        ~doc:"Batch commit log forces in groups of this size (0 = force \
+              each commit)."
+    $ flag Arg.int "record-cache" 0 record_cache
+        ~doc:"Decoded-record cache capacity (0 = disable)."
+    $ flag Arg.bool "audit" true (Some true)
+        ~doc:"Run the restart self-audit after every recovery (chain \
+              closure, CLR targets, surgery bracketing); violations fail \
+              the storm."
+    $ flag Arg.bool "time-travel" false time_travel
+        ~doc:"Run analytic time-travel readers: Temporal.snapshot_at at \
+              sampled durable commit LSNs must equal the oracle's expected \
+              state (or, once a governor truncates unbridged history, be \
+              refused with the typed History_unavailable)."
+    $ forensic_dir
+    $ flag Arg.int "shards" 1 shards
+        ~doc:"Run the storm on a sharded engine with this many shards: \
+              cross-shard migrations under the same crash schedule, \
+              per-shard restart, and the cross-shard transfer audit.")
+
+let storm_config sel f =
+  { Storm.default_config with
+    recovery_crash_depth = f.depth;
+    crash_step = max 1 f.crash_step;
+    group_commit = f.group_commit;
+    record_cache = f.record_cache;
+    audit = f.audit;
+    time_travel = f.time_travel;
+    forensic_dir = f.forensic_dir;
+    backend_root = sel.backend_root;
+    shards = f.shards }
+
+(* Print each labelled outcome as it completes, then the merged total;
+   exit 1 if any storm failed. *)
+let report_total obs pp runs =
+  let total =
+    List.fold_left
+      (fun total (label, run) ->
+        let o = run () in
+        Format.printf "%s:@.  %a@." label pp o;
+        Some (match total with None -> o | Some t -> Storm.merge t o))
+      None runs
+  in
+  match total with
+  | None -> finish obs
+  | Some t ->
+      Format.printf "@.total:@.  %a@." pp t;
+      finish obs;
+      if not (Storm.ok t) then exit 1
+
+(* Print each labelled outcome as it completes; exit 1 if any failed. *)
+let report_each obs pp ok runs =
+  let failed =
+    List.fold_left
+      (fun failed (label, run) ->
+        let o = run () in
+        Format.printf "%s:@.  %a@.@." label pp o;
+        failed || not (ok o))
+      false runs
+  in
+  finish obs;
+  if failed then exit 1
+
+let seeds_of f = List.init f.seeds (fun i -> f.seed0 + i)
+let record_cache = Config.default.Config.record_cache
 
 let storm_cmd =
-  let steps =
-    Arg.(value & opt int 160
-         & info [ "steps" ] ~doc:"Scripted workload steps per storm.")
-  in
-  let objects =
-    Arg.(value & opt int 32 & info [ "objects" ] ~doc:"Number of objects.")
-  in
-  let seeds =
-    Arg.(value & opt int 4
-         & info [ "seeds" ] ~doc:"Number of scripted storms (distinct seeds).")
-  in
-  let seed0 =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"First storm seed.")
-  in
-  let rate =
-    Arg.(value & opt float 0.2
-         & info [ "delegation-rate" ] ~doc:"Delegation weight in the mix.")
-  in
-  let impl =
-    Arg.(value & opt impl_conv Config.Rh
-         & info [ "engine" ] ~doc:"Engine: rh, eager, or lazy.")
-  in
-  let depth =
-    Arg.(value & opt int 2
-         & info [ "depth" ] ~doc:"Nested crash-during-recovery levels.")
-  in
-  let crash_step =
-    Arg.(value & opt int 1
-         & info [ "crash-step" ]
-             ~doc:"Scripted: escalate the crash I/O point by this much.")
+  let flags =
+    storm_term ~seeds:4 ~steps:160
+      ~steps_doc:"Scripted workload steps per storm." ~objects:32 ~rate:0.2
+      ~depth:2 ~crash_step:1 ~clients:4 ~record_cache ~time_travel:true
+      ~forensic_dir:"." ~shards:1 ~engines:[ Config.Rh ] ()
   in
   let sim_steps =
     Arg.(value & opt int 1200
          & info [ "sim-steps" ] ~doc:"Simulated storm scheduler steps.")
-  in
-  let clients =
-    Arg.(value & opt int 4
-         & info [ "clients" ] ~doc:"Simulated storm concurrent clients.")
-  in
-  let group_commit =
-    Arg.(value & opt int 0
-         & info [ "group-commit" ]
-             ~doc:"Batch commit log forces in groups of this size (0 = force \
-                   each commit).")
-  in
-  let record_cache =
-    Arg.(value & opt int Config.default.Config.record_cache
-         & info [ "record-cache" ]
-             ~doc:"Decoded-record cache capacity (0 = disable).")
-  in
-  let audit =
-    Arg.(value & opt bool true
-         & info [ "audit" ]
-             ~doc:"Run the restart self-audit after every recovery (chain \
-                   closure, CLR targets, surgery bracketing); violations \
-                   fail the storm.")
-  in
-  let forensic_dir =
-    Arg.(value & opt string "."
-         & info [ "forensic-dir" ] ~docv:"DIR"
-             ~doc:"Directory for forensic failure dumps (event trail, \
-                   per-mismatch lineage, metrics); $(b,none) disables them.")
-  in
-  let time_travel =
-    Arg.(value & opt bool true
-         & info [ "time-travel" ]
-             ~doc:"Run concurrent analytic time-travel readers: \
-                   Temporal.snapshot_at at sampled durable commit LSNs \
-                   must equal the oracle's expected state at that point.")
   in
   let external_ =
     Arg.(value & flag
@@ -727,189 +803,94 @@ let storm_cmd =
              ~doc:"External storm: bound the scheduled kill points per \
                    seed (0 = sweep until the script survives a run).")
   in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ]
-             ~doc:"Run the storm on a sharded engine with this many \
-                   shards (cross-shard migrations under the same crash \
-                   schedule, cross-shard transfer audit on recovery); 1 \
-                   keeps the plain single-database storm.")
-  in
-  let run obs sel steps objects seeds seed0 rate impl depth crash_step
-      sim_steps clients group_commit record_cache audit time_travel
-      forensic_dir external_ max_kills shards =
-    let forensic_dir = if forensic_dir = "none" then None else Some forensic_dir in
-    let spec = spec_of ~objects ~steps ~delegation_rate:rate in
-    let total = ref None in
-    let add label o =
-      Format.printf "%s:@.  %a@." label Crash_storm.pp_outcome o;
-      total := Some (match !total with None -> o | Some t -> Crash_storm.merge t o)
+  let run obs sel f sim_steps external_ max_kills =
+    let spec =
+      spec_of ~objects:f.objects ~steps:f.steps ~delegation_rate:f.rate
     in
-    if external_ then begin
-      if shards > 1 then begin
-        Format.eprintf "crash-storm --external does not take --shards yet@.";
-        exit 2
-      end;
-      let root =
-        match sel.backend_root with
-        | Some r -> r
-        | None ->
-            Format.eprintf "crash-storm --external requires --backend file@.";
-            exit 2
-      in
-      for i = 0 to seeds - 1 do
-        let config =
-          { Supervisor.default_config with
-            seed = Int64.of_int (seed0 + i);
-            kill_step = max 1 crash_step;
-            max_kills = (if max_kills <= 0 then max_int else max_kills);
-            group_commit;
-            record_cache;
-            audit;
-            root =
-              Filename.concat root
-                (Printf.sprintf "external-seed%d" (seed0 + i));
-            forensic_dir }
+    let impl = List.hd f.engines in
+    let runs =
+      if external_ then begin
+        if f.shards > 1 then begin
+          Format.eprintf "crash-storm --external does not take --shards yet@.";
+          exit 2
+        end;
+        let root =
+          match sel.backend_root with
+          | Some r -> r
+          | None ->
+              Format.eprintf "crash-storm --external requires --backend file@.";
+              exit 2
         in
-        add
-          (Printf.sprintf "external kill -9 storm (seed %d)" (seed0 + i))
-          (Supervisor.run ~config ~impl spec)
-      done
-    end
-    else begin
-      let base =
-        { Crash_storm.default_config with
-          recovery_crash_depth = depth;
-          crash_step = max 1 crash_step;
-          group_commit;
-          record_cache;
-          audit;
-          time_travel;
-          forensic_dir;
-          backend_root = sel.backend_root;
-          shards = max 1 shards }
-      in
-      for i = 0 to seeds - 1 do
-        let config = { base with seed = Int64.of_int (seed0 + i) } in
-        add
-          (Printf.sprintf "scripted storm (seed %d)" (seed0 + i))
-          (Crash_storm.run_script ~config ~impl spec)
-      done;
-      if sim_steps > 0 then begin
-        let sim =
-          { Crash_storm.default_sim with steps = sim_steps; clients }
-        in
-        add "simulated storm"
-          (Crash_storm.run_sim ~config:{ base with seed = Int64.of_int seed0 }
-             ~sim ())
+        List.map
+          (fun seed ->
+            let config =
+              { Supervisor.default_config with
+                seed = Int64.of_int seed;
+                kill_step = max 1 f.crash_step;
+                max_kills = (if max_kills <= 0 then max_int else max_kills);
+                group_commit = f.group_commit;
+                record_cache = f.record_cache;
+                audit = f.audit;
+                root =
+                  Filename.concat root (Printf.sprintf "external-seed%d" seed);
+                forensic_dir = f.forensic_dir }
+            in
+            ( Printf.sprintf "external kill -9 storm (seed %d)" seed,
+              fun () -> Supervisor.run ~config ~impl spec ))
+          (seeds_of f)
       end
-    end;
-    match !total with
-    | None -> finish obs
-    | Some t ->
-        Format.printf "@.total:@.  %a@." Crash_storm.pp_outcome t;
-        finish obs;
-        if not (Crash_storm.ok t) then exit 1
+      else
+        let base = storm_config sel f in
+        List.map
+          (fun seed ->
+            ( Printf.sprintf "scripted storm (seed %d)" seed,
+              fun () ->
+                Crash_storm.run_script
+                  ~config:{ base with seed = Int64.of_int seed } ~impl spec ))
+          (seeds_of f)
+        @
+        if sim_steps <= 0 then []
+        else
+          [ ( "simulated storm",
+              fun () ->
+                Crash_storm.run_sim
+                  ~config:{ base with seed = Int64.of_int f.seed0 }
+                  ~sim:{ Crash_storm.default_sim with steps = sim_steps;
+                         clients = f.clients }
+                  () ) ]
+    in
+    report_total obs Crash_storm.pp_outcome runs
   in
   Cmd.v
     (Cmd.info "crash-storm"
        ~doc:"Crash at every I/O point, re-crash during recovery, tear pages \
              and log tails; verify every restart against the oracle")
-    Term.(
-      const run $ obs_term $ backend_term $ steps $ objects $ seeds $ seed0
-      $ rate $ impl $ depth $ crash_step $ sim_steps $ clients $ group_commit
-      $ record_cache $ audit $ time_travel $ forensic_dir $ external_
-      $ max_kills $ shards)
-
-(* --- recovery-storm --- *)
+    Term.(const run $ obs_term $ backend_term $ flags $ sim_steps $ external_
+          $ max_kills)
 
 let recovery_storm_cmd =
-  let steps =
-    Arg.(value & opt int 120
-         & info [ "steps" ] ~doc:"Scripted workload steps per storm.")
+  let flags =
+    storm_term ~seeds:3 ~steps:120
+      ~steps_doc:"Scripted workload steps per storm." ~objects:24 ~rate:0.2
+      ~depth:2
+      ~depth_doc:"Nested crash levels injected during analysis, sweeper \
+                  steps, and foreground repairs."
+      ~crash_step:1 ~record_cache ~shards:1 ~engines:[ Config.Rh ] ()
   in
-  let objects =
-    Arg.(value & opt int 24 & info [ "objects" ] ~doc:"Number of objects.")
-  in
-  let seeds =
-    Arg.(value & opt int 3
-         & info [ "seeds" ] ~doc:"Number of storms (distinct seeds).")
-  in
-  let seed0 =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"First storm seed.")
-  in
-  let rate =
-    Arg.(value & opt float 0.2
-         & info [ "delegation-rate" ] ~doc:"Delegation weight in the mix.")
-  in
-  let impl =
-    Arg.(value & opt impl_conv Config.Rh
-         & info [ "engine" ] ~doc:"Engine: rh, eager, or lazy.")
-  in
-  let depth =
-    Arg.(value & opt int 2
-         & info [ "depth" ]
-             ~doc:"Nested crash levels injected during analysis, sweeper \
-                   steps, and foreground repairs.")
-  in
-  let crash_step =
-    Arg.(value & opt int 1
-         & info [ "crash-step" ]
-             ~doc:"Escalate the crash I/O point by this much.")
-  in
-  let group_commit =
-    Arg.(value & opt int 0
-         & info [ "group-commit" ]
-             ~doc:"Batch commit log forces in groups of this size (0 = force \
-                   each commit).")
-  in
-  let record_cache =
-    Arg.(value & opt int Config.default.Config.record_cache
-         & info [ "record-cache" ]
-             ~doc:"Decoded-record cache capacity (0 = disable).")
-  in
-  let audit =
-    Arg.(value & opt bool true
-         & info [ "audit" ]
-             ~doc:"Run the restart self-audit after every drained recovery; \
-                   violations fail the storm.")
-  in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ]
-             ~doc:"Run the storm on a sharded engine with this many shards: \
-                   per-shard analysis (the partitioned forward pass), \
-                   incremental availability per shard, probes routed to \
-                   each object's home; 1 keeps the plain storm.")
-  in
-  let run obs sel steps objects seeds seed0 rate impl depth crash_step
-      group_commit record_cache audit shards =
-    let spec = spec_of ~objects ~steps ~delegation_rate:rate in
-    let base =
-      { Recovery_storm.default_config with
-        Crash_storm.recovery_crash_depth = depth;
-        crash_step = max 1 crash_step;
-        group_commit;
-        record_cache;
-        audit;
-        backend_root = sel.backend_root;
-        shards = max 1 shards }
+  let run obs sel f =
+    let spec =
+      spec_of ~objects:f.objects ~steps:f.steps ~delegation_rate:f.rate
     in
-    let total = ref None in
-    for i = 0 to seeds - 1 do
-      let config = { base with Crash_storm.seed = Int64.of_int (seed0 + i) } in
-      let o = Recovery_storm.run_script ~config ~impl spec in
-      Format.printf "recovery storm (seed %d):@.  %a@." (seed0 + i)
-        Recovery_storm.pp_outcome o;
-      total :=
-        Some (match !total with None -> o | Some t -> Recovery_storm.merge t o)
-    done;
-    match !total with
-    | None -> finish obs
-    | Some t ->
-        Format.printf "@.total:@.  %a@." Recovery_storm.pp_outcome t;
-        finish obs;
-        if not (Recovery_storm.ok t) then exit 1
+    let base = storm_config sel f in
+    report_total obs Recovery_storm.pp_outcome
+      (List.map
+         (fun seed ->
+           ( Printf.sprintf "recovery storm (seed %d)" seed,
+             fun () ->
+               Recovery_storm.run_script
+                 ~config:{ base with seed = Int64.of_int seed }
+                 ~impl:(List.hd f.engines) spec ))
+         (seeds_of f))
   in
   Cmd.v
     (Cmd.info "recovery-storm"
@@ -917,26 +898,13 @@ let recovery_storm_cmd =
              open immediately), re-crash while the sweeper and foreground \
              repairs race, and verify the drained state against the oracle \
              and an offline twin")
-    Term.(
-      const run $ obs_term $ backend_term $ steps $ objects $ seeds $ seed0
-      $ rate $ impl $ depth $ crash_step $ group_commit $ record_cache
-      $ audit $ shards)
-
-(* --- pressure-storm --- *)
+    Term.(const run $ obs_term $ backend_term $ flags)
 
 let pressure_storm_cmd =
-  let seeds =
-    Arg.(value & opt int 3
-         & info [ "seeds" ] ~doc:"Number of storms (distinct seeds).")
-  in
-  let seed0 =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"First storm seed.")
-  in
-  let steps =
-    Arg.(value & opt int 800 & info [ "steps" ] ~doc:"Scheduler steps.")
-  in
-  let clients =
-    Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Concurrent clients.")
+  let flags =
+    storm_term ~seeds:3 ~steps:800 ~steps_doc:"Scheduler steps." ~rate:0.25
+      ~depth:1 ~clients:4 ~record_cache ~time_travel:true ~forensic_dir:"."
+      ~engines:[ Config.Rh; Config.Lazy; Config.Eager ] ()
   in
   let capacity =
     Arg.(value & opt int 6144
@@ -947,99 +915,42 @@ let pressure_storm_cmd =
          & info [ "crash-every" ]
              ~doc:"I/Os between injected crashes (0 = none).")
   in
-  let depth =
-    Arg.(value & opt int 1
-         & info [ "depth" ] ~doc:"Nested crash-during-recovery levels.")
-  in
-  let rate =
-    Arg.(value & opt float 0.25
-         & info [ "delegation-rate" ] ~doc:"Delegation weight in the mix.")
-  in
-  let impl =
-    Arg.(value & opt (some impl_conv) None
-         & info [ "engine" ]
-             ~doc:"Engine: rh, eager, or lazy. Default: all three.")
-  in
-  let group_commit =
-    Arg.(value & opt int 0
-         & info [ "group-commit" ]
-             ~doc:"Batch commit log forces in groups of this size (0 = force \
-                   each commit).")
-  in
-  let record_cache =
-    Arg.(value & opt int Config.default.Config.record_cache
-         & info [ "record-cache" ]
-             ~doc:"Decoded-record cache capacity (0 = disable).")
-  in
-  let audit =
-    Arg.(value & opt bool true
-         & info [ "audit" ]
-             ~doc:"Run the restart self-audit after every recovery (chain \
-                   closure, CLR targets, surgery bracketing); violations \
-                   fail the storm.")
-  in
-  let time_travel =
-    Arg.(value & opt bool true
-         & info [ "time-travel" ]
-             ~doc:"Run analytic time-travel readers in every check round: \
-                   exact ledger match while history is intact, typed \
-                   History_unavailable refusal once the governor \
-                   truncates.")
-  in
-  let forensic_dir =
-    Arg.(value & opt string "."
-         & info [ "forensic-dir" ] ~docv:"DIR"
-             ~doc:"Directory for forensic failure dumps (event trail, \
-                   per-mismatch lineage, metrics); $(b,none) disables them.")
-  in
-  let run obs sel seeds seed0 steps clients capacity crash_every depth rate
-      impl group_commit record_cache audit time_travel forensic_dir =
-    let engines =
-      match impl with
-      | Some i -> [ i ]
-      | None -> [ Config.Rh; Config.Lazy; Config.Eager ]
-    in
-    let failed = ref false in
-    List.iter
-      (fun impl ->
-        for i = 0 to seeds - 1 do
-          let config =
-            { Pressure_storm.default_config with
-              seed = Int64.of_int (seed0 + i);
-              impl;
-              steps;
-              clients;
-              capacity_bytes = capacity;
-              crash_every;
-              recovery_crash_depth = depth;
-              p_delegate = rate;
-              group_commit;
-              record_cache;
-              audit;
-              time_travel;
-              forensic_dir =
-                (if forensic_dir = "none" then None else Some forensic_dir);
-              backend_root = sel.backend_root }
-          in
-          let o = Pressure_storm.run ~config () in
-          Format.printf "%s pressure storm (seed %d):@.  %a@.@."
-            (Forensics.engine_name impl) (seed0 + i) Pressure_storm.pp_outcome
-            o;
-          if not (Pressure_storm.ok o) then failed := true
-        done)
-      engines;
-    finish obs;
-    if !failed then exit 1
+  let run obs sel f capacity crash_every =
+    report_each obs Pressure_storm.pp_outcome Pressure_storm.ok
+      (List.concat_map
+         (fun impl ->
+           List.map
+             (fun seed ->
+               ( Printf.sprintf "%s pressure storm (seed %d)"
+                   (Forensics.engine_name impl) seed,
+                 fun () ->
+                   Pressure_storm.run
+                     ~config:
+                       { Pressure_storm.default_config with
+                         seed = Int64.of_int seed;
+                         impl;
+                         steps = f.steps;
+                         clients = f.clients;
+                         capacity_bytes = capacity;
+                         crash_every;
+                         recovery_crash_depth = f.depth;
+                         p_delegate = f.rate;
+                         group_commit = f.group_commit;
+                         record_cache = f.record_cache;
+                         audit = f.audit;
+                         time_travel = f.time_travel;
+                         forensic_dir = f.forensic_dir;
+                         backend_root = sel.backend_root }
+                     () ))
+             (seeds_of f))
+         f.engines)
   in
   Cmd.v
     (Cmd.info "pressure-storm"
        ~doc:"Crash storms on a bounded, shrinking log: the governor \
              checkpoints, truncates and applies backpressure while clients \
              retry with backoff; the oracle is checked after every restart")
-    Term.(
-      const run $ obs_term $ backend_term $ seeds $ seed0 $ steps $ clients
-      $ capacity $ crash_every $ depth $ rate $ impl $ group_commit
-      $ record_cache $ audit $ time_travel $ forensic_dir)
+    Term.(const run $ obs_term $ backend_term $ flags $ capacity $ crash_every)
 
 (* --- media ops: backup / restore / scrub / media-storm --- *)
 
@@ -1263,31 +1174,17 @@ let scrub_cmd =
     Term.(const run $ obs_term $ db_dir_arg $ archive $ objects $ opp $ impl)
 
 let media_storm_cmd =
-  let seeds =
-    Arg.(value & opt int 3
-         & info [ "seeds" ] ~doc:"Number of storms (distinct seeds).")
-  in
-  let seed0 =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"First storm seed.")
+  let flags =
+    storm_term ~seeds:3
+      ~steps:Media_storm.default_config.Media_storm.steps_per_round
+      ~steps_doc:"Workload steps per round."
+      ~objects:Media_storm.default_config.Media_storm.n_objects ~rate:0.2
+      ~clients:4 ~forensic_dir:"."
+      ~engines:[ Config.Rh; Config.Eager; Config.Lazy ] ()
   in
   let rounds =
     Arg.(value & opt int Media_storm.default_config.Media_storm.rounds
          & info [ "rounds" ] ~doc:"Corruption/crash rounds per storm.")
-  in
-  let steps =
-    Arg.(value & opt int Media_storm.default_config.Media_storm.steps_per_round
-         & info [ "steps" ] ~doc:"Workload steps per round.")
-  in
-  let clients =
-    Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Concurrent clients.")
-  in
-  let objects =
-    Arg.(value & opt int Media_storm.default_config.Media_storm.n_objects
-         & info [ "objects" ] ~doc:"Number of objects.")
-  in
-  let rate =
-    Arg.(value & opt float 0.2
-         & info [ "delegation-rate" ] ~doc:"Delegation weight in the mix.")
   in
   let crash_every =
     Arg.(value & opt int 3
@@ -1299,18 +1196,6 @@ let media_storm_cmd =
          & info [ "scrub-batch" ]
              ~doc:"Incremental scrubber batch riding the workload.")
   in
-  let group_commit =
-    Arg.(value & opt int 0
-         & info [ "group-commit" ]
-             ~doc:"Batch commit log forces in groups of this size (0 = force \
-                   each commit).")
-  in
-  let audit =
-    Arg.(value & opt bool true
-         & info [ "audit" ]
-             ~doc:"Run the restart self-audit after every recovery; \
-                   violations fail the storm.")
-  in
   let archive_dir =
     Arg.(value & opt (some string) None
          & info [ "archive-dir" ] ~docv:"DIR"
@@ -1319,51 +1204,30 @@ let media_storm_cmd =
                 cold-open it for the final restore. Default: in-memory \
                 archive.")
   in
-  let impl =
-    Arg.(value & opt (some impl_conv) None
-         & info [ "engine" ]
-             ~doc:"Engine: rh, eager, or lazy. Default: all three.")
-  in
-  let forensic_dir =
-    Arg.(value & opt string "."
-         & info [ "forensic-dir" ] ~docv:"DIR"
-             ~doc:"Directory for forensic failure dumps (event trail, \
-                   per-mismatch lineage, metrics); $(b,none) disables them.")
-  in
-  let run obs sel seeds seed0 rounds steps clients objects rate crash_every
-      scrub_batch group_commit audit archive_dir impl forensic_dir =
-    let engines =
-      match impl with
-      | Some i -> [ i ]
-      | None -> [ Config.Rh; Config.Eager; Config.Lazy ]
-    in
+  let run obs sel f rounds crash_every scrub_batch archive_dir =
     let config =
       { Media_storm.default_config with
-        Media_storm.seed = Int64.of_int seed0;
+        Media_storm.seed = Int64.of_int f.seed0;
         rounds;
-        steps_per_round = steps;
-        clients;
-        n_objects = objects;
-        p_delegate = rate;
+        steps_per_round = f.steps;
+        clients = f.clients;
+        n_objects = f.objects;
+        p_delegate = f.rate;
         crash_every_rounds = crash_every;
         scrub_batch;
-        group_commit;
-        audit;
+        group_commit = f.group_commit;
+        audit = f.audit;
         backend_root = sel.backend_root;
         archive_root = archive_dir;
-        forensic_dir =
-          (if forensic_dir = "none" then None else Some forensic_dir) }
+        forensic_dir = f.forensic_dir }
     in
-    let failed = ref false in
-    List.iter
-      (fun impl ->
-        let o = Media_storm.run_seeds ~config ~impl ~seeds () in
-        Format.printf "%s media storm (%d seeds):@.  %a@.@."
-          (Forensics.engine_name impl) seeds Media_storm.pp_outcome o;
-        if not (Media_storm.ok o) then failed := true)
-      engines;
-    finish obs;
-    if !failed then exit 1
+    report_each obs Media_storm.pp_outcome Media_storm.ok
+      (List.map
+         (fun impl ->
+           ( Printf.sprintf "%s media storm (%d seeds)"
+               (Forensics.engine_name impl) f.seeds,
+             fun () -> Media_storm.run_seeds ~config ~impl ~seeds:f.seeds () ))
+         f.engines)
   in
   Cmd.v
     (Cmd.info "media-storm"
@@ -1373,10 +1237,8 @@ let media_storm_cmd =
           scrubber heals from shadows, the archive and the live log; every \
           round is checked against the oracle and the final phase proves a \
           cold restore after total media loss.")
-    Term.(
-      const run $ obs_term $ backend_term $ seeds $ seed0 $ rounds $ steps
-      $ clients $ objects $ rate $ crash_every $ scrub_batch $ group_commit
-      $ audit $ archive_dir $ impl $ forensic_dir)
+    Term.(const run $ obs_term $ backend_term $ flags $ rounds $ crash_every
+          $ scrub_batch $ archive_dir)
 
 (* --- metrics --- *)
 

@@ -419,8 +419,11 @@ let append_on_chain_reserved t (info : Txn_table.info) body =
    record can be computed exactly from a throwaway instance. *)
 let probe_xid = Xid.of_int 1
 let record_cost body = Record.encoded_size (Record.mk probe_xid ~prev:Lsn.nil body)
-let base_cost = lazy (record_cost Record.Abort + record_cost Record.End)
-let anchor_cost = lazy (record_cost Record.Anchor)
+(* plain values, computed once at module initialisation: a [lazy]
+   forced by two domains beginning their first transactions at once
+   raises [CamlinternalLazy.Undefined] *)
+let base_cost = record_cost Record.Abort + record_cost Record.End
+let anchor_cost = record_cost Record.Anchor
 
 let clr_cost (u : Record.update) =
   record_cost
@@ -522,20 +525,20 @@ let begin_txn t =
         raise
           (Errors.Archive_lagging { durable; archived = Lsn.of_int archived })
   | _ -> ());
-  let base = Lazy.force base_cost in
   let xid = Xid.of_int t.next_xid in
   (* admit the Begin record and its resolution reservation atomically:
      once a transaction exists, its Abort/End (or Commit/End) pair is
      guaranteed log space *)
   let lsn =
-    Log_store.append_with_reserve t.log ~reserve_bytes:base ~reserve_records:2
+    Log_store.append_with_reserve t.log ~reserve_bytes:base_cost
+      ~reserve_records:2
       (Record.mk xid ~prev:Lsn.nil Record.Begin)
   in
   t.next_xid <- t.next_xid + 1;
   let info = Txn_table.add t.tt xid in
   info.last_lsn <- lsn;
   info.begin_lsn <- lsn;
-  (ledger_of t xid).base_bytes <- base;
+  (ledger_of t xid).base_bytes <- base_cost;
   t.stats.begins <- t.stats.begins + 1;
   if tracing t then Obs.Ring.emit t.ring (Obs.Event.Begin { xid; lsn });
   xid
@@ -993,7 +996,7 @@ let xfer_end t ~xfer_id ~oid ~committed =
 let delegate_eager t (tor_info : Txn_table.info) (tee_info : Txn_table.info)
     oid =
   let from_ = tor_info.Txn_table.xid and to_ = tee_info.Txn_table.xid in
-  let anchors = 2 * Lazy.force anchor_cost in
+  let anchors = 2 * anchor_cost in
   let plan = Rewrite.plan_eager t.env ~tor_info ~tee_info oid in
   let emit_delegate lsn =
     if tracing t then

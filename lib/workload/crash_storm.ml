@@ -1,107 +1,16 @@
 open Ariesrh_types
 open Ariesrh_core
 module Fault = Ariesrh_fault.Fault
-module Log_store = Ariesrh_wal.Log_store
-module Record = Ariesrh_wal.Record
 module Prng = Ariesrh_util.Prng
 module Temporal = Ariesrh_temporal.Temporal
 module Sharded = Ariesrh_shard.Sharded
 
-type config = {
-  seed : int64;
-  tear_data_every : int;
-  tear_data_on_crash : bool;
-  tear_log_on_crash : bool;
-  crash_step : int;
-  recovery_crash_depth : int;
-  recovery_crash_gap : int;
-  group_commit : int;
-  record_cache : int;
-  audit : bool;
-  time_travel : bool;
-  forensic_dir : string option;
-  backend_root : string option;
-  shards : int;
-}
+type config = Storm.config
+type outcome = Storm.outcome
 
-let default_config =
-  {
-    seed = 1L;
-    tear_data_every = 7;
-    tear_data_on_crash = true;
-    tear_log_on_crash = true;
-    crash_step = 1;
-    recovery_crash_depth = 2;
-    recovery_crash_gap = 3;
-    group_commit = 0;
-    record_cache = Config.default.Config.record_cache;
-    audit = true;
-    time_travel = true;
-    forensic_dir = None;
-    backend_root = None;
-    shards = 1;
-  }
+let default_config = Storm.default_config
 
-(* Each storm database gets its own directory under [backend_root]: an
-   existing directory would be the reopen path, and a storm iteration
-   must start from an empty database. *)
-let backend_of config ~tag =
-  match config.backend_root with
-  | None -> Ariesrh_storage.Backend.Sim
-  | Some root ->
-      let dir = Filename.concat root tag in
-      Ariesrh_storage.Backend.remove_tree dir;
-      Ariesrh_storage.Backend.File { dir }
-
-let backend_cleanup config db =
-  Db.close db;
-  match Db.backend db with
-  | Ariesrh_storage.Backend.File { dir } when config.backend_root <> None ->
-      Ariesrh_storage.Backend.remove_tree dir
-  | _ -> ()
-
-type outcome = {
-  mutable runs : int;
-  mutable actions : int;
-  mutable crashes : int;
-  mutable nested_crashes : int;
-  mutable recoveries : int;
-  mutable torn_writes : int;
-  mutable torn_flushes : int;
-  mutable amputated : int;
-  mutable repaired_pages : int;
-  mutable fault_points : int;
-  mutable checks : int;
-  mutable tt_reads : int;
-  mutable migrations : int;
-  mutable migration_refusals : int;
-  mutable xfers_resolved : int;
-  mutable failures : string list;
-}
-
-let fresh_outcome () =
-  {
-    runs = 0;
-    actions = 0;
-    crashes = 0;
-    nested_crashes = 0;
-    recoveries = 0;
-    torn_writes = 0;
-    torn_flushes = 0;
-    amputated = 0;
-    repaired_pages = 0;
-    fault_points = 0;
-    checks = 0;
-    tt_reads = 0;
-    migrations = 0;
-    migration_refusals = 0;
-    xfers_resolved = 0;
-    failures = [];
-  }
-
-let ok o = o.failures = []
-
-let pp_outcome ppf o =
+let pp_outcome ppf (o : outcome) =
   Format.fprintf ppf
     "@[<v>runs=%d actions=%d@ crashes=%d nested=%d recoveries=%d@ \
      torn_writes=%d torn_flushes=%d amputated=%d repaired_pages=%d@ \
@@ -110,178 +19,10 @@ let pp_outcome ppf o =
     o.runs o.actions o.crashes o.nested_crashes o.recoveries o.torn_writes
     o.torn_flushes o.amputated o.repaired_pages o.fault_points o.checks
     o.tt_reads o.migrations o.migration_refusals o.xfers_resolved
-    (List.length o.failures)
-    (fun ppf -> function
-      | [] -> ()
-      | fs ->
-          List.iter (fun f -> Format.fprintf ppf "@   FAIL %s" f) (List.rev fs))
-    o.failures
+    (List.length o.failures) Storm.pp_failures o.failures
 
-let merge a b =
-  {
-    runs = a.runs + b.runs;
-    actions = a.actions + b.actions;
-    crashes = a.crashes + b.crashes;
-    nested_crashes = a.nested_crashes + b.nested_crashes;
-    recoveries = a.recoveries + b.recoveries;
-    torn_writes = a.torn_writes + b.torn_writes;
-    torn_flushes = a.torn_flushes + b.torn_flushes;
-    amputated = a.amputated + b.amputated;
-    repaired_pages = a.repaired_pages + b.repaired_pages;
-    fault_points = a.fault_points + b.fault_points;
-    checks = a.checks + b.checks;
-    tt_reads = a.tt_reads + b.tt_reads;
-    migrations = a.migrations + b.migrations;
-    migration_refusals = a.migration_refusals + b.migration_refusals;
-    xfers_resolved = a.xfers_resolved + b.xfers_resolved;
-    failures = b.failures @ a.failures;
-  }
-
-let fail o msg = o.failures <- msg :: o.failures
-
-(* Best-effort forensic dump when a check round added failures: freeze
-   the trace window, per-mismatch histories with lineage, and a metrics
-   snapshot (see {!Forensics}). Runs with faults gated off and is never
-   allowed to take the storm down. *)
-let maybe_dump ~config ~outcome ~fail_before ~kind ?crash_io ?tag ?expected
-    fault db =
-  match config.forensic_dir with
-  | Some dir when List.length outcome.failures > fail_before ->
-      Fault.set_enabled fault false;
-      let fresh =
-        List.filteri
-          (fun i _ -> i < List.length outcome.failures - fail_before)
-          outcome.failures
-      in
-      (try
-         ignore
-           (Forensics.write ~dir ~kind ~seed:config.seed ?crash_io ?tag
-              ?expected ~failures:fresh db)
-       with _ -> ());
-      Fault.set_enabled fault true
-  | _ -> ()
-
-(* Ground truth for "who committed": the transactions whose commit
-   records are durable and decode — exactly what any restart will see.
-   Called after [Db.crash], when only the stable prefix (with its
-   possibly-torn tail) remains. *)
-let durable_commits log =
-  let s = ref Xid.Set.empty in
-  ignore
-    (Log_store.iter_valid_forward log ~from:(Log_store.truncated_below log)
-       (fun _ r ->
-         match r.Record.body with
-         | Record.Commit -> s := Xid.Set.add (Record.writer_exn r) !s
-         | _ -> ()));
-  !s
-
-(* Restart under continued fault injection: arm a re-crash a few I/Os
-   into each recovery until [recovery_crash_depth] nested crashes have
-   fired, then let it finish. Every injected crash is answered with
-   [Db.crash] and another restart — the re-entrancy the storm proves. *)
-let recover_until_stable ~config ~outcome fault db =
-  (* count amputation via the log store's lifetime counter: the restart
-     attempt that drops the corrupt tail may itself be killed by a
-     nested crash, in which case its report never materialises but the
-     amputation did happen (and the retry finds a clean tail) *)
-  let amputated_before = Log_store.amputated_total (Db.log_store db) in
-  let rec go depth =
-    if depth < config.recovery_crash_depth then
-      Fault.arm_crash_in fault config.recovery_crash_gap
-    else Fault.disarm_crash fault;
-    match Db.recover db with
-    | report ->
-        Fault.disarm_crash fault;
-        outcome.recoveries <- outcome.recoveries + 1;
-        outcome.amputated <-
-          outcome.amputated
-          + Log_store.amputated_total (Db.log_store db)
-          - amputated_before;
-        Ok report
-    | exception Fault.Injected_crash _ when depth <= config.recovery_crash_depth
-      ->
-        outcome.nested_crashes <- outcome.nested_crashes + 1;
-        Db.crash db;
-        go (depth + 1)
-    | exception e ->
-        (* anything else escaping restart is a storm failure *)
-        Error (Printexc.to_string e)
-  in
-  go 0
-
-(* Post-restart verification: state against the oracle, structural
-   invariants, and restart idempotence (crash + bare restart must
-   reproduce the same state). Runs with faults gated off so the check
-   itself is deterministic. *)
-(* On a mismatch, the first diverging object's log history (updates,
-   delegations, compensations) is the fastest route to the bug. *)
-let describe_object db i =
-  let b = Buffer.create 128 in
-  List.iter
-    (fun e ->
-      Buffer.add_string b
-        (match e with
-        | Db.Updated { lsn; invoker; op } ->
-            Printf.sprintf " %d:upd(%s,%s)" (Lsn.to_int lsn)
-              (Format.asprintf "%a" Xid.pp invoker)
-              (match op with
-              | Record.Set { before; after } ->
-                  Printf.sprintf "set %d->%d" before after
-              | Record.Add d -> Printf.sprintf "%+d" d)
-        | Db.Delegated { lsn; from_; to_; _ } ->
-            Printf.sprintf " %d:del(%s->%s)" (Lsn.to_int lsn)
-              (Format.asprintf "%a" Xid.pp from_)
-              (Format.asprintf "%a" Xid.pp to_)
-        | Db.Compensated { lsn; by; undone } ->
-            Printf.sprintf " %d:clr(%s,undid %d)" (Lsn.to_int lsn)
-              (Format.asprintf "%a" Xid.pp by)
-              (Lsn.to_int undone)))
-    (Db.object_history db (Oid.of_int i));
-  Buffer.contents b
-
-let check_state ~outcome ~label fault db expected =
-  Fault.set_enabled fault false;
-  outcome.checks <- outcome.checks + 1;
-  let peek () =
-    Array.init (Array.length expected) (fun i -> Db.peek db (Oid.of_int i))
-  in
-  let pp_arr a =
-    String.concat ";" (Array.to_list (Array.map string_of_int a))
-  in
-  let first_diff a =
-    let rec go i =
-      if i >= Array.length a then ""
-      else if a.(i) <> expected.(i) then
-        Printf.sprintf " (ob%d: got %d want %d; history:%s)" i a.(i)
-          expected.(i) (describe_object db i)
-      else go (i + 1)
-    in
-    go 0
-  in
-  let actual = peek () in
-  if actual <> expected then
-    fail outcome
-      (Printf.sprintf "%s: state mismatch: got [%s] want [%s]%s" label
-         (pp_arr actual) (pp_arr expected) (first_diff actual));
-  (match Db.validate db with
-  | Ok () -> ()
-  | Error msg -> fail outcome (Printf.sprintf "%s: invariants: %s" label msg));
-  (match Db.crash db; Db.recover db with
-  | _ ->
-      outcome.recoveries <- outcome.recoveries + 1;
-      let again = peek () in
-      if again <> expected then
-        fail outcome
-          (Printf.sprintf "%s: restart not idempotent: got [%s] want [%s]"
-             label (pp_arr again) (pp_arr expected))
-  | exception e ->
-      fail outcome
-        (Printf.sprintf "%s: re-restart raised %s" label (Printexc.to_string e)));
-  Fault.set_enabled fault true
-
-(* --- time-travel readers --- *)
-
-let pp_arr a = String.concat ";" (Array.to_list (Array.map string_of_int a))
+(* --- time-travel readers (one shard: an as_of point is a per-shard
+   LSN, and a cross-shard cut is a different instrument) --- *)
 
 (* Evenly spaced subset of [points] (first and last always included)
    bounding the per-round cost of the as_of sweep. *)
@@ -295,358 +36,65 @@ let sample_points points ~limit =
 (* The as_of-equals-ledger oracle: at each sampled durable commit LSN,
    the temporal snapshot reconstructed from the log (before/after
    images, delegate records, surgery CLRs) must equal the harness's
-   expected state at that point. Caller has faults gated off. *)
-let tt_check ~outcome ~label db ~expected_at points =
-  List.iter
-    (fun (l, x) ->
-      outcome.tt_reads <- outcome.tt_reads + 1;
-      let want = expected_at l in
-      match Temporal.snapshot_at db l with
-      | snap ->
-          if snap <> want then
-            fail outcome
-              (Printf.sprintf
-                 "%s: as_of lsn %d (commit of %s): got [%s] want [%s]" label
-                 (Lsn.to_int l)
-                 (Format.asprintf "%a" Xid.pp x)
-                 (pp_arr snap) (pp_arr want))
-      | exception e ->
-          fail outcome
-            (Printf.sprintf "%s: as_of lsn %d raised %s" label (Lsn.to_int l)
-               (Format.asprintf "%a" Errors.pp_exn e)))
-    points
-
-(* xid -> durable commit LSN, from the retained log *)
-let commit_lsn_map cps =
-  let t = Xid.Tbl.create 64 in
-  List.iter
-    (fun (l, x) -> if not (Xid.Tbl.mem t x) then Xid.Tbl.replace t x l)
-    cps;
-  t
-
-let absorb_fault_stats outcome fault =
-  let s = Fault.stats fault in
-  outcome.torn_writes <- outcome.torn_writes + s.Fault.torn_writes;
-  outcome.torn_flushes <- outcome.torn_flushes + s.Fault.torn_flushes;
-  outcome.fault_points <- outcome.fault_points + Fault.fault_points fault
-
-let make_fault config ~salt =
-  let fault = Fault.create ~seed:(Int64.add config.seed (Int64.of_int salt)) () in
-  Fault.set_tear_data_every fault config.tear_data_every;
-  Fault.set_tear_data_on_crash fault config.tear_data_on_crash;
-  Fault.set_tear_log_on_crash fault config.tear_log_on_crash;
-  fault
-
-(* --- sharded plumbing ---
-
-   A sharded storm is the same storm with the engine swapped: one
-   shared fault injector (single logical I/O clock), durable commits
-   read per shard (raw xids collide across logs, so the committed test
-   pairs each façade xid with its shard), recovery through
-   [Sharded.recover] (per-shard restart + transfer resolution + the
-   cross-shard audit), and checks through home-routed peeks. The
-   time-travel readers stay on the single-db storms: an as_of point is
-   a per-shard LSN, and a cross-shard cut is a different instrument. *)
-
-let sharded_backend_scope config ~tag f =
-  match config.backend_root with
-  | None -> f ()
-  | Some root ->
-      let dir = Filename.concat root tag in
-      Ariesrh_storage.Backend.remove_tree dir;
-      let k = ref 0 in
-      Db.set_backend_factory
-        (Some
-           (fun () ->
-             let d = Filename.concat dir (Printf.sprintf "shard%d" !k) in
-             incr k;
-             Ariesrh_storage.Backend.File { dir = d }));
-      Fun.protect ~finally:(fun () -> Db.set_backend_factory None) f
-
-let sharded_cleanup config ~tag sh =
-  Sharded.close sh;
-  match config.backend_root with
-  | None -> ()
-  | Some root ->
-      Ariesrh_storage.Backend.remove_tree (Filename.concat root tag)
-
-let durable_commits_sharded sh =
-  Array.map (fun db -> durable_commits (Db.log_store db)) (Sharded.dbs sh)
-
-let amputated_sharded sh =
-  Array.fold_left
-    (fun a db -> a + Log_store.amputated_total (Db.log_store db))
-    0 (Sharded.dbs sh)
-
-let repairs_sharded sh =
-  Array.fold_left (fun a db -> a + Db.repairs_total db) 0 (Sharded.dbs sh)
-
-let absorb_sharded_counters outcome sh =
-  let c = Sharded.counters sh in
-  outcome.migrations <- outcome.migrations + c.Sharded.migrations;
-  outcome.migration_refusals <-
-    outcome.migration_refusals + c.Sharded.migrations_refused;
-  outcome.xfers_resolved <-
-    outcome.xfers_resolved + c.Sharded.resolved_forward
-    + c.Sharded.resolved_back
-
-let recover_until_stable_sharded ~config ~outcome fault sh =
-  let amputated_before = amputated_sharded sh in
-  let rec go depth =
-    if depth < config.recovery_crash_depth then
-      Fault.arm_crash_in fault config.recovery_crash_gap
-    else Fault.disarm_crash fault;
-    match Sharded.recover sh with
-    | _reports ->
-        Fault.disarm_crash fault;
-        outcome.recoveries <- outcome.recoveries + 1;
-        outcome.amputated <-
-          outcome.amputated + amputated_sharded sh - amputated_before;
-        Ok ()
-    | exception Fault.Injected_crash _ when depth <= config.recovery_crash_depth
-      ->
-        (* the re-crash may land anywhere: inside one shard's restart,
-           between shards, or mid-resolution — the re-run must converge
-           regardless *)
-        outcome.nested_crashes <- outcome.nested_crashes + 1;
-        Sharded.crash sh;
-        go (depth + 1)
-    | exception e -> Error (Printexc.to_string e)
-  in
-  go 0
-
-let check_state_sharded ~outcome ~label fault sh expected =
-  Fault.set_enabled fault false;
-  outcome.checks <- outcome.checks + 1;
-  let peek () =
-    Array.init (Array.length expected) (fun i -> Sharded.peek sh (Oid.of_int i))
-  in
-  let pp_arr a =
-    String.concat ";" (Array.to_list (Array.map string_of_int a))
-  in
-  let first_diff a =
-    let rec go i =
-      if i >= Array.length a then ""
-      else if a.(i) <> expected.(i) then
-        let oid = Oid.of_int i in
-        let h = Sharded.home sh oid in
-        Printf.sprintf " (ob%d@s%d: got %d want %d; history:%s)" i h a.(i)
-          expected.(i)
-          (describe_object (Sharded.db sh h) i)
-      else go (i + 1)
+   expected state at that point, given [counts_at l x]: does engine xid
+   [x] count as committed at LSN [l]. Runs with faults gated off so the
+   crash schedule is untouched. *)
+let tt_round (config : config) (outcome : outcome) ~label ~limit ~expected_at
+    fault sh =
+  if config.time_travel && config.shards = 1 then begin
+    Fault.set_enabled fault false;
+    let db = Sharded.db sh 0 in
+    let cps = Temporal.commit_points db in
+    let commit_lsn = Xid.Tbl.create 64 in
+    List.iter
+      (fun (l, x) ->
+        if not (Xid.Tbl.mem commit_lsn x) then Xid.Tbl.replace commit_lsn x l)
+      cps;
+    let counts_at l fx =
+      match Xid.Tbl.find_opt commit_lsn fx.Sharded.txn with
+      | Some cl -> Lsn.(cl <= l)
+      | None -> false
     in
-    go 0
-  in
-  let actual = peek () in
-  if actual <> expected then
-    fail outcome
-      (Printf.sprintf "%s: state mismatch: got [%s] want [%s]%s" label
-         (pp_arr actual) (pp_arr expected) (first_diff actual));
-  (match Sharded.validate sh with
-  | Ok () -> ()
-  | Error msg -> fail outcome (Printf.sprintf "%s: invariants: %s" label msg));
-  (match
-     Sharded.crash sh;
-     Sharded.recover sh
-   with
-  | _ ->
-      outcome.recoveries <- outcome.recoveries + 1;
-      let again = peek () in
-      if again <> expected then
-        fail outcome
-          (Printf.sprintf "%s: restart not idempotent: got [%s] want [%s]"
-             label (pp_arr again) (pp_arr expected))
-  | exception e ->
-      fail outcome
-        (Printf.sprintf "%s: re-restart raised %s" label (Printexc.to_string e)));
-  Fault.set_enabled fault true
-
-let maybe_dump_sharded ~config ~outcome ~fail_before ~kind ?crash_io ?tag
-    ?expected fault sh =
-  match config.forensic_dir with
-  | Some dir when List.length outcome.failures > fail_before ->
-      Fault.set_enabled fault false;
-      let fresh =
-        List.filteri
-          (fun i _ -> i < List.length outcome.failures - fail_before)
-          outcome.failures
-      in
-      Array.iteri
-        (fun i db ->
-          let tag =
-            match tag with
-            | Some t -> Printf.sprintf "%s-s%d" t i
-            | None -> Printf.sprintf "s%d" i
-          in
-          try
-            ignore
-              (Forensics.write ~dir ~kind ~seed:config.seed ?crash_io ~tag
-                 ?expected ~failures:fresh db)
-          with _ -> ())
-        (Sharded.dbs sh);
-      Fault.set_enabled fault true
-  | _ -> ()
+    List.iter
+      (fun (l, x) ->
+        outcome.tt_reads <- outcome.tt_reads + 1;
+        let want = expected_at (counts_at l) in
+        match Temporal.snapshot_at db l with
+        | snap ->
+            if snap <> want then
+              Storm.fail outcome
+                (Printf.sprintf
+                   "%s: as_of lsn %d (commit of %s): got [%s] want [%s]" label
+                   (Lsn.to_int l)
+                   (Format.asprintf "%a" Xid.pp x)
+                   (Storm.pp_arr snap) (Storm.pp_arr want))
+        | exception e ->
+            Storm.fail outcome
+              (Printf.sprintf "%s: as_of lsn %d raised %s" label (Lsn.to_int l)
+                 (Format.asprintf "%a" Errors.pp_exn e)))
+      (sample_points cps ~limit);
+    Fault.set_enabled fault true
+  end
 
 (* --- scripted storm --- *)
 
-let run_script_sharded ~config ~impl spec =
-  let outcome = fresh_outcome () in
-  let script = Gen.generate spec ~seed:config.seed in
-  let n_objects = spec.Gen.n_objects in
-  let homes = Shard_driver.assign_homes script ~shards:config.shards in
-  let crash_io = ref (max 1 config.crash_step) in
-  let continue = ref true in
-  while !continue do
-    outcome.runs <- outcome.runs + 1;
-    let tag = Printf.sprintf "io%d" !crash_io in
-    sharded_backend_scope config ~tag (fun () ->
-        let fault = make_fault config ~salt:!crash_io in
-        Fault.arm_crash_at fault !crash_io;
-        let sh =
-          Shard_driver.fresh ~fault ~impl ~group_commit:config.group_commit
-            ~record_cache:config.record_cache ~audit:config.audit
-            ~tracing:(config.forensic_dir <> None)
-            ~shards:config.shards ~n_objects ()
-        in
-        let xid_map = Hashtbl.create 16 in
-        let executed = ref 0 in
-        let finished =
-          match
-            Shard_driver.run ~xid_map
-              ~on_action:(fun i -> executed := i + 1)
-              ~homes sh script
-          with
-          | () -> true
-          | exception Fault.Injected_crash _ -> false
-        in
-        outcome.actions <- outcome.actions + !executed;
-        if finished then begin
-          continue := false;
-          Fault.disarm_crash fault
-        end
-        else outcome.crashes <- outcome.crashes + 1;
-        Sharded.crash sh;
-        let commits = durable_commits_sharded sh in
-        let committed t =
-          match Hashtbl.find_opt xid_map t with
-          | Some fx -> Xid.Set.mem fx.Sharded.txn commits.(fx.Sharded.shard)
-          | None -> false
-        in
-        let expected =
-          Oracle.expected_for ~n_objects ~committed ~crash_at:!executed script
-        in
-        let fail_before = List.length outcome.failures in
-        (match recover_until_stable_sharded ~config ~outcome fault sh with
-        | Error msg ->
-            fail outcome
-              (Printf.sprintf "script shards=%d crash_io=%d: %s" config.shards
-                 !crash_io msg)
-        | Ok () ->
-            check_state_sharded ~outcome
-              ~label:
-                (Printf.sprintf "script shards=%d crash_io=%d" config.shards
-                   !crash_io)
-              fault sh expected);
-        maybe_dump_sharded ~config ~outcome ~fail_before ~kind:"shard-crash"
-          ~crash_io:!crash_io ~expected fault sh;
-        absorb_fault_stats outcome fault;
-        absorb_sharded_counters outcome sh;
-        outcome.repaired_pages <- outcome.repaired_pages + repairs_sharded sh;
-        sharded_cleanup config ~tag sh);
-    crash_io := !crash_io + max 1 config.crash_step
-  done;
-  outcome
-
-let run_script_plain ~config ~impl spec =
-  let outcome = fresh_outcome () in
-  let script = Gen.generate spec ~seed:config.seed in
-  let n_objects = spec.Gen.n_objects in
-  let crash_io = ref (max 1 config.crash_step) in
-  let continue = ref true in
-  while !continue do
-    outcome.runs <- outcome.runs + 1;
-    let fault = make_fault config ~salt:!crash_io in
-    Fault.arm_crash_at fault !crash_io;
-    let db =
-      Driver.fresh_db ~fault
-        ~backend:(backend_of config ~tag:(Printf.sprintf "io%d" !crash_io))
-        ~impl ~group_commit:config.group_commit
-        ~record_cache:config.record_cache ~audit:config.audit
-        ~tracing:(config.forensic_dir <> None)
-        ~n_objects ()
-    in
-    let xid_map = Hashtbl.create 16 in
-    let executed = ref 0 in
-    let finished =
-      match
-        Driver.run ~xid_map ~on_action:(fun i -> executed := i + 1) db script
-      with
-      | () -> true
-      | exception Fault.Injected_crash _ -> false
-    in
-    outcome.actions <- outcome.actions + !executed;
-    if finished then begin
-      (* the armed crash point lies beyond the script's total I/O count:
-         every I/O of this history has been a crash point — done *)
-      continue := false;
-      Fault.disarm_crash fault
-    end
-    else outcome.crashes <- outcome.crashes + 1;
-    Db.crash db;
-    let commits = durable_commits (Db.log_store db) in
-    let committed t =
-      match Hashtbl.find_opt xid_map t with
-      | Some x -> Xid.Set.mem x commits
-      | None -> false
-    in
-    let expected =
-      Oracle.expected_for ~n_objects ~committed ~crash_at:!executed script
-    in
-    let fail_before = List.length outcome.failures in
-    (match recover_until_stable ~config ~outcome fault db with
-    | Error msg ->
-        fail outcome (Printf.sprintf "script crash_io=%d: %s" !crash_io msg)
-    | Ok _report ->
-        check_state ~outcome
-          ~label:(Printf.sprintf "script crash_io=%d" !crash_io)
-          fault db expected;
-        if config.time_travel then begin
-          (* analytic sweep over the recovered log: as_of at each
-             durable commit LSN must equal the oracle replay with the
-             commit set restricted to commits at or below that LSN *)
-          Fault.set_enabled fault false;
-          let cps = Temporal.commit_points db in
-          let commit_lsn = commit_lsn_map cps in
-          let expected_at l =
-            let committed_at t =
-              match Hashtbl.find_opt xid_map t with
-              | Some x -> (
-                  match Xid.Tbl.find_opt commit_lsn x with
-                  | Some cl -> Lsn.(cl <= l)
-                  | None -> false)
-              | None -> false
-            in
-            Oracle.expected_for ~n_objects ~committed:committed_at
-              ~crash_at:!executed script
-          in
-          tt_check ~outcome
-            ~label:(Printf.sprintf "script crash_io=%d tt" !crash_io)
-            db ~expected_at
-            (sample_points cps ~limit:8);
-          Fault.set_enabled fault true
-        end);
-    maybe_dump ~config ~outcome ~fail_before ~kind:"crash" ~crash_io:!crash_io
-      ~expected fault db;
-    absorb_fault_stats outcome fault;
-    outcome.repaired_pages <- outcome.repaired_pages + Db.repairs_total db;
-    backend_cleanup config db;
-    crash_io := !crash_io + max 1 config.crash_step
-  done;
-  outcome
-
 let run_script ?(config = default_config) ?(impl = Config.Rh) spec =
-  if config.shards <= 1 then run_script_plain ~config ~impl spec
-  else run_script_sharded ~config ~impl spec
+  Storm.sweep ~config ~impl ~dump_kind:"crash" ~name:"script" ~tag:""
+    ~restart:Storm.offline spec
+    ~on_checked:(fun outcome (it : Storm.iteration) ->
+      (* analytic sweep over the recovered log: as_of at each durable
+         commit LSN must equal the oracle replay with the commit set
+         restricted to commits at or below that LSN *)
+      let n_objects = spec.Gen.n_objects in
+      tt_round config outcome ~label:(it.label ^ " tt") ~limit:8 it.fault it.sh
+        ~expected_at:(fun counts ->
+          Oracle.expected_for ~n_objects
+            ~committed:(fun t ->
+              match Hashtbl.find_opt it.xid_map t with
+              | Some fx -> counts fx
+              | None -> false)
+            ~crash_at:it.executed it.script);
+      ignore)
 
 (* --- simulated storm --- *)
 
@@ -672,88 +120,52 @@ let default_sim =
   }
 
 type client = {
-  mutable xid : Xid.t option;
+  mutable xid : Sharded.xid option;
   mutable ops_left : int;
   mutable touched : int list;  (* objects this txn is responsible for *)
 }
 
-let run_sim_plain ~config ~sim () =
-  let outcome = fresh_outcome () in
-  let fault = make_fault config ~salt:0x5117 in
-  let db =
-    Driver.fresh_db ~fault
-      ~backend:(backend_of config ~tag:"sim-storm")
-      ~group_commit:config.group_commit
-      ~record_cache:config.record_cache ~audit:config.audit
-      ~tracing:(config.forensic_dir <> None)
-      ~n_objects:sim.n_objects ()
-  in
+(* Clients are dealt round-robin onto shards and keep beginning their
+   transactions there; objects are picked uniformly, so with several
+   shards most touches hit an object homed elsewhere and go through a
+   live migration first — under the same crash schedule as everything
+   else. A migration that finds the object locked by another shard's
+   client is refused by the router; the client just skips that op
+   (deterministically — the refusal consumes no randomness). The ledger
+   is keyed by façade xid: raw xids collide across shards. *)
+let run_sim ?(config = default_config) ?(sim = default_sim) () =
+  let outcome = Storm.fresh_outcome () in
+  let n_objects = sim.n_objects in
+  Storm.with_engine config ~tag:"sim-storm" ~salt:0x5117 ~n_objects
+  @@ fun fault sh ->
   let rng = Prng.create (Int64.add config.seed 77L) in
+  let shard_of i = i mod config.shards in
   let clients =
     Array.init sim.clients (fun _ -> { xid = None; ops_left = 0; touched = [] })
   in
-  (* The responsibility ledger: engine xid -> increments it is currently
-     responsible for. Entries move on delegation and never otherwise;
-     expected state = the entries of transactions whose commit records
-     are durable. The subtlety this relies on: a commit record's log
-     force covers (prefix flush) every earlier delegate record, so a
-     durable commit implies its delegated-in entries' transfers are
-     durable too. *)
-  let ledger : (int * int) list Xid.Tbl.t = Xid.Tbl.create 64 in
-  let ledger_of x = match Xid.Tbl.find_opt ledger x with Some l -> l | None -> [] in
-  let ledger_add x o d = Xid.Tbl.replace ledger x ((o, d) :: ledger_of x) in
-  let ledger_move ~from_ ~to_ o =
-    let moved, kept = List.partition (fun (o', _) -> o' = o) (ledger_of from_) in
-    Xid.Tbl.replace ledger from_ kept;
-    Xid.Tbl.replace ledger to_ (moved @ ledger_of to_)
-  in
+  let ledger = Storm.Ledger.create () in
   let expected () =
-    let commits = durable_commits (Db.log_store db) in
-    let v = Array.make sim.n_objects 0 in
-    Xid.Tbl.iter
-      (fun x entries ->
-        if Xid.Set.mem x commits then
-          List.iter (fun (o, d) -> v.(o) <- v.(o) + d) entries)
-      ledger;
-    v
+    Storm.Ledger.state ledger ~n_objects (Storm.committed_in sh)
   in
-  (* Ledger state at an arbitrary durable commit LSN: the entries of
-     every transaction whose commit record is at or below that point.
-     Sound because an entry's holder at LSN l either is its final
-     holder (then both sides use the same commit record) or delegated
-     it onward above l — and a delegation always precedes the
-     delegator's commit, so that holder's commit is above l too and
-     both sides exclude the entry. *)
-  let tt_expected_at commit_lsn l =
-    let v = Array.make sim.n_objects 0 in
-    Xid.Tbl.iter
-      (fun x entries ->
-        match Xid.Tbl.find_opt commit_lsn x with
-        | Some cl when Lsn.(cl <= l) ->
-            List.iter (fun (o, d) -> v.(o) <- v.(o) + d) entries
-        | _ -> ())
-      ledger;
-    v
+  (* Ledger state at a durable commit LSN: the entries of every
+     transaction whose commit record is at or below it. Sound because
+     an entry's holder at LSN l either is its final holder (then both
+     sides use the same commit record) or delegated it onward above l —
+     and a delegation always precedes the delegator's commit, so that
+     holder's commit is above l too and both sides exclude the entry. *)
+  let tt ~label ~limit =
+    tt_round config outcome ~label ~limit fault sh
+      ~expected_at:(Storm.Ledger.state ledger ~n_objects)
   in
-  (* one round of concurrent analytic readers, faults gated off so the
-     storm's crash schedule is untouched *)
-  let tt_round ~label ~limit =
-    if config.time_travel then begin
-      Fault.set_enabled fault false;
-      let cps = Temporal.commit_points db in
-      let commit_lsn = commit_lsn_map cps in
-      tt_check ~outcome ~label db
-        ~expected_at:(tt_expected_at commit_lsn)
-        (sample_points cps ~limit);
-      Fault.set_enabled fault true
-    end
-  in
+  (* delegation stays same-shard: cross-shard responsibility moves with
+     the object, not across live transactions *)
   let other_active self =
     let cands = ref [] in
     Array.iteri
       (fun i c ->
         match c.xid with
-        | Some x when i <> self -> cands := (i, x) :: !cands
+        | Some x when i <> self && shard_of i = shard_of self ->
+            cands := (i, x) :: !cands
         | _ -> ())
       clients;
     match !cands with
@@ -765,8 +177,7 @@ let run_sim_plain ~config ~sim () =
     let c = clients.(self) in
     match c.xid with
     | None ->
-        let x = Db.begin_txn db in
-        c.xid <- Some x;
+        c.xid <- Some (Sharded.begin_txn sh ~shard:(shard_of self));
         c.ops_left <- 1 + Prng.int rng sim.ops_per_txn;
         c.touched <- []
     | Some x when c.ops_left > 0 -> (
@@ -777,25 +188,29 @@ let run_sim_plain ~config ~sim () =
         match (if delegate_now then other_active self else None) with
         | Some (yi, y) ->
             let o = List.nth c.touched (Prng.int rng (List.length c.touched)) in
-            Db.delegate db ~from_:x ~to_:y (Oid.of_int o);
-            ledger_move ~from_:x ~to_:y o;
+            Sharded.delegate sh ~from_:x ~to_:y (Oid.of_int o);
+            Storm.Ledger.move ledger ~from_:x ~to_:y o;
             c.touched <- List.filter (fun o' -> o' <> o) c.touched;
             clients.(yi).touched <- o :: clients.(yi).touched
-        | None ->
-            let o = Prng.int rng sim.n_objects in
+        | None -> (
+            let o = Prng.int rng n_objects in
             let d = 1 + Prng.int rng 9 in
-            Db.add db x (Oid.of_int o) d;
-            ledger_add x o d;
-            if not (List.mem o c.touched) then c.touched <- o :: c.touched)
+            match Sharded.add sh x (Oid.of_int o) d with
+            | () ->
+                Storm.Ledger.add ledger x o d;
+                if not (List.mem o c.touched) then c.touched <- o :: c.touched
+            | exception Errors.Xfer_refused _ ->
+                (* object locked on another shard right now; skip *)
+                ()))
     | Some x ->
-        if Prng.int rng 10 = 0 then Db.abort db x
+        if Prng.int rng 10 = 0 then Sharded.abort sh x
         else begin
-          Db.commit db x;
+          Sharded.commit sh x;
           incr commits_done;
           if
             sim.checkpoint_every > 0
             && !commits_done mod sim.checkpoint_every = 0
-          then Db.checkpoint db
+          then Sharded.checkpoint sh
         end;
         c.xid <- None;
         c.touched <- []
@@ -808,24 +223,33 @@ let run_sim_plain ~config ~sim () =
         c.touched <- [])
       clients
   in
+  let label what =
+    Printf.sprintf "sim%s %s" (Storm.shards_label config) what
+  in
+  (* crash, restart under fire, check; [on_ok] runs after a check *)
+  let restart_and_check what ~on_ok =
+    Sharded.crash sh;
+    let fail_before = List.length outcome.failures in
+    (match
+       Storm.recover_until_stable config outcome ~restart:Storm.offline fault sh
+     with
+    | Error msg -> Storm.fail outcome (Printf.sprintf "%s: %s" (label what) msg)
+    | Ok () ->
+        Storm.check outcome ~label:(label what) fault sh (expected ());
+        on_ok ());
+    fail_before
+  in
   let handle_crash () =
     outcome.crashes <- outcome.crashes + 1;
-    Db.crash db;
-    let fail_before = List.length outcome.failures in
-    (match recover_until_stable ~config ~outcome fault db with
-    | Error msg ->
-        fail outcome
-          (Printf.sprintf "sim crash #%d: %s" outcome.crashes msg)
-    | Ok _report ->
-        outcome.runs <- outcome.runs + 1;
-        check_state ~outcome
-          ~label:(Printf.sprintf "sim crash #%d" outcome.crashes)
-          fault db (expected ());
-        tt_round ~label:(Printf.sprintf "sim crash #%d tt" outcome.crashes)
-          ~limit:8);
-    maybe_dump ~config ~outcome ~fail_before ~kind:"sim"
+    let what = Printf.sprintf "crash #%d" outcome.crashes in
+    let fail_before =
+      restart_and_check what ~on_ok:(fun () ->
+          outcome.runs <- outcome.runs + 1;
+          tt ~label:(label what ^ " tt") ~limit:8)
+    in
+    Storm.dump_engine config outcome ~fail_before ~kind:"sim"
       ~tag:(Printf.sprintf "crash%d" outcome.crashes)
-      ~expected:(expected ()) fault db;
+      ~expected:(expected ()) fault sh;
     reset_clients ();
     Fault.arm_crash_in fault sim.crash_every
   in
@@ -836,194 +260,15 @@ let run_sim_plain ~config ~sim () =
      with Fault.Injected_crash _ -> handle_crash ());
     (* an analytic time-travel reader interleaved with the OLTP
        clients: probe the latest durable commit point mid-run *)
-    if i mod 37 = 0 then tt_round ~label:(Printf.sprintf "sim step %d tt" i)
-        ~limit:2
+    if i mod 37 = 0 then tt ~label:(Printf.sprintf "sim step %d tt" i) ~limit:2
   done;
   (* final clean crash + restart + reconciliation *)
   Fault.disarm_crash fault;
-  Db.crash db;
-  let fail_before = List.length outcome.failures in
-  (match recover_until_stable ~config ~outcome fault db with
-  | Error msg -> fail outcome (Printf.sprintf "sim final restart: %s" msg)
-  | Ok _ ->
-      check_state ~outcome ~label:"sim final" fault db (expected ());
-      tt_round ~label:"sim final tt" ~limit:16);
-  maybe_dump ~config ~outcome ~fail_before ~kind:"sim" ~tag:"final"
-    ~expected:(expected ()) fault db;
-  absorb_fault_stats outcome fault;
-  outcome.repaired_pages <- outcome.repaired_pages + Db.repairs_total db;
-  backend_cleanup config db;
+  let fail_before =
+    restart_and_check "final" ~on_ok:(fun () ->
+        tt ~label:"sim final tt" ~limit:16)
+  in
+  Storm.dump_engine config outcome ~fail_before ~kind:"sim" ~tag:"final"
+    ~expected:(expected ()) fault sh;
+  Storm.absorb outcome fault sh;
   outcome
-
-(* Sharded sim storm: clients are dealt round-robin onto shards and
-   keep beginning their transactions there; objects are picked
-   uniformly, so most touches hit an object homed on another shard and
-   go through a live migration first — under the same crash schedule as
-   everything else. A migration that finds the object locked by another
-   shard's client is refused by the router; the client just skips that
-   op (deterministically — the refusal consumes no randomness). The
-   ledger is keyed by façade xid: raw xids collide across shards. *)
-
-type shard_client = {
-  mutable fx : Sharded.xid option;
-  mutable left : int;
-  mutable mine : int list;  (* objects this txn is responsible for *)
-}
-
-let run_sim_sharded ~config ~sim () =
-  let outcome = fresh_outcome () in
-  sharded_backend_scope config ~tag:"sim-storm" (fun () ->
-      let fault = make_fault config ~salt:0x5117 in
-      let sh =
-        Shard_driver.fresh ~fault ~group_commit:config.group_commit
-          ~record_cache:config.record_cache ~audit:config.audit
-          ~tracing:(config.forensic_dir <> None)
-          ~shards:config.shards ~n_objects:sim.n_objects ()
-      in
-      let rng = Prng.create (Int64.add config.seed 77L) in
-      let shard_of i = i mod config.shards in
-      let clients =
-        Array.init sim.clients (fun _ -> { fx = None; left = 0; mine = [] })
-      in
-      let ledger : (Sharded.xid, (int * int) list) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let ledger_of x =
-        match Hashtbl.find_opt ledger x with Some l -> l | None -> []
-      in
-      let ledger_add x o d = Hashtbl.replace ledger x ((o, d) :: ledger_of x) in
-      let ledger_move ~from_ ~to_ o =
-        let moved, kept =
-          List.partition (fun (o', _) -> o' = o) (ledger_of from_)
-        in
-        Hashtbl.replace ledger from_ kept;
-        Hashtbl.replace ledger to_ (moved @ ledger_of to_)
-      in
-      let expected () =
-        let commits = durable_commits_sharded sh in
-        let v = Array.make sim.n_objects 0 in
-        Hashtbl.iter
-          (fun x entries ->
-            if Xid.Set.mem x.Sharded.txn commits.(x.Sharded.shard) then
-              List.iter (fun (o, d) -> v.(o) <- v.(o) + d) entries)
-          ledger;
-        v
-      in
-      (* delegation stays same-shard: cross-shard responsibility moves
-         with the object, not across live transactions *)
-      let other_active self =
-        let cands = ref [] in
-        Array.iteri
-          (fun i c ->
-            match c.fx with
-            | Some x when i <> self && shard_of i = shard_of self ->
-                cands := (i, x) :: !cands
-            | _ -> ())
-          clients;
-        match !cands with
-        | [] -> None
-        | l -> Some (List.nth l (Prng.int rng (List.length l)))
-      in
-      let commits_done = ref 0 in
-      let step self =
-        let c = clients.(self) in
-        match c.fx with
-        | None ->
-            let x = Sharded.begin_txn sh ~shard:(shard_of self) in
-            c.fx <- Some x;
-            c.left <- 1 + Prng.int rng sim.ops_per_txn;
-            c.mine <- []
-        | Some x when c.left > 0 -> (
-            c.left <- c.left - 1;
-            let delegate_now =
-              c.mine <> [] && Prng.float rng 1.0 < sim.p_delegate
-            in
-            match (if delegate_now then other_active self else None) with
-            | Some (yi, y) ->
-                let o = List.nth c.mine (Prng.int rng (List.length c.mine)) in
-                Sharded.delegate sh ~from_:x ~to_:y (Oid.of_int o);
-                ledger_move ~from_:x ~to_:y o;
-                c.mine <- List.filter (fun o' -> o' <> o) c.mine;
-                clients.(yi).mine <- o :: clients.(yi).mine
-            | None -> (
-                let o = Prng.int rng sim.n_objects in
-                let d = 1 + Prng.int rng 9 in
-                match Sharded.add sh x (Oid.of_int o) d with
-                | () ->
-                    ledger_add x o d;
-                    if not (List.mem o c.mine) then c.mine <- o :: c.mine
-                | exception Errors.Xfer_refused _ ->
-                    (* object locked on another shard right now; skip *)
-                    ()))
-        | Some x ->
-            if Prng.int rng 10 = 0 then Sharded.abort sh x
-            else begin
-              Sharded.commit sh x;
-              incr commits_done;
-              if
-                sim.checkpoint_every > 0
-                && !commits_done mod sim.checkpoint_every = 0
-              then Sharded.checkpoint sh
-            end;
-            c.fx <- None;
-            c.mine <- []
-      in
-      let reset_clients () =
-        Array.iter
-          (fun c ->
-            c.fx <- None;
-            c.left <- 0;
-            c.mine <- [])
-          clients
-      in
-      let handle_crash () =
-        outcome.crashes <- outcome.crashes + 1;
-        Sharded.crash sh;
-        let fail_before = List.length outcome.failures in
-        (match recover_until_stable_sharded ~config ~outcome fault sh with
-        | Error msg ->
-            fail outcome
-              (Printf.sprintf "sim shards=%d crash #%d: %s" config.shards
-                 outcome.crashes msg)
-        | Ok () ->
-            outcome.runs <- outcome.runs + 1;
-            check_state_sharded ~outcome
-              ~label:
-                (Printf.sprintf "sim shards=%d crash #%d" config.shards
-                   outcome.crashes)
-              fault sh (expected ()));
-        maybe_dump_sharded ~config ~outcome ~fail_before ~kind:"shard-sim"
-          ~tag:(Printf.sprintf "crash%d" outcome.crashes)
-          ~expected:(expected ()) fault sh;
-        reset_clients ();
-        Fault.arm_crash_in fault sim.crash_every
-      in
-      Fault.arm_crash_in fault sim.crash_every;
-      for i = 1 to sim.steps do
-        outcome.actions <- outcome.actions + 1;
-        try step (i mod sim.clients)
-        with Fault.Injected_crash _ -> handle_crash ()
-      done;
-      (* final clean crash + restart + reconciliation *)
-      Fault.disarm_crash fault;
-      Sharded.crash sh;
-      let fail_before = List.length outcome.failures in
-      (match recover_until_stable_sharded ~config ~outcome fault sh with
-      | Error msg ->
-          fail outcome
-            (Printf.sprintf "sim shards=%d final restart: %s" config.shards msg)
-      | Ok () ->
-          check_state_sharded ~outcome
-            ~label:(Printf.sprintf "sim shards=%d final" config.shards)
-            fault sh (expected ()));
-      maybe_dump_sharded ~config ~outcome ~fail_before ~kind:"shard-sim"
-        ~tag:"final" ~expected:(expected ()) fault sh;
-      absorb_fault_stats outcome fault;
-      absorb_sharded_counters outcome sh;
-      outcome.repaired_pages <- outcome.repaired_pages + repairs_sharded sh;
-      sharded_cleanup config ~tag:"sim-storm" sh;
-      outcome)
-
-let run_sim ?(config = default_config) ?(sim = default_sim) () =
-  if config.shards <= 1 then run_sim_plain ~config ~sim ()
-  else run_sim_sharded ~config ~sim ()

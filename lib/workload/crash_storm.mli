@@ -1,110 +1,40 @@
 (** Crash storms: scripted and simulated histories driven under an
     escalating fault plan, checking recovered state after every restart.
 
-    A scripted storm replays one generated script repeatedly, arming a
-    crash at the k-th I/O with k escalating each iteration until the
-    script survives untouched — so every I/O operation of the history
-    gets its turn to be the crash point. A sim storm runs a closed-loop
-    multi-client increment/delegate workload on a single database,
-    crashing every few I/Os, forever reconciling against a ledger.
+    A scripted storm is the {!Storm.sweep}: one generated script
+    replayed with a crash armed at the k-th I/O, k escalating each
+    iteration until the script survives untouched — so every I/O
+    operation of the history gets its turn to be the crash point. A sim
+    storm runs a closed-loop multi-client increment/delegate workload,
+    crashing every few I/Os, forever reconciling against a
+    responsibility ledger.
 
-    Every crash is followed by restart under continued fault injection:
-    re-crashes are armed during recovery up to a configured depth, torn
-    data pages and torn log tails fire per the plan. After each restart
-    the engine state is compared against the oracle (committed = the
-    transactions whose commit records are durable and intact in the
-    log), the engine's structural invariants are validated, and restart
-    idempotence is checked (crash + bare restart must reproduce the same
-    state). *)
+    Every crash is followed by offline restart under continued fault
+    injection: re-crashes are armed during recovery up to a configured
+    depth, torn data pages and torn log tails fire per the plan. After
+    each restart the {!Storm.check} battery runs: engine state against
+    the oracle (committed = the transactions whose commit records are
+    durable and intact in the log), structural invariants, and restart
+    idempotence. At one shard, time-travel readers also check
+    [Temporal.snapshot_at] against the oracle at sampled commit LSNs.
+    Both storms run on a {!Ariesrh_shard.Sharded} engine of
+    [config.shards] shards; one shard is a plain database byte for
+    byte. *)
 
 open Ariesrh_core
 
-type config = {
-  seed : int64;
-  tear_data_every : int;
-      (** tear every n-th data page write (latent corruption); 0 = never *)
-  tear_data_on_crash : bool;  (** tear the page write a crash lands on *)
-  tear_log_on_crash : bool;  (** tear the log tail when a crash hits a flush *)
-  crash_step : int;  (** scripted: escalate the crash I/O point by this *)
-  recovery_crash_depth : int;  (** nested crash-during-recovery levels *)
-  recovery_crash_gap : int;  (** I/Os into each recovery before re-crash *)
-  group_commit : int;
-      (** commit-force batch size (see {!Config.t}); [0] (the default)
-          forces each commit record as it is written. The oracle is
-          group-commit-proof either way: committed = the commit records
-          that survived the crash, read straight off the log *)
-  record_cache : int;
-      (** decoded-record cache capacity ([0] disables); the storm must
-          behave identically — same outcomes, same forensic bytes —
-          at any setting *)
-  audit : bool;
-      (** run the restart self-audit ([Db.audit]) after every recovery;
-          a violation surfaces as [Audit_failed] and fails the storm.
-          Default [true] — storms are exactly where latent chain damage
-          would hide *)
-  time_travel : bool;
-      (** run concurrent analytic time-travel readers: during the sim
-          storm and after every check round, [Temporal.snapshot_at] at
-          sampled durable commit LSNs must equal the harness's expected
-          state at that point (the as_of-equals-ledger oracle). Readers
-          run with faults gated off so crash schedules are unchanged.
-          Default [true] *)
-  forensic_dir : string option;
-      (** when set, storm databases run with the trace ring enabled and
-          every check round that adds failures writes a
-          {!Forensics.write} dump into this directory, keyed by seed and
-          crash point; [None] (the default) disables both *)
-  backend_root : string option;
-      (** when set, every storm database runs on the file backend in its
-          own fresh directory under this root (removed again as the
-          iteration ends); [None] (the default) keeps the sim backend —
-          a sharded storm gives each shard its own subdirectory *)
-  shards : int;
-      (** run the storm on a {!Ariesrh_shard.Sharded} engine with this
-          many shards ([1], the default, keeps the plain single-db
-          storm). Scripted storms co-home each transaction component on
-          one shard ({!Shard_driver.assign_homes}), so every object's
-          base-home-to-component migration happens lock-free and the
-          crash sweep walks every I/O point of the transfer protocol;
-          sim storms let clients on different shards contend, so the
-          refusal path fires too. Checks route through the current
-          homes, recovery resolves in-doubt transfers and (with
-          [audit]) runs the cross-shard pairing audit. Time-travel
-          readers only run at [shards = 1] — an as_of point is a
-          per-shard LSN *)
-}
+type config = Storm.config
+type outcome = Storm.outcome
 
 val default_config : config
 
-type outcome = {
-  mutable runs : int;  (** storm iterations (scripted) or crashes survived *)
-  mutable actions : int;  (** workload actions executed *)
-  mutable crashes : int;  (** top-level injected crashes *)
-  mutable nested_crashes : int;  (** crashes injected during restart *)
-  mutable recoveries : int;  (** restarts that completed *)
-  mutable torn_writes : int;
-  mutable torn_flushes : int;
-  mutable amputated : int;  (** corrupt tail records dropped by restarts *)
-  mutable repaired_pages : int;
-  mutable fault_points : int;  (** crashes + nested + torn writes + tears *)
-  mutable checks : int;  (** oracle/invariant/idempotence check rounds *)
-  mutable tt_reads : int;  (** time-travel as_of reads performed *)
-  mutable migrations : int;  (** committed cross-shard transfers *)
-  mutable migration_refusals : int;  (** transfers refused (locks held) *)
-  mutable xfers_resolved : int;
-      (** in-doubt transfer intents closed at restart (either way) *)
-  mutable failures : string list;  (** newest first; empty = storm passed *)
-}
-
-val ok : outcome -> bool
 val pp_outcome : Format.formatter -> outcome -> unit
-
-val merge : outcome -> outcome -> outcome
-(** Field-wise sum (for aggregating several storms). *)
 
 val run_script :
   ?config:config -> ?impl:Config.delegation_impl -> Gen.spec -> outcome
-(** Scripted storm over [Gen.generate spec ~seed:config.seed]. *)
+(** Scripted storm over [Gen.generate spec ~seed:config.seed]. Failing
+    check rounds dump as kind [crash] ([shard-crash] with several
+    shards). *)
 
 type sim_config = {
   clients : int;
@@ -121,6 +51,9 @@ val default_sim : sim_config
 val run_sim : ?config:config -> ?sim:sim_config -> unit -> outcome
 (** Closed-loop simulated storm: concurrent clients issuing commutative
     increments with random delegation, periodic checkpoints, and a crash
-    armed every [crash_every] I/Os. State is reconciled after every
-    restart against a responsibility ledger filtered by the durable
-    commit set. *)
+    armed every [crash_every] I/Os. Clients are dealt round-robin onto
+    shards; with several, most touches migrate an object first and
+    contended migrations are refused and skipped. State is reconciled
+    after every restart against a {!Storm.Ledger} filtered by the
+    durable commit set. Failing check rounds dump as kind [sim]
+    ([shard-sim] with several shards). *)

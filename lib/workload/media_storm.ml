@@ -3,7 +3,6 @@ open Ariesrh_core
 open Ariesrh_storage
 module Fault = Ariesrh_fault.Fault
 module Log_store = Ariesrh_wal.Log_store
-module Record = Ariesrh_wal.Record
 module Prng = Ariesrh_util.Prng
 module Scrubber = Ariesrh_maintenance.Scrubber
 
@@ -100,12 +99,7 @@ let pp_outcome ppf o =
     o.injected_lost o.injected_misdirected o.injected_archive_rot
     o.scrub_checked o.detected o.healed o.unhealable o.archived
     o.cold_restores o.checks
-    (List.length o.failures)
-    (fun ppf -> function
-      | [] -> ()
-      | fs ->
-          List.iter (fun f -> Format.fprintf ppf "@   FAIL %s" f) (List.rev fs))
-    o.failures
+    (List.length o.failures) Storm.pp_failures o.failures
 
 let merge a b =
   {
@@ -129,14 +123,6 @@ let merge a b =
 
 let fail o msg = o.failures <- msg :: o.failures
 
-let backend_of config ~tag =
-  match config.backend_root with
-  | None -> Backend.Sim
-  | Some root ->
-      let dir = Filename.concat root tag in
-      Backend.remove_tree dir;
-      Backend.File { dir }
-
 let archive_dir_of config ~tag =
   match config.archive_root with
   | None -> None
@@ -144,18 +130,6 @@ let archive_dir_of config ~tag =
       let dir = Filename.concat root tag in
       Backend.remove_tree dir;
       Some dir
-
-(* Ground truth as in the other storms: a transaction counts iff its
-   commit record is durable and decodes. *)
-let durable_commits log =
-  let s = ref Xid.Set.empty in
-  ignore
-    (Log_store.iter_valid_forward log ~from:(Log_store.truncated_below log)
-       (fun _ r ->
-         match r.Record.body with
-         | Record.Commit -> s := Xid.Set.add (Record.writer_exn r) !s
-         | _ -> ()));
-  !s
 
 type client = {
   mutable xid : Xid.t option;
@@ -176,7 +150,7 @@ let run ?(config = default_config) ?(impl = Config.Rh) () =
   in
   let db =
     Driver.fresh_db ~fault
-      ~backend:(backend_of config ~tag)
+      ~backend:(Storm.fresh_backend config.backend_root ~tag)
       ~impl ~group_commit:config.group_commit ~audit:config.audit
       ~tracing:(config.forensic_dir <> None)
       ~n_objects:config.n_objects ()
@@ -188,35 +162,17 @@ let run ?(config = default_config) ?(impl = Config.Rh) () =
     Array.init config.clients (fun _ ->
         { xid = None; ops_left = 0; touched = [] })
   in
-  (* the responsibility ledger (see Crash_storm.run_sim): entries move
-     only on delegation; expected state sums the entries of durably
-     committed transactions *)
-  let ledger : (int * int) list Xid.Tbl.t = Xid.Tbl.create 64 in
-  let ledger_of x =
-    match Xid.Tbl.find_opt ledger x with Some l -> l | None -> []
-  in
-  let ledger_add x o d = Xid.Tbl.replace ledger x ((o, d) :: ledger_of x) in
-  let ledger_move ~from_ ~to_ o =
-    let moved, kept =
-      List.partition (fun (o', _) -> o' = o) (ledger_of from_)
-    in
-    Xid.Tbl.replace ledger from_ kept;
-    Xid.Tbl.replace ledger to_ (moved @ ledger_of to_)
-  in
+  let ledger = Storm.Ledger.create () in
   (* Truncation reclaims old commit records, but a commit once durable
      is committed forever: accumulate the set across the storm instead
      of re-deriving it from whatever prefix the log still retains. *)
   let known_commits = ref Xid.Set.empty in
   let expected () =
     known_commits :=
-      Xid.Set.union !known_commits (durable_commits (Db.log_store db));
-    let v = Array.make config.n_objects 0 in
-    Xid.Tbl.iter
-      (fun x entries ->
-        if Xid.Set.mem x !known_commits then
-          List.iter (fun (o, d) -> v.(o) <- v.(o) + d) entries)
-      ledger;
-    v
+      Xid.Set.union !known_commits
+        (Storm.durable_commits (Db.log_store db));
+    Storm.Ledger.state ledger ~n_objects:config.n_objects (fun x ->
+        Xid.Set.mem x !known_commits)
   in
   let reset_clients () =
     Array.iter
@@ -257,14 +213,14 @@ let run ?(config = default_config) ?(impl = Config.Rh) () =
               List.nth c.touched (Prng.int rng (List.length c.touched))
             in
             Db.delegate db ~from_:x ~to_:y (Oid.of_int o);
-            ledger_move ~from_:x ~to_:y o;
+            Storm.Ledger.move ledger ~from_:x ~to_:y o;
             c.touched <- List.filter (fun o' -> o' <> o) c.touched;
             clients.(yi).touched <- o :: clients.(yi).touched
         | None ->
             let o = Prng.int rng config.n_objects in
             let d = 1 + Prng.int rng 9 in
             Db.add db x (Oid.of_int o) d;
-            ledger_add x o d;
+            Storm.Ledger.add ledger x o d;
             if not (List.mem o c.touched) then c.touched <- o :: c.touched)
     | Some x ->
         if Prng.int rng 10 = 0 then Db.abort db x else Db.commit db x;
@@ -308,8 +264,7 @@ let run ?(config = default_config) ?(impl = Config.Rh) () =
     if got <> want then
       fail outcome
         (Printf.sprintf "%s: state mismatch: got [%s] want [%s]" label
-           (String.concat ";" (Array.to_list (Array.map string_of_int got)))
-           (String.concat ";" (Array.to_list (Array.map string_of_int want))));
+           (Storm.pp_arr got) (Storm.pp_arr want));
     (match Db.validate db with
     | Ok () -> ()
     | Error msg -> fail outcome (Printf.sprintf "%s: invariants: %s" label msg));
@@ -415,9 +370,11 @@ let run ?(config = default_config) ?(impl = Config.Rh) () =
   (* total media loss: both devices gone. A cold restore from the
      archive alone — reopened from its own files when mirrored — must
      reproduce the exact committed state. *)
-  let restored_backend = backend_of config ~tag:(tag ^ "-restored") in
   let db2 =
-    Db.create ~backend:restored_backend (Db.config db)
+    Db.create
+      ~backend:
+        (Storm.fresh_backend config.backend_root ~tag:(tag ^ "-restored"))
+      (Db.config db)
   in
   (* when the archive is mirrored to disk, restore from a {e cold open}
      of its files — nothing in-memory survives the "loss" *)
@@ -435,9 +392,7 @@ let run ?(config = default_config) ?(impl = Config.Rh) () =
       if got <> committed then
         fail outcome
           (Printf.sprintf "cold restore diverged: got [%s] want [%s]"
-             (String.concat ";" (Array.to_list (Array.map string_of_int got)))
-             (String.concat ";"
-                (Array.to_list (Array.map string_of_int committed))));
+             (Storm.pp_arr got) (Storm.pp_arr committed));
       (match Db.validate db2 with
       | Ok () -> ()
       | Error msg -> fail outcome (Printf.sprintf "cold restore invariants: %s" msg));
@@ -464,23 +419,10 @@ let run ?(config = default_config) ?(impl = Config.Rh) () =
   if outcome.unhealable > 0 then
     fail outcome
       (Printf.sprintf "%d corruptions had no intact source" outcome.unhealable);
-  (* forensic dump on failure *)
-  (match config.forensic_dir with
-  | Some dir when not (ok outcome) ->
-      (try
-         ignore
-           (Forensics.write ~dir ~kind:"media" ~seed:config.seed ~tag
-              ~failures:outcome.failures db)
-       with _ -> ())
-  | _ -> ());
-  Db.close db2;
-  (match restored_backend with
-  | Backend.File { dir } -> Backend.remove_tree dir
-  | Backend.Sim -> ());
-  Db.close db;
-  (match Db.backend db with
-  | Backend.File { dir } -> Backend.remove_tree dir
-  | Backend.Sim -> ());
+  Storm.dump ~forensic_dir:config.forensic_dir ~seed:config.seed ~kind:"media"
+    ~tag ~fail_before:0 ~failures:outcome.failures db;
+  Storm.close_and_remove db2;
+  Storm.close_and_remove db;
   (match config.archive_root with
   | Some root -> Backend.remove_tree (Filename.concat root tag)
   | None -> ());

@@ -2,7 +2,6 @@ open Ariesrh_types
 open Ariesrh_core
 module Fault = Ariesrh_fault.Fault
 module Log_store = Ariesrh_wal.Log_store
-module Record = Ariesrh_wal.Record
 module Prng = Ariesrh_util.Prng
 module Governor = Ariesrh_maintenance.Governor
 module Temporal = Ariesrh_temporal.Temporal
@@ -137,12 +136,7 @@ let pp_outcome ppf o =
     o.recoveries o.squeezes o.checks o.drain_commits o.gov_ticks
     o.gov_checkpoints o.gov_truncations o.gov_records_truncated o.gov_victims
     o.reservations o.admission_rejects o.peak_pressure o.tt_reads o.tt_refused
-    (List.length o.failures)
-    (fun ppf -> function
-      | [] -> ()
-      | fs ->
-          List.iter (fun f -> Format.fprintf ppf "@   FAIL %s" f) (List.rev fs))
-    o.failures
+    (List.length o.failures) Storm.pp_failures o.failures
 
 type client = {
   mutable xid : Xid.t option;
@@ -152,36 +146,13 @@ type client = {
   mutable attempts : int;
 }
 
-(* Transactions whose commit records are durable — scanned after a crash,
-   when only the stable prefix remains. Unlike the crash storm, the
-   governor truncates the log while the storm runs, so commit records
-   disappear; the harness accumulates this set monotonically (scan at
-   every crash + the commit-durable hook below) instead of re-deriving
-   it from the log each time. *)
-let durable_commits log =
-  let s = ref Xid.Set.empty in
-  ignore
-    (Log_store.iter_valid_forward log ~from:(Log_store.truncated_below log)
-       (fun _ r ->
-         match r.Record.body with
-         | Record.Commit -> s := Xid.Set.add (Record.writer_exn r) !s
-         | _ -> ()));
-  !s
-
 let run ?(config = default_config) () =
   let outcome = fresh_outcome () in
   let fault = Fault.create ~seed:config.seed () in
   Fault.set_tear_log_on_crash fault true;
-  let backend =
-    match config.backend_root with
-    | None -> Ariesrh_storage.Backend.Sim
-    | Some root ->
-        let dir = Filename.concat root "pressure-storm" in
-        Ariesrh_storage.Backend.remove_tree dir;
-        Ariesrh_storage.Backend.File { dir }
-  in
   let db =
-    Db.create ~fault ~backend
+    Db.create ~fault
+      ~backend:(Storm.fresh_backend config.backend_root ~tag:"pressure-storm")
       ~tracing:(config.forensic_dir <> None)
       (Config.make ~n_objects:config.n_objects ~objects_per_page:8
          ~buffer_capacity:(max 4 (config.n_objects / 32))
@@ -198,21 +169,7 @@ let run ?(config = default_config) () =
         { xid = None; ops_left = 0; touched = []; backoff_until = 0;
           attempts = 0 })
   in
-  (* responsibility ledger, as in the crash storm: engine xid ->
-     increments it would contribute if it committed; entries move on
-     delegation *)
-  let ledger : (int * int) list Xid.Tbl.t = Xid.Tbl.create 64 in
-  let ledger_of x =
-    match Xid.Tbl.find_opt ledger x with Some l -> l | None -> []
-  in
-  let ledger_add x o d = Xid.Tbl.replace ledger x ((o, d) :: ledger_of x) in
-  let ledger_move ~from_ ~to_ o =
-    let moved, kept =
-      List.partition (fun (o', _) -> o' = o) (ledger_of from_)
-    in
-    Xid.Tbl.replace ledger from_ kept;
-    Xid.Tbl.replace ledger to_ (moved @ ledger_of to_)
-  in
+  let ledger = Storm.Ledger.create () in
   let committed_set = ref Xid.Set.empty in
   (* A commit enters the set exactly when its commit record hardens: the
      hook fires synchronously inside [Db.commit] without group commit,
@@ -222,17 +179,17 @@ let run ?(config = default_config) () =
      exact durable-commit oracle either way. *)
   Db.set_commit_durable_hook db
     (Some (fun x -> committed_set := Xid.Set.add x !committed_set));
+  (* Transactions whose commit records are durable. Unlike the crash
+     storm, the governor truncates the log while the storm runs, so
+     commit records disappear; the set accumulates monotonically (a scan
+     at every crash + the hook above) instead of being re-derived from
+     the log each time. *)
   let absorb_commits () =
-    committed_set := Xid.Set.union !committed_set (durable_commits log)
+    committed_set := Xid.Set.union !committed_set (Storm.durable_commits log)
   in
   let expected () =
-    let v = Array.make config.n_objects 0 in
-    Xid.Tbl.iter
-      (fun x entries ->
-        if Xid.Set.mem x !committed_set then
-          List.iter (fun (o, d) -> v.(o) <- v.(o) + d) entries)
-      ledger;
-    v
+    Storm.Ledger.state ledger ~n_objects:config.n_objects (fun x ->
+        Xid.Set.mem x !committed_set)
   in
   let note_pressure () =
     let p = Db.log_pressure db in
@@ -309,7 +266,7 @@ let run ?(config = default_config) () =
               match Db.delegate db ~from_:x ~to_:y (Oid.of_int o) with
               | () ->
                   outcome.delegations <- outcome.delegations + 1;
-                  ledger_move ~from_:x ~to_:y o;
+                  Storm.Ledger.move ledger ~from_:x ~to_:y o;
                   c.touched <- List.filter (fun o' -> o' <> o) c.touched;
                   clients.(yi).touched <- o :: clients.(yi).touched
               | exception Errors.Overloaded _ ->
@@ -328,7 +285,7 @@ let run ?(config = default_config) () =
               let d = 1 + Prng.int rng 9 in
               match Db.add db x (Oid.of_int o) d with
               | () ->
-                  ledger_add x o d;
+                  Storm.Ledger.add ledger x o d;
                   if not (List.mem o c.touched) then c.touched <- o :: c.touched
               | exception Log_store.Log_full _ ->
                   outcome.log_fulls <- outcome.log_fulls + 1;
@@ -398,7 +355,7 @@ let run ?(config = default_config) () =
      governor truncates — no archive is ever attached here — every read
      must refuse with the typed [History_unavailable], never return a
      silently partial reconstruction. Caller has faults gated off. *)
-  let time_travel_check ~label ~pp_arr () =
+  let time_travel_check ~label =
     match Temporal.coverage db with
     | exception e ->
         fail outcome
@@ -432,15 +389,10 @@ let run ?(config = default_config) () =
             if not (Xid.Tbl.mem commit_lsn x) then Xid.Tbl.add commit_lsn x l)
           cps;
         let expected_at l =
-          let v = Array.make config.n_objects 0 in
-          Xid.Tbl.iter
-            (fun x entries ->
+          Storm.Ledger.state ledger ~n_objects:config.n_objects (fun x ->
               match Xid.Tbl.find_opt commit_lsn x with
-              | Some cl when Lsn.compare cl l <= 0 ->
-                  List.iter (fun (o, d) -> v.(o) <- v.(o) + d) entries
-              | _ -> ())
-            ledger;
-          v
+              | Some cl -> Lsn.compare cl l <= 0
+              | None -> false)
         in
         let n = List.length cps in
         let limit = 6 in
@@ -457,7 +409,7 @@ let run ?(config = default_config) () =
                       (Printf.sprintf
                          "%s: tt state at %s: got [%s] want [%s]" label
                          (Format.asprintf "%a" Lsn.pp l)
-                         (pp_arr got) (pp_arr want))
+                         (Storm.pp_arr got) (Storm.pp_arr want))
               | exception e ->
                   fail outcome
                     (Printf.sprintf "%s: tt read at %s raised %s" label
@@ -473,14 +425,11 @@ let run ?(config = default_config) () =
     let peek () =
       Array.init config.n_objects (fun i -> Db.peek db (Oid.of_int i))
     in
-    let pp_arr a =
-      String.concat ";" (Array.to_list (Array.map string_of_int a))
-    in
     let got = peek () in
     if got <> want then
       fail outcome
         (Printf.sprintf "%s: state mismatch: got [%s] want [%s]" label
-           (pp_arr got) (pp_arr want));
+           (Storm.pp_arr got) (Storm.pp_arr want));
     (match Db.validate db with
     | Ok () -> ()
     | Error msg -> fail outcome (Printf.sprintf "%s: invariants: %s" label msg));
@@ -493,27 +442,13 @@ let run ?(config = default_config) () =
         fail outcome
           (Printf.sprintf "%s: re-restart raised %s" label
              (Printexc.to_string e)));
-    if config.time_travel then time_travel_check ~label ~pp_arr ();
+    if config.time_travel then time_travel_check ~label;
     Fault.set_enabled fault true
   in
-  (* best-effort forensic dump when a check round added failures; never
-     allowed to take the storm down (the db may be wedged mid-restart) *)
   let maybe_dump ~fail_before ~tag =
-    match config.forensic_dir with
-    | Some dir when List.length outcome.failures > fail_before ->
-        Fault.set_enabled fault false;
-        let fresh =
-          List.filteri
-            (fun i _ -> i < List.length outcome.failures - fail_before)
-            outcome.failures
-        in
-        (try
-           ignore
-             (Forensics.write ~dir ~kind:"pressure" ~seed:config.seed ~tag
-                ~expected:(expected ()) ~failures:fresh db)
-         with _ -> ());
-        Fault.set_enabled fault true
-    | _ -> ()
+    Storm.dump ~fault ~forensic_dir:config.forensic_dir ~seed:config.seed
+      ~kind:"pressure" ~tag ~expected:(expected ()) ~fail_before
+      ~failures:outcome.failures db
   in
   let fatal = ref false in
   let handle_crash () =
@@ -613,9 +548,5 @@ let run ?(config = default_config) () =
   let ls = Log_store.stats log in
   outcome.reservations <- ls.Ariesrh_wal.Log_stats.reservations;
   outcome.admission_rejects <- ls.Ariesrh_wal.Log_stats.admission_rejects;
-  Db.close db;
-  (match backend with
-  | Ariesrh_storage.Backend.File { dir } ->
-      Ariesrh_storage.Backend.remove_tree dir
-  | Ariesrh_storage.Backend.Sim -> ());
+  Storm.close_and_remove db;
   outcome

@@ -1,70 +1,30 @@
 open Ariesrh_types
 open Ariesrh_core
 module Fault = Ariesrh_fault.Fault
-module Log_store = Ariesrh_wal.Log_store
-module Record = Ariesrh_wal.Record
 module Sharded = Ariesrh_shard.Sharded
-module C = Crash_storm
 
-(* The recovery storm: the crash-sweep geometry of {!Crash_storm}
-   pointed at on-demand restart. Each iteration crashes the workload at
-   the k-th I/O, restarts in [Config.On_demand] mode — analysis only,
-   open for traffic immediately — and then lives through the drain the
-   way a real system would: background sweeper steps interleaved with
+(* The recovery storm: the crash sweep of {!Storm} pointed at on-demand
+   restart. Each iteration crashes the workload at the k-th I/O,
+   restarts in [Config.On_demand] mode — analysis only, open for
+   traffic immediately — and then lives through the drain the way a
+   real system would: background sweeper steps interleaved with
    foreground transactions that are either served degraded or refused
-   with the typed retryable [Errors.Recovering], plus [Db.peek] probes
+   with the typed retryable [Errors.Recovering], plus peek probes
    taking the foreground-repair path. Re-crashes are armed {e during}
    the drain, so the injected crash can land inside analysis, inside a
    sweeper step, or inside a foreground repair — the race the storm
-   exists to exercise. After convergence the state must equal the
-   durable-commit oracle, the audit must be clean, a bare re-restart
-   must be idempotent, and — the equivalence oracle — an offline twin
-   run over the identical history (same script, same fault schedule,
-   same crash point, [Config.Offline]) must reach the same final
-   state element-wise. *)
+   exists to exercise. After convergence the check battery runs with
+   the audit, and — the equivalence oracle — an offline twin run over
+   the identical history (same script, same fault schedule, same crash
+   point, [Config.Offline]) must reach the same final state
+   element-wise. *)
 
-type config = C.config
+type config = Storm.config
+type outcome = Storm.outcome
 
-let default_config = C.default_config
+let default_config = Storm.default_config
 
-type outcome = {
-  mutable runs : int;
-  mutable actions : int;
-  mutable crashes : int;
-  mutable nested_crashes : int;
-  mutable recoveries : int;
-  mutable instant_opens : int;
-  mutable drain_steps : int;
-  mutable refusals : int;
-  mutable degraded_serves : int;
-  mutable foreground_repairs : int;
-  mutable checks : int;
-  mutable twin_checks : int;
-  mutable fault_points : int;
-  mutable failures : string list;
-}
-
-let fresh_outcome () =
-  {
-    runs = 0;
-    actions = 0;
-    crashes = 0;
-    nested_crashes = 0;
-    recoveries = 0;
-    instant_opens = 0;
-    drain_steps = 0;
-    refusals = 0;
-    degraded_serves = 0;
-    foreground_repairs = 0;
-    checks = 0;
-    twin_checks = 0;
-    fault_points = 0;
-    failures = [];
-  }
-
-let ok o = o.failures = []
-
-let pp_outcome ppf o =
+let pp_outcome ppf (o : outcome) =
   Format.fprintf ppf
     "@[<v>runs=%d actions=%d@ crashes=%d nested=%d recoveries=%d \
      instant_opens=%d@ drain_steps=%d refusals=%d degraded_serves=%d \
@@ -73,159 +33,18 @@ let pp_outcome ppf o =
     o.runs o.actions o.crashes o.nested_crashes o.recoveries o.instant_opens
     o.drain_steps o.refusals o.degraded_serves o.foreground_repairs o.checks
     o.twin_checks o.fault_points
-    (List.length o.failures)
-    (fun ppf -> function
-      | [] -> ()
-      | fs ->
-          List.iter (fun f -> Format.fprintf ppf "@   FAIL %s" f) (List.rev fs))
-    o.failures
+    (List.length o.failures) Storm.pp_failures o.failures
 
-let merge a b =
-  {
-    runs = a.runs + b.runs;
-    actions = a.actions + b.actions;
-    crashes = a.crashes + b.crashes;
-    nested_crashes = a.nested_crashes + b.nested_crashes;
-    recoveries = a.recoveries + b.recoveries;
-    instant_opens = a.instant_opens + b.instant_opens;
-    drain_steps = a.drain_steps + b.drain_steps;
-    refusals = a.refusals + b.refusals;
-    degraded_serves = a.degraded_serves + b.degraded_serves;
-    foreground_repairs = a.foreground_repairs + b.foreground_repairs;
-    checks = a.checks + b.checks;
-    twin_checks = a.twin_checks + b.twin_checks;
-    fault_points = a.fault_points + b.fault_points;
-    failures = b.failures @ a.failures;
-  }
-
-let fail o msg = o.failures <- msg :: o.failures
-
-let pp_arr a = String.concat ";" (Array.to_list (Array.map string_of_int a))
-
-(* --- the Crash_storm plumbing, re-grown locally (not exported there) --- *)
-
-let backend_of config ~tag =
-  match config.C.backend_root with
-  | None -> Ariesrh_storage.Backend.Sim
-  | Some root ->
-      let dir = Filename.concat root tag in
-      Ariesrh_storage.Backend.remove_tree dir;
-      Ariesrh_storage.Backend.File { dir }
-
-let backend_cleanup config db =
-  Db.close db;
-  match Db.backend db with
-  | Ariesrh_storage.Backend.File { dir } when config.C.backend_root <> None ->
-      Ariesrh_storage.Backend.remove_tree dir
-  | _ -> ()
-
-let make_fault config ~salt =
-  let fault =
-    Fault.create ~seed:(Int64.add config.C.seed (Int64.of_int salt)) ()
-  in
-  Fault.set_tear_data_every fault config.C.tear_data_every;
-  Fault.set_tear_data_on_crash fault config.C.tear_data_on_crash;
-  Fault.set_tear_log_on_crash fault config.C.tear_log_on_crash;
-  fault
-
-let absorb_fault_stats outcome fault =
-  outcome.fault_points <- outcome.fault_points + Fault.fault_points fault
-
-let durable_commits log =
-  let s = ref Xid.Set.empty in
-  ignore
-    (Log_store.iter_valid_forward log ~from:(Log_store.truncated_below log)
-       (fun _ r ->
-         match r.Record.body with
-         | Record.Commit -> s := Xid.Set.add (Record.writer_exn r) !s
-         | _ -> ()));
-  !s
-
-let sharded_backend_scope config ~tag f =
-  match config.C.backend_root with
-  | None -> f ()
-  | Some root ->
-      let dir = Filename.concat root tag in
-      Ariesrh_storage.Backend.remove_tree dir;
-      let k = ref 0 in
-      Db.set_backend_factory
-        (Some
-           (fun () ->
-             let d = Filename.concat dir (Printf.sprintf "shard%d" !k) in
-             incr k;
-             Ariesrh_storage.Backend.File { dir = d }));
-      Fun.protect ~finally:(fun () -> Db.set_backend_factory None) f
-
-let sharded_cleanup config ~tag sh =
-  Sharded.close sh;
-  match config.C.backend_root with
-  | None -> ()
-  | Some root ->
-      Ariesrh_storage.Backend.remove_tree (Filename.concat root tag)
-
-let durable_commits_sharded sh =
-  Array.map (fun db -> durable_commits (Db.log_store db)) (Sharded.dbs sh)
-
-(* --- driving the drain --- *)
-
-(* Restart, then drain the backlog as a live system: one sweeper step
-   at a time, a foreground read transaction every other step (served
-   degraded, or refused with the typed error and retried implicitly by
-   later probes on the same rotation), a [peek] foreground repair every
-   fifth. Faults stay armed throughout, so a nested crash can hit
-   analysis, a sweeper step, a probe, or a repair; each one is answered
-   with [Db.crash] — which drops the volatile on-demand state — and a
-   fresh restart, proving re-entrancy of the lazy path. *)
-let recover_and_drain ~config ~outcome ~n_objects fault db =
+(* The on-demand restart step: restart, then drain the backlog as a
+   live system — one sweeper step at a time, a foreground read
+   transaction every other step (begun on the object's current home:
+   the probe exercises the servability decision, not the migration
+   machinery), a peek foreground repair every fifth. A crash anywhere
+   in here drops the volatile on-demand state; {!Storm.recover_until_stable}
+   answers it with a fresh restart, proving the lazy path re-entrant. *)
+let drain ~n_objects (outcome : outcome) sh =
   let probe i =
     let oid = Oid.of_int (i mod n_objects) in
-    let x = Db.begin_txn db in
-    match Db.read db x oid with
-    | _ ->
-        outcome.degraded_serves <- outcome.degraded_serves + 1;
-        Db.commit db x
-    | exception Errors.Recovering _ ->
-        outcome.refusals <- outcome.refusals + 1;
-        Db.abort db x
-  in
-  let rec go depth =
-    if depth < config.C.recovery_crash_depth then
-      Fault.arm_crash_in fault config.C.recovery_crash_gap
-    else Fault.disarm_crash fault;
-    match
-      ignore (Db.recover db);
-      outcome.recoveries <- outcome.recoveries + 1;
-      if Db.recovering db then
-        outcome.instant_opens <- outcome.instant_opens + 1;
-      let i = ref 0 in
-      while Db.recovering db do
-        incr i;
-        ignore (Db.recovery_step db);
-        outcome.drain_steps <- outcome.drain_steps + 1;
-        if !i mod 2 = 0 then probe !i;
-        if !i mod 5 = 0 then begin
-          ignore (Db.peek db (Oid.of_int (!i / 5 mod n_objects)));
-          outcome.foreground_repairs <- outcome.foreground_repairs + 1
-        end
-      done
-    with
-    | () ->
-        Fault.disarm_crash fault;
-        Ok ()
-    | exception Fault.Injected_crash _ when depth <= config.C.recovery_crash_depth
-      ->
-        outcome.nested_crashes <- outcome.nested_crashes + 1;
-        Db.crash db;
-        go (depth + 1)
-    | exception e -> Error (Printexc.to_string e)
-  in
-  go 0
-
-let recover_and_drain_sharded ~config ~outcome ~n_objects fault sh =
-  let probe i =
-    let oid = Oid.of_int (i mod n_objects) in
-    (* begin on the object's current home: the probe exercises the
-       servability decision, not the migration machinery *)
     let x = Sharded.begin_txn sh ~shard:(Sharded.home sh oid) in
     match Sharded.read sh x oid with
     | _ ->
@@ -235,340 +54,61 @@ let recover_and_drain_sharded ~config ~outcome ~n_objects fault sh =
         outcome.refusals <- outcome.refusals + 1;
         Sharded.abort sh x
   in
-  let rec go depth =
-    if depth < config.C.recovery_crash_depth then
-      Fault.arm_crash_in fault config.C.recovery_crash_gap
-    else Fault.disarm_crash fault;
-    match
-      ignore (Sharded.recover sh);
-      outcome.recoveries <- outcome.recoveries + 1;
-      if Sharded.recovering sh then
-        outcome.instant_opens <- outcome.instant_opens + 1;
-      let i = ref 0 in
-      while Sharded.recovering sh do
-        incr i;
-        ignore (Sharded.recovery_step sh);
-        outcome.drain_steps <- outcome.drain_steps + 1;
-        if !i mod 2 = 0 then probe !i;
-        if !i mod 5 = 0 then begin
-          ignore (Sharded.peek sh (Oid.of_int (!i / 5 mod n_objects)));
-          outcome.foreground_repairs <- outcome.foreground_repairs + 1
-        end
-      done
-    with
-    | () ->
-        Fault.disarm_crash fault;
-        Ok ()
-    | exception Fault.Injected_crash _ when depth <= config.C.recovery_crash_depth
-      ->
-        outcome.nested_crashes <- outcome.nested_crashes + 1;
-        Sharded.crash sh;
-        go (depth + 1)
-    | exception e -> Error (Printexc.to_string e)
-  in
-  go 0
+  Storm.recover sh;
+  outcome.recoveries <- outcome.recoveries + 1;
+  if Sharded.recovering sh then
+    outcome.instant_opens <- outcome.instant_opens + 1;
+  let i = ref 0 in
+  while Sharded.recovering sh do
+    incr i;
+    ignore (Sharded.recovery_step sh);
+    outcome.drain_steps <- outcome.drain_steps + 1;
+    if !i mod 2 = 0 then probe !i;
+    if !i mod 5 = 0 then begin
+      ignore (Sharded.peek sh (Oid.of_int (!i / 5 mod n_objects)));
+      outcome.foreground_repairs <- outcome.foreground_repairs + 1
+    end
+  done
 
-(* --- checks --- *)
-
-let check_state ~outcome ~label fault db expected =
-  Fault.set_enabled fault false;
-  outcome.checks <- outcome.checks + 1;
-  let peek () =
-    Array.init (Array.length expected) (fun i -> Db.peek db (Oid.of_int i))
-  in
-  let actual = peek () in
-  if actual <> expected then
-    fail outcome
-      (Printf.sprintf "%s: state mismatch: got [%s] want [%s]" label
-         (pp_arr actual) (pp_arr expected));
-  (match Db.validate db with
-  | Ok () -> ()
-  | Error msg -> fail outcome (Printf.sprintf "%s: invariants: %s" label msg));
-  (match Db.audit db with
-  | [] -> ()
-  | fs ->
-      fail outcome
-        (Printf.sprintf "%s: audit: %s" label (String.concat "; " fs)));
-  (* idempotent re-entry: crash drops the volatile on-demand state; a
-     bare restart plus a full drain must reproduce the same state *)
-  (match
-     Db.crash db;
-     ignore (Db.recover db);
-     Db.await_recovery db
-   with
-  | () ->
-      outcome.recoveries <- outcome.recoveries + 1;
-      let again = peek () in
-      if again <> expected then
-        fail outcome
-          (Printf.sprintf "%s: restart not idempotent: got [%s] want [%s]"
-             label (pp_arr again) (pp_arr expected))
-  | exception e ->
-      fail outcome
-        (Printf.sprintf "%s: re-restart raised %s" label (Printexc.to_string e)));
-  Fault.set_enabled fault true
-
-let check_state_sharded ~outcome ~label fault sh expected =
-  Fault.set_enabled fault false;
-  outcome.checks <- outcome.checks + 1;
-  let peek () =
-    Array.init (Array.length expected) (fun i -> Sharded.peek sh (Oid.of_int i))
-  in
-  let actual = peek () in
-  if actual <> expected then
-    fail outcome
-      (Printf.sprintf "%s: state mismatch: got [%s] want [%s]" label
-         (pp_arr actual) (pp_arr expected));
-  (match Sharded.validate sh with
-  | Ok () -> ()
-  | Error msg -> fail outcome (Printf.sprintf "%s: invariants: %s" label msg));
-  (match Sharded.audit sh with
-  | [] -> ()
-  | fs ->
-      fail outcome
-        (Printf.sprintf "%s: audit: %s" label (String.concat "; " fs)));
-  (match
-     Sharded.crash sh;
-     ignore (Sharded.recover sh);
-     Sharded.await_recovery sh
-   with
-  | () ->
-      outcome.recoveries <- outcome.recoveries + 1;
-      let again = peek () in
-      if again <> expected then
-        fail outcome
-          (Printf.sprintf "%s: restart not idempotent: got [%s] want [%s]"
-             label (pp_arr again) (pp_arr expected))
-  | exception e ->
-      fail outcome
-        (Printf.sprintf "%s: re-restart raised %s" label (Printexc.to_string e)));
-  Fault.set_enabled fault true
-
-(* --- the offline twin ---
-
-   The equivalence oracle: replay the identical history — same script,
-   same fault seed and tear schedule, same armed crash point, so the
-   durable prefix is byte-for-byte the history the on-demand run
-   recovered from — on a twin configured for offline restart, and
-   return its fully-recovered state. *)
-
-let offline_twin_plain ~config ~impl ~crash_io ~n_objects script =
-  let fault = make_fault config ~salt:crash_io in
-  Fault.arm_crash_at fault crash_io;
-  let db =
-    Driver.fresh_db ~fault
-      ~backend:(backend_of config ~tag:(Printf.sprintf "offline-io%d" crash_io))
-      ~impl ~group_commit:config.C.group_commit
-      ~record_cache:config.C.record_cache ~audit:config.C.audit
-      ~tracing:(config.C.forensic_dir <> None)
-      ~n_objects ()
-  in
-  (match Driver.run db script with
+(* The offline twin: replay the identical history — same script, same
+   fault seed and tear schedule, same armed crash point, so the durable
+   prefix is byte-for-byte the history the on-demand run recovered
+   from — on an engine restarting offline, and return its recovered
+   state. *)
+let offline_twin config ~impl ~crash_io ~n_objects ~homes script =
+  Storm.with_engine config ~impl
+    ~tag:(Printf.sprintf "offline-io%d" crash_io)
+    ~salt:crash_io ~crash_io ~n_objects
+  @@ fun fault sh ->
+  (match Shard_driver.run ~homes sh script with
   | () -> Fault.disarm_crash fault
   | exception Fault.Injected_crash _ -> ());
-  Db.crash db;
+  Sharded.crash sh;
   Fault.set_enabled fault false;
-  let state =
-    match Db.recover db with
-    | _ -> Ok (Array.init n_objects (fun i -> Db.peek db (Oid.of_int i)))
-    | exception e -> Error (Printexc.to_string e)
-  in
-  backend_cleanup config db;
-  state
-
-let offline_twin_sharded ~config ~impl ~crash_io ~n_objects ~homes script =
-  let tag = Printf.sprintf "offline-io%d" crash_io in
-  sharded_backend_scope config ~tag (fun () ->
-      let fault = make_fault config ~salt:crash_io in
-      Fault.arm_crash_at fault crash_io;
-      let sh =
-        Shard_driver.fresh ~fault ~impl ~group_commit:config.C.group_commit
-          ~record_cache:config.C.record_cache ~audit:config.C.audit
-          ~tracing:(config.C.forensic_dir <> None)
-          ~shards:config.C.shards ~n_objects ()
-      in
-      (match Shard_driver.run ~homes sh script with
-      | () -> Fault.disarm_crash fault
-      | exception Fault.Injected_crash _ -> ());
-      Sharded.crash sh;
-      Fault.set_enabled fault false;
-      let state =
-        match Sharded.recover sh with
-        | _ -> Ok (Array.init n_objects (fun i -> Sharded.peek sh (Oid.of_int i)))
-        | exception e -> Error (Printexc.to_string e)
-      in
-      sharded_cleanup config ~tag sh;
-      state)
-
-(* --- the storms --- *)
-
-let run_script_plain ~config ~impl spec =
-  let outcome = fresh_outcome () in
-  let script = Gen.generate spec ~seed:config.C.seed in
-  let n_objects = spec.Gen.n_objects in
-  let crash_io = ref (max 1 config.C.crash_step) in
-  let continue = ref true in
-  while !continue do
-    outcome.runs <- outcome.runs + 1;
-    let fault = make_fault config ~salt:!crash_io in
-    Fault.arm_crash_at fault !crash_io;
-    let db =
-      Driver.fresh_db ~fault
-        ~backend:(backend_of config ~tag:(Printf.sprintf "od-io%d" !crash_io))
-        ~impl ~group_commit:config.C.group_commit
-        ~record_cache:config.C.record_cache ~audit:config.C.audit
-        ~recovery_mode:Config.On_demand
-        ~tracing:(config.C.forensic_dir <> None)
-        ~n_objects ()
-    in
-    let xid_map = Hashtbl.create 16 in
-    let executed = ref 0 in
-    let finished =
-      match
-        Driver.run ~xid_map ~on_action:(fun i -> executed := i + 1) db script
-      with
-      | () -> true
-      | exception Fault.Injected_crash _ -> false
-    in
-    outcome.actions <- outcome.actions + !executed;
-    if finished then begin
-      continue := false;
-      Fault.disarm_crash fault
-    end
-    else outcome.crashes <- outcome.crashes + 1;
-    Db.crash db;
-    let commits = durable_commits (Db.log_store db) in
-    let committed t =
-      match Hashtbl.find_opt xid_map t with
-      | Some x -> Xid.Set.mem x commits
-      | None -> false
-    in
-    let expected =
-      Oracle.expected_for ~n_objects ~committed ~crash_at:!executed script
-    in
-    let label = Printf.sprintf "od crash_io=%d" !crash_io in
-    (match recover_and_drain ~config ~outcome ~n_objects fault db with
-    | Error msg -> fail outcome (Printf.sprintf "%s: %s" label msg)
-    | Ok () -> (
-        check_state ~outcome ~label fault db expected;
-        match offline_twin_plain ~config ~impl ~crash_io:!crash_io ~n_objects
-                script
-        with
-        | Error msg ->
-            fail outcome (Printf.sprintf "%s: offline twin: %s" label msg)
-        | Ok twin ->
-            outcome.twin_checks <- outcome.twin_checks + 1;
-            Fault.set_enabled fault false;
-            let actual =
-              Array.init n_objects (fun i -> Db.peek db (Oid.of_int i))
-            in
-            if actual <> twin then
-              fail outcome
-                (Printf.sprintf
-                   "%s: on-demand state differs from offline twin: got [%s] \
-                    twin [%s]"
-                   label (pp_arr actual) (pp_arr twin));
-            Fault.set_enabled fault true));
-    absorb_fault_stats outcome fault;
-    backend_cleanup config db;
-    crash_io := !crash_io + max 1 config.C.crash_step
-  done;
-  outcome
-
-let run_script_sharded ~config ~impl spec =
-  let outcome = fresh_outcome () in
-  let script = Gen.generate spec ~seed:config.C.seed in
-  let n_objects = spec.Gen.n_objects in
-  let homes = Shard_driver.assign_homes script ~shards:config.C.shards in
-  let crash_io = ref (max 1 config.C.crash_step) in
-  let continue = ref true in
-  while !continue do
-    outcome.runs <- outcome.runs + 1;
-    let tag = Printf.sprintf "od-io%d" !crash_io in
-    let label =
-      Printf.sprintf "od shards=%d crash_io=%d" config.C.shards !crash_io
-    in
-    let final =
-      sharded_backend_scope config ~tag (fun () ->
-          let fault = make_fault config ~salt:!crash_io in
-          Fault.arm_crash_at fault !crash_io;
-          let sh =
-            Shard_driver.fresh ~fault ~impl
-              ~group_commit:config.C.group_commit
-              ~record_cache:config.C.record_cache ~audit:config.C.audit
-              ~recovery_mode:Config.On_demand
-              ~tracing:(config.C.forensic_dir <> None)
-              ~shards:config.C.shards ~n_objects ()
-          in
-          let xid_map = Hashtbl.create 16 in
-          let executed = ref 0 in
-          let finished =
-            match
-              Shard_driver.run ~xid_map
-                ~on_action:(fun i -> executed := i + 1)
-                ~homes sh script
-            with
-            | () -> true
-            | exception Fault.Injected_crash _ -> false
-          in
-          outcome.actions <- outcome.actions + !executed;
-          if finished then begin
-            continue := false;
-            Fault.disarm_crash fault
-          end
-          else outcome.crashes <- outcome.crashes + 1;
-          Sharded.crash sh;
-          let commits = durable_commits_sharded sh in
-          let committed t =
-            match Hashtbl.find_opt xid_map t with
-            | Some fx -> Xid.Set.mem fx.Sharded.txn commits.(fx.Sharded.shard)
-            | None -> false
-          in
-          let expected =
-            Oracle.expected_for ~n_objects ~committed ~crash_at:!executed
-              script
-          in
-          let final =
-            match
-              recover_and_drain_sharded ~config ~outcome ~n_objects fault sh
-            with
-            | Error msg ->
-                fail outcome (Printf.sprintf "%s: %s" label msg);
-                None
-            | Ok () ->
-                check_state_sharded ~outcome ~label fault sh expected;
-                Fault.set_enabled fault false;
-                Some
-                  (Array.init n_objects (fun i ->
-                       Sharded.peek sh (Oid.of_int i)))
-          in
-          absorb_fault_stats outcome fault;
-          sharded_cleanup config ~tag sh;
-          final)
-    in
-    (* twin runs outside the on-demand run's backend scope: the scope
-       installs a global backend factory and must be torn down first *)
-    (match final with
-    | None -> ()
-    | Some actual -> (
-        match
-          offline_twin_sharded ~config ~impl ~crash_io:!crash_io ~n_objects
-            ~homes script
-        with
-        | Error msg ->
-            fail outcome (Printf.sprintf "%s: offline twin: %s" label msg)
-        | Ok twin ->
-            outcome.twin_checks <- outcome.twin_checks + 1;
-            if actual <> twin then
-              fail outcome
-                (Printf.sprintf
-                   "%s: on-demand state differs from offline twin: got [%s] \
-                    twin [%s]"
-                   label (pp_arr actual) (pp_arr twin))));
-    crash_io := !crash_io + max 1 config.C.crash_step
-  done;
-  outcome
+  match Storm.recover sh with
+  | () -> Ok (Sharded.peek_all sh)
+  | exception e -> Error (Printexc.to_string e)
 
 let run_script ?(config = default_config) ?(impl = Config.Rh) spec =
-  if config.C.shards <= 1 then run_script_plain ~config ~impl spec
-  else run_script_sharded ~config ~impl spec
+  let n_objects = spec.Gen.n_objects in
+  Storm.sweep ~config ~impl ~recovery_mode:Config.On_demand ~audit:true
+    ~name:"od" ~tag:"od-" ~restart:(drain ~n_objects) spec
+    ~on_checked:(fun outcome (it : Storm.iteration) ->
+      Fault.set_enabled it.fault false;
+      let actual = Sharded.peek_all it.sh in
+      fun () ->
+        match
+          offline_twin config ~impl ~crash_io:it.crash_io ~n_objects
+            ~homes:it.homes it.script
+        with
+        | Error msg ->
+            Storm.fail outcome
+              (Printf.sprintf "%s: offline twin: %s" it.label msg)
+        | Ok twin ->
+            outcome.twin_checks <- outcome.twin_checks + 1;
+            if actual <> twin then
+              Storm.fail outcome
+                (Printf.sprintf
+                   "%s: on-demand state differs from offline twin: got [%s] \
+                    twin [%s]"
+                   it.label (Storm.pp_arr actual) (Storm.pp_arr twin)))

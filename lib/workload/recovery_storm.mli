@@ -1,6 +1,6 @@
 (** Recovery storms: crashing {e during} on-demand restart.
 
-    The scripted crash sweep of {!Crash_storm}, pointed at
+    The crash sweep of {!Storm.sweep}, pointed at
     [Config.On_demand] restart. Each iteration crashes the workload at
     the k-th I/O and restarts in on-demand mode — analysis only, open
     for traffic immediately — then drives the drain like a live system:
@@ -20,43 +20,28 @@
     history (same script, same fault schedule, same crash point,
     [Config.Offline]) reaches the same final state element-wise.
 
-    With [config.shards > 1] the same storm runs on a
-    {!Ariesrh_shard.Sharded} engine: per-shard analysis (partitioned
-    forward pass), incremental availability per shard, probes routed to
-    each object's current home. [config.forensic_dir] only enables
-    tracing here; recovery storms do not write forensic dumps. *)
+    Like every {!Storm.sweep}, it runs on a {!Ariesrh_shard.Sharded}
+    engine of [config.shards] shards (one shard is a plain database byte
+    for byte): with several, analysis is per shard (the partitioned
+    forward pass), each shard is incrementally available, and probes
+    route to each object's current home. [config.forensic_dir] only
+    enables tracing here; recovery storms do not write forensic
+    dumps. *)
 
 open Ariesrh_core
 
-type config = Crash_storm.config
+type config = Storm.config
 (** Same knobs as the crash storm ([time_travel] is unused here). *)
 
 val default_config : config
 
-type outcome = {
-  mutable runs : int;  (** storm iterations *)
-  mutable actions : int;  (** workload actions executed *)
-  mutable crashes : int;  (** top-level injected crashes *)
-  mutable nested_crashes : int;  (** crashes injected during restart/drain *)
-  mutable recoveries : int;  (** restarts that completed analysis *)
-  mutable instant_opens : int;
-      (** restarts that returned with a non-empty backlog — i.e. opened
-          for traffic before recovery finished *)
-  mutable drain_steps : int;  (** background sweeper steps driven *)
-  mutable refusals : int;  (** probes refused with [Errors.Recovering] *)
-  mutable degraded_serves : int;  (** probes served while draining *)
-  mutable foreground_repairs : int;  (** [peek] foreground repairs *)
-  mutable checks : int;  (** oracle/invariant/idempotence check rounds *)
-  mutable twin_checks : int;  (** offline-twin equivalence checks *)
-  mutable fault_points : int;
-  mutable failures : string list;  (** newest first; empty = storm passed *)
-}
+type outcome = Storm.outcome
 
-val ok : outcome -> bool
 val pp_outcome : Format.formatter -> outcome -> unit
-
-val merge : outcome -> outcome -> outcome
-(** Field-wise sum (for aggregating several storms). *)
+(** Prints the on-demand counters: [instant_opens] (restarts that
+    opened for traffic with a backlog), [drain_steps], probe
+    [refusals] and [degraded_serves], [foreground_repairs], and
+    [twin_checks]. *)
 
 val run_script :
   ?config:config -> ?impl:Config.delegation_impl -> Gen.spec -> outcome

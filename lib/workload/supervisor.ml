@@ -2,7 +2,6 @@ open Ariesrh_types
 open Ariesrh_core
 module Fault = Ariesrh_fault.Fault
 module Log_store = Ariesrh_wal.Log_store
-module Record = Ariesrh_wal.Record
 module Backend = Ariesrh_storage.Backend
 
 type config = {
@@ -35,37 +34,6 @@ let default_config =
     forensic_dir = None;
     keep_dirs = false;
   }
-
-let fresh_outcome () =
-  {
-    Crash_storm.runs = 0;
-    actions = 0;
-    crashes = 0;
-    nested_crashes = 0;
-    recoveries = 0;
-    torn_writes = 0;
-    torn_flushes = 0;
-    amputated = 0;
-    repaired_pages = 0;
-    fault_points = 0;
-    checks = 0;
-    tt_reads = 0;
-    migrations = 0;
-    migration_refusals = 0;
-    xfers_resolved = 0;
-    failures = [];
-  }
-
-let fail (o : Crash_storm.outcome) msg = o.failures <- msg :: o.failures
-
-let make_fault config ~salt =
-  let fault =
-    Fault.create ~seed:(Int64.add config.seed (Int64.of_int salt)) ()
-  in
-  Fault.set_tear_data_every fault config.tear_data_every;
-  Fault.set_tear_data_on_crash fault config.tear_data_on_crash;
-  Fault.set_tear_log_on_crash fault config.tear_log_on_crash;
-  fault
 
 (* --- progress protocol ---
 
@@ -125,7 +93,13 @@ let child_run config ~impl ~script ~n_objects ~dir ~kill_at =
           0o644
       in
       write_progress pfd 0;
-      let fault = make_fault config ~salt:kill_at in
+      let fault =
+        Storm.make_fault
+          ~seed:(Int64.add config.seed (Int64.of_int kill_at))
+          ~tear_data_every:config.tear_data_every
+          ~tear_data_on_crash:config.tear_data_on_crash
+          ~tear_log_on_crash:config.tear_log_on_crash
+      in
       Fault.set_crash_mode fault Fault.Kill_process;
       Fault.arm_crash_at fault kill_at;
       let db =
@@ -173,18 +147,6 @@ let replay_xids script ~executed =
     script;
   map
 
-let durable_commits log =
-  let s = ref Xid.Set.empty in
-  ignore
-    (Log_store.iter_valid_forward log ~from:(Log_store.truncated_below log)
-       (fun _ r ->
-         match r.Record.body with
-         | Record.Commit -> s := Xid.Set.add (Record.writer_exn r) !s
-         | _ -> ()));
-  !s
-
-let pp_arr a = String.concat ";" (Array.to_list (Array.map string_of_int a))
-
 let peek_all db n =
   Array.init n (fun i -> Db.peek db (Oid.of_int i))
 
@@ -195,7 +157,7 @@ let peek_all db n =
    the handle and reopen the directory from scratch, as the next
    process would). Returns the db currently holding the directory so
    the caller can dump forensics / clean up. *)
-let verify ~config ~(outcome : Crash_storm.outcome) ~impl ~script ~n_objects
+let verify ~config ~(outcome : Storm.outcome) ~impl ~script ~n_objects
     ~dir ~label ~executed =
   let db =
     Driver.fresh_db
@@ -205,7 +167,7 @@ let verify ~config ~(outcome : Crash_storm.outcome) ~impl ~script ~n_objects
       ~tracing:(config.forensic_dir <> None)
       ~n_objects ()
   in
-  let commits = durable_commits (Db.log_store db) in
+  let commits = Storm.durable_commits (Db.log_store db) in
   let xid_map = replay_xids script ~executed in
   let committed t =
     match Hashtbl.find_opt xid_map t with
@@ -218,7 +180,7 @@ let verify ~config ~(outcome : Crash_storm.outcome) ~impl ~script ~n_objects
   let amputated_before = Log_store.amputated_total (Db.log_store db) in
   match Db.recover db with
   | exception e ->
-      fail outcome
+      Storm.fail outcome
         (Printf.sprintf "%s: restart over dead process's files raised %s"
            label (Printexc.to_string e));
       (db, expected)
@@ -232,13 +194,13 @@ let verify ~config ~(outcome : Crash_storm.outcome) ~impl ~script ~n_objects
       outcome.checks <- outcome.checks + 1;
       let actual = peek_all db n_objects in
       if actual <> expected then
-        fail outcome
+        Storm.fail outcome
           (Printf.sprintf "%s: state mismatch: got [%s] want [%s]" label
-             (pp_arr actual) (pp_arr expected));
+             (Storm.pp_arr actual) (Storm.pp_arr expected));
       (match Db.validate db with
       | Ok () -> ()
       | Error msg ->
-          fail outcome (Printf.sprintf "%s: invariants: %s" label msg));
+          Storm.fail outcome (Printf.sprintf "%s: invariants: %s" label msg));
       (* in-process idempotence: crash + bare restart *)
       (match
          Db.crash db;
@@ -248,11 +210,11 @@ let verify ~config ~(outcome : Crash_storm.outcome) ~impl ~script ~n_objects
           outcome.recoveries <- outcome.recoveries + 1;
           let again = peek_all db n_objects in
           if again <> expected then
-            fail outcome
+            Storm.fail outcome
               (Printf.sprintf "%s: restart not idempotent: got [%s] want [%s]"
-                 label (pp_arr again) (pp_arr expected))
+                 label (Storm.pp_arr again) (Storm.pp_arr expected))
       | exception e ->
-          fail outcome
+          Storm.fail outcome
             (Printf.sprintf "%s: re-restart raised %s" label
                (Printexc.to_string e)));
       (* cross-process idempotence: abandon this handle and reopen the
@@ -269,7 +231,7 @@ let verify ~config ~(outcome : Crash_storm.outcome) ~impl ~script ~n_objects
       in
       match Db.recover db2 with
       | exception e ->
-          fail outcome
+          Storm.fail outcome
             (Printf.sprintf "%s: second-process restart raised %s" label
                (Printexc.to_string e));
           (db2, expected)
@@ -277,30 +239,20 @@ let verify ~config ~(outcome : Crash_storm.outcome) ~impl ~script ~n_objects
           outcome.recoveries <- outcome.recoveries + 1;
           let cold = peek_all db2 n_objects in
           if cold <> expected then
-            fail outcome
+            Storm.fail outcome
               (Printf.sprintf
                  "%s: second-process restart diverged: got [%s] want [%s]"
-                 label (pp_arr cold) (pp_arr expected));
+                 label (Storm.pp_arr cold) (Storm.pp_arr expected));
           (db2, expected))
 
-let maybe_dump ~config ~(outcome : Crash_storm.outcome) ~fail_before ~kill_at
+let maybe_dump ~config ~(outcome : Storm.outcome) ~fail_before ~kill_at
     ~expected db =
-  match config.forensic_dir with
-  | Some dir when List.length outcome.failures > fail_before ->
-      let fresh =
-        List.filteri
-          (fun i _ -> i < List.length outcome.failures - fail_before)
-          outcome.failures
-      in
-      (try
-         ignore
-           (Forensics.write ~dir ~kind:"external" ~seed:config.seed
-              ~crash_io:kill_at ~expected ~failures:fresh db)
-       with _ -> ())
-  | _ -> ()
+  Storm.dump ~forensic_dir:config.forensic_dir ~seed:config.seed
+    ~kind:"external" ~crash_io:kill_at ~expected ~fail_before
+    ~failures:outcome.failures db
 
 let run ?(config = default_config) ?(impl = Config.Rh) spec =
-  let outcome = fresh_outcome () in
+  let outcome = Storm.fresh_outcome () in
   let script = Gen.generate spec ~seed:config.seed in
   let n_objects = spec.Gen.n_objects in
   let total_actions = List.length script in
@@ -364,7 +316,7 @@ let run ?(config = default_config) ?(impl = Config.Rh) spec =
               | Unix.WSIGNALED s -> Printf.sprintf "child died on signal %d" s
               | Unix.WSTOPPED s -> Printf.sprintf "child stopped on signal %d" s
             in
-            fail outcome (Printf.sprintf "%s: %s" label detail);
+            Storm.fail outcome (Printf.sprintf "%s: %s" label detail);
             continue := false));
     if outcome.runs >= config.max_kills then continue := false;
     kill_at := !kill_at + max 1 config.kill_step

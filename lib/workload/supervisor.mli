@@ -54,7 +54,7 @@ type config = {
 val default_config : config
 
 val run :
-  ?config:config -> ?impl:Config.delegation_impl -> Gen.spec -> Crash_storm.outcome
+  ?config:config -> ?impl:Config.delegation_impl -> Gen.spec -> Storm.outcome
 (** Sweep scheduled kill points [kill_step, 2*kill_step, ...] over
     [Gen.generate spec ~seed:config.seed], one forked child per point,
     until a child survives the whole script (its clean end state is

@@ -250,7 +250,7 @@ let file_backend_storm () =
   in
   let spec = { Gen.default with Gen.n_steps = 40; n_objects = 16 } in
   let outcome = Crash_storm.run_script ~config spec in
-  if not (Crash_storm.ok outcome) then
+  if not (Storm.ok outcome) then
     Alcotest.failf "file-backend storm failed:@ %a" Crash_storm.pp_outcome
       outcome;
   Alcotest.(check bool) "faults fired" true (outcome.fault_points > 0)
@@ -268,7 +268,7 @@ let external_storm_smoke () =
   in
   let spec = { Gen.default with Gen.n_steps = 36; n_objects = 12 } in
   let outcome = Supervisor.run ~config spec in
-  if not (Crash_storm.ok outcome) then
+  if not (Storm.ok outcome) then
     Alcotest.failf "external storm failed:@ %a" Crash_storm.pp_outcome outcome;
   Alcotest.(check bool)
     (Printf.sprintf "children actually got killed (%d)" outcome.crashes)

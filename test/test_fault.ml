@@ -215,7 +215,7 @@ let small_spec = { Gen.default with Gen.n_steps = 48; n_objects = 16 }
 
 let scripted_storm_clean () =
   let outcome = Crash_storm.run_script small_spec in
-  if not (Crash_storm.ok outcome) then
+  if not (Storm.ok outcome) then
     Alcotest.failf "scripted storm failed:@ %a" Crash_storm.pp_outcome
       outcome;
   Alcotest.(check bool)
@@ -230,7 +230,7 @@ let scripted_storm_clean () =
 let sim_storm_clean () =
   let sim = { Crash_storm.default_sim with steps = 250 } in
   let outcome = Crash_storm.run_sim ~sim () in
-  if not (Crash_storm.ok outcome) then
+  if not (Storm.ok outcome) then
     Alcotest.failf "sim storm failed:@ %a" Crash_storm.pp_outcome outcome;
   Alcotest.(check bool) "crashes fired" true (outcome.crashes > 0);
   Alcotest.(check bool) "recoveries completed" true
@@ -251,7 +251,7 @@ let storm_any_seed =
       in
       let spec = { Gen.default with Gen.n_steps = 24; n_objects = 12 } in
       let outcome = Crash_storm.run_script ~config ~impl spec in
-      Crash_storm.ok outcome)
+      Storm.ok outcome)
 
 let per_backend =
   List.concat_map

@@ -26,4 +26,5 @@ let () =
       ("temporal", Test_temporal.suite);
       ("shard", Test_shard.suite);
       ("on-demand", Test_on_demand.suite);
+      ("golden", Test_golden.suite);
     ]

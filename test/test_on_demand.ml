@@ -129,44 +129,44 @@ let storm ?(file = false) ?(shards = 1) ?(crash_step = 1) ~n_steps impl () =
   let config =
     {
       Crash_storm.default_config with
-      Crash_storm.crash_step;
+      Storm.crash_step;
       shards;
       backend_root = (if file then Some (fresh_dir "od-storm") else None);
     }
   in
   let spec = { Gen.default with Gen.n_steps; n_objects = 12 } in
   let outcome = Recovery_storm.run_script ~config ~impl spec in
-  if not (Recovery_storm.ok outcome) then
+  if not (Storm.ok outcome) then
     Alcotest.failf "recovery storm failed:@ %a" Recovery_storm.pp_outcome
       outcome;
   Alcotest.(check bool)
     (Printf.sprintf "offline twins checked (%d)"
-       outcome.Recovery_storm.twin_checks)
+       outcome.Storm.twin_checks)
     true
-    (outcome.Recovery_storm.twin_checks > 0);
+    (outcome.Storm.twin_checks > 0);
   Alcotest.(check bool)
     (Printf.sprintf "opened with backlog at least once (%d)"
-       outcome.Recovery_storm.instant_opens)
+       outcome.Storm.instant_opens)
     true
-    (outcome.Recovery_storm.instant_opens > 0)
+    (outcome.Storm.instant_opens > 0)
 
 let storm_crashes_in_drain () =
-  let config = { Crash_storm.default_config with Crash_storm.crash_step = 1 } in
+  let config = { Crash_storm.default_config with Storm.crash_step = 1 } in
   let spec = { Gen.default with Gen.n_steps = 36; n_objects = 12 } in
   let outcome = Recovery_storm.run_script ~config spec in
-  if not (Recovery_storm.ok outcome) then
+  if not (Storm.ok outcome) then
     Alcotest.failf "recovery storm failed:@ %a" Recovery_storm.pp_outcome
       outcome;
   Alcotest.(check bool)
     (Printf.sprintf "nested crashes hit the drain (%d)"
-       outcome.Recovery_storm.nested_crashes)
+       outcome.Storm.nested_crashes)
     true
-    (outcome.Recovery_storm.nested_crashes > 0);
+    (outcome.Storm.nested_crashes > 0);
   Alcotest.(check bool)
     (Printf.sprintf "probes refused or served (%d/%d)"
-       outcome.Recovery_storm.refusals outcome.Recovery_storm.degraded_serves)
+       outcome.Storm.refusals outcome.Storm.degraded_serves)
     true
-    (outcome.Recovery_storm.refusals + outcome.Recovery_storm.degraded_serves
+    (outcome.Storm.refusals + outcome.Storm.degraded_serves
     > 0)
 
 let impl_name = function

@@ -200,7 +200,7 @@ let scripted_storm_cache_parity () =
   in
   let on = run Config.default.Config.record_cache in
   let off = run 0 in
-  if not (Crash_storm.ok on) then
+  if not (Storm.ok on) then
     Alcotest.failf "storm failed: %a" Crash_storm.pp_outcome on;
   Alcotest.(check bool) "identical outcomes cache on/off" true (on = off)
 
@@ -213,7 +213,7 @@ let sim_storm_cache_parity () =
   in
   let on = run Config.default.Config.record_cache in
   let off = run 0 in
-  if not (Crash_storm.ok on) then
+  if not (Storm.ok on) then
     Alcotest.failf "storm failed: %a" Crash_storm.pp_outcome on;
   Alcotest.(check bool) "identical outcomes cache on/off" true (on = off)
 
@@ -248,7 +248,7 @@ let storms_pass_under_group_commit () =
         { Crash_storm.default_config with crash_step = 5; group_commit = 4 }
       storm_spec
   in
-  if not (Crash_storm.ok o) then
+  if not (Storm.ok o) then
     Alcotest.failf "scripted storm failed: %a" Crash_storm.pp_outcome o;
   let o =
     Crash_storm.run_sim
@@ -256,7 +256,7 @@ let storms_pass_under_group_commit () =
       ~sim:{ Crash_storm.default_sim with steps = 200; crash_every = 9 }
       ()
   in
-  if not (Crash_storm.ok o) then
+  if not (Storm.ok o) then
     Alcotest.failf "sim storm failed: %a" Crash_storm.pp_outcome o;
   let o =
     Pressure_storm.run
@@ -295,7 +295,7 @@ let forensic_dump_bytes_cache_invariant () =
       { Gen.default with n_objects = 32; n_steps = 160; p_delegate = 0.2 }
     in
     let o = Crash_storm.run_script ~config ~impl:Config.Eager spec in
-    if not (Crash_storm.ok o) then
+    if not (Storm.ok o) then
       Alcotest.failf "seed-3 repro failed (cache=%d): %a" record_cache
         Crash_storm.pp_outcome o;
     let path = Filename.concat dir "FORENSIC_crash_eager_seed3_io39.json" in

@@ -278,7 +278,7 @@ let eager_seed3_surgery_now_atomic () =
     Ariesrh_workload.Crash_storm.run_script ~config
       ~impl:Ariesrh_core.Config.Eager spec
   in
-  if not (Ariesrh_workload.Crash_storm.ok o) then
+  if not (Ariesrh_workload.Storm.ok o) then
     Alcotest.failf "seed-3 eager storm failed: %a"
       Ariesrh_workload.Crash_storm.pp_outcome o
 
@@ -319,7 +319,7 @@ let surgery_window_crashes_idempotent =
           p_delegate = 0.35 }
       in
       let o = Ariesrh_workload.Crash_storm.run_script ~config ~impl spec in
-      if not (Ariesrh_workload.Crash_storm.ok o) then
+      if not (Ariesrh_workload.Storm.ok o) then
         QCheck.Test.fail_reportf "storm failed: %a"
           Ariesrh_workload.Crash_storm.pp_outcome o;
       true)
