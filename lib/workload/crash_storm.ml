@@ -226,14 +226,19 @@ let run_sim ?(config = default_config) ?(sim = default_sim) () =
   let label what =
     Printf.sprintf "sim%s %s" (Storm.shards_label config) what
   in
-  (* crash, restart under fire, check; [on_ok] runs after a check *)
-  let restart_and_check what ~on_ok =
+  (* crash, restart under fire, check; [on_ok] runs after a check. A
+     restart that fails is reported as [failed] (default [what]). *)
+  let restart_and_check ?failed what ~on_ok =
     Sharded.crash sh;
     let fail_before = List.length outcome.failures in
     (match
        Storm.recover_until_stable config outcome ~restart:Storm.offline fault sh
      with
-    | Error msg -> Storm.fail outcome (Printf.sprintf "%s: %s" (label what) msg)
+    | Error msg ->
+        Storm.fail outcome
+          (Printf.sprintf "%s: %s"
+             (label (Option.value failed ~default:what))
+             msg)
     | Ok () ->
         Storm.check outcome ~label:(label what) fault sh (expected ());
         on_ok ());
@@ -265,7 +270,7 @@ let run_sim ?(config = default_config) ?(sim = default_sim) () =
   (* final clean crash + restart + reconciliation *)
   Fault.disarm_crash fault;
   let fail_before =
-    restart_and_check "final" ~on_ok:(fun () ->
+    restart_and_check ~failed:"final restart" "final" ~on_ok:(fun () ->
         tt ~label:"sim final tt" ~limit:16)
   in
   Storm.dump_engine config outcome ~fail_before ~kind:"sim" ~tag:"final"

@@ -54,7 +54,7 @@ let drain ~n_objects (outcome : outcome) sh =
         outcome.refusals <- outcome.refusals + 1;
         Sharded.abort sh x
   in
-  Storm.recover sh;
+  ignore (Sharded.recover sh);
   outcome.recoveries <- outcome.recoveries + 1;
   if Sharded.recovering sh then
     outcome.instant_opens <- outcome.instant_opens + 1;
@@ -85,8 +85,8 @@ let offline_twin config ~impl ~crash_io ~n_objects ~homes script =
   | exception Fault.Injected_crash _ -> ());
   Sharded.crash sh;
   Fault.set_enabled fault false;
-  match Storm.recover sh with
-  | () -> Ok (Sharded.peek_all sh)
+  match Sharded.recover sh with
+  | _ -> Ok (Sharded.peek_all sh)
   | exception e -> Error (Printexc.to_string e)
 
 let run_script ?(config = default_config) ?(impl = Config.Rh) spec =

@@ -226,24 +226,8 @@ end
 
 (* --- the engine handle --- *)
 
-(* One shard is driven as the plain [Db] it is: the router's transfer
-   resolution, cross-shard validation and pairing audit have nothing to
-   check there, and skipping them keeps one-shard output — failure text
-   and the log-read counters in forensic dumps — exactly a single
-   database's. Labels likewise name shards only when there are
-   several. *)
-let single sh = Sharded.shards sh = 1
-
-let recover sh =
-  if single sh then ignore (Db.recover (Sharded.db sh 0))
-  else ignore (Sharded.recover sh)
-
-let validate sh =
-  if single sh then Db.validate (Sharded.db sh 0) else Sharded.validate sh
-
-let self_audit sh =
-  if single sh then Db.audit (Sharded.db sh 0) else Sharded.audit sh
-
+(* Labels name shards only when there are several, so one-shard labels
+   are a single database's. *)
 let shards_label config =
   if config.shards > 1 then Printf.sprintf " shards=%d" config.shards else ""
 
@@ -338,7 +322,7 @@ let dump_engine config outcome ~fail_before ~kind ?crash_io ?tag ?expected
 (* --- restart under fire --- *)
 
 let offline outcome sh =
-  recover sh;
+  ignore (Sharded.recover sh);
   outcome.recoveries <- outcome.recoveries + 1
 
 (* Restart under continued fault injection: arm a re-crash a few I/Os
@@ -414,7 +398,7 @@ let check outcome ~label ?(audit = false) fault sh expected =
       else if a.(i) <> expected.(i) then
         let h = Sharded.home sh (Oid.of_int i) in
         Printf.sprintf " (ob%d%s: got %d want %d; history:%s)" i
-          (if single sh then "" else Printf.sprintf "@s%d" h)
+          (if Sharded.shards sh = 1 then "" else Printf.sprintf "@s%d" h)
           a.(i) expected.(i)
           (describe_object (Sharded.db sh h) i)
       else go (i + 1)
@@ -426,18 +410,18 @@ let check outcome ~label ?(audit = false) fault sh expected =
     fail outcome
       (Printf.sprintf "%s: state mismatch: got [%s] want [%s]%s" label
          (pp_arr actual) (pp_arr expected) (first_diff actual));
-  (match validate sh with
+  (match Sharded.validate sh with
   | Ok () -> ()
   | Error msg -> fail outcome (Printf.sprintf "%s: invariants: %s" label msg));
   (if audit then
-     match self_audit sh with
+     match Sharded.audit sh with
      | [] -> ()
      | fs ->
          fail outcome
            (Printf.sprintf "%s: audit: %s" label (String.concat "; " fs)));
   (match
      Sharded.crash sh;
-     recover sh;
+     ignore (Sharded.recover sh);
      Sharded.await_recovery sh
    with
   | () ->

@@ -180,14 +180,9 @@ end
 
 (** {1 The engine handle} *)
 
-val recover : Sharded.t -> unit
-(** Restart: [Sharded.recover], or [Db.recover] of the only shard (the
-    router has nothing to resolve there, and one-shard metrics stay
-    those of a single database). *)
-
 val shards_label : config -> string
-(** [" shards=N"] with several shards, [""] at one: failure labels stay
-    those of a single-[Db] storm. *)
+(** [" shards=N"] with several shards, [""] at one: labels stay those
+    of a single-[Db] storm. *)
 
 val committed_in : Sharded.t -> Sharded.xid -> bool
 (** Snapshot of the durable commit sets, one per shard. *)
