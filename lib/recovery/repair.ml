@@ -28,6 +28,9 @@ let replay_onto (env : Env.t) pid page =
          match r.Record.body with
          | Record.Update u -> apply lsn u
          | Record.Clr { upd; _ } -> apply lsn upd
+         | Record.Xfer_in { oid; page; before; value; _ } ->
+             apply lsn
+               { Record.oid; page; op = Record.Set { before; after = value } }
          | _ -> ()))
 
 let page (env : Env.t) pid shadow =

@@ -37,20 +37,20 @@ let iter_history db ~upto f =
   (if Lsn.to_int tb > 1 then
      match Db.archive db with
      | Some ar ->
-         let hi = min (Archive.archived_upto ar) (Lsn.to_int tb - 1) in
+         (* frame [idx] holds LSN [idx + 1] *)
+         let hi =
+           min (Lsn.to_int upto)
+             (min (Archive.archived_upto ar) (Lsn.to_int tb - 1))
+         in
          for idx = Archive.wal_base ar to hi - 1 do
            let lsn = Lsn.of_int (idx + 1) in
-           if Lsn.(lsn <= upto) then
-             match Archive.wal_get ar ~idx with
-             | None ->
-                 unavailable ~lsn
-                   { from_ = tb; upto; bridged = false }
-             | Some bytes -> (
-                 match Record.decode bytes with
-                 | Ok r -> f lsn r
-                 | Error _ ->
-                     unavailable ~lsn
-                       { from_ = tb; upto; bridged = false })
+           match Archive.wal_get ar ~idx with
+           | None -> unavailable ~lsn { from_ = tb; upto; bridged = false }
+           | Some bytes -> (
+               match Record.decode bytes with
+               | Ok r -> f lsn r
+               | Error _ ->
+                   unavailable ~lsn { from_ = tb; upto; bridged = false })
          done
      | None -> ());
   if Lsn.(tb <= upto) then Log_store.iter_forward log ~from:tb ~upto f
@@ -118,8 +118,9 @@ type vmut = {
 type open_surgery = {
   os_begin : Lsn.t;
   os_deleg : (Xid.t * Xid.t * Oid.t) option;
-  mutable os_clrs : (Lsn.t * Lsn.t * Xid.t option * Xid.t option) list;
-      (* (clr lsn, target, writer_before, writer_after) *)
+  mutable os_clrs : (Lsn.t * Lsn.t * string * string) list;
+      (* (clr lsn, target, before image, after image); the images are
+         decoded only when the target is a tracked version *)
 }
 
 type scan = {
@@ -133,7 +134,16 @@ type scan = {
          their presence alone *)
 }
 
-let scan db ~upto =
+(* The objects a scan builds state for. Every record in [1, upto] is
+   read either way, so coverage refusals and log reads do not depend on
+   it; versions, CLR links, transfers, surgeries and transfer adoptions
+   are built only for tracked objects. *)
+type objects = All | Only of Oid.Set.t
+
+let tracks objects oid =
+  match objects with All -> true | Only s -> Oid.Set.mem oid s
+
+let scan db ~objects ~upto =
   let cov = coverage db in
   (* [upto = nil] asks for genesis: the covering range [1, 0] is empty,
      so it is answerable even over a fully truncated log *)
@@ -162,7 +172,7 @@ let scan db ~upto =
       | Record.Begin ->
           let x = Record.writer_exn r in
           if not (Xid.Tbl.mem begins x) then Xid.Tbl.replace begins x lsn
-      | Record.Update u ->
+      | Record.Update u when tracks objects u.Record.oid ->
           let w = Record.writer_exn r in
           let v =
             {
@@ -182,6 +192,7 @@ let scan db ~upto =
           | None ->
               Hashtbl.replace by_oid (Oid.to_int u.Record.oid) (ref [ v ]));
           order := v :: !order
+      | Record.Update _ -> ()
       | Record.Clr { undone; _ } -> (
           match Hashtbl.find_opt by_lsn (Lsn.to_int undone) with
           | Some v when v.m_comp = None ->
@@ -219,10 +230,7 @@ let scan db ~upto =
             :: !open_surgeries
       | Record.Rewrite_clr { target; before; after } -> (
           match !open_surgeries with
-          | os :: _ ->
-              os.os_clrs <-
-                (lsn, target, writer_of_bytes before, writer_of_bytes after)
-                :: os.os_clrs
+          | os :: _ -> os.os_clrs <- (lsn, target, before, after) :: os.os_clrs
           | [] -> ())
       | Record.Rewrite_end { begin_lsn; committed } ->
           let matching, rest =
@@ -232,10 +240,10 @@ let scan db ~upto =
           in
           open_surgeries := rest;
           List.iter (fun os -> closed := (os, committed) :: !closed) matching
-      | Record.Xfer_in { oid; value; _ } ->
+      | Record.Xfer_in { oid; value; _ } when tracks objects oid ->
           adoptions := (lsn, oid, value) :: !adoptions
       | Record.End | Record.Anchor | Record.Ckpt_begin | Record.Ckpt_end _
-      | Record.Xfer_out _ | Record.Xfer_end _ ->
+      | Record.Xfer_out _ | Record.Xfer_in _ | Record.Xfer_end _ ->
           ());
   (* a surgery never closed by [upto] counts as not committed: its
      intent is durable but nothing proves the rewrites completed *)
@@ -243,7 +251,7 @@ let scan db ~upto =
   List.iter
     (fun (os, committed) ->
       List.iter
-        (fun (clr_lsn, target, wb, wa) ->
+        (fun (clr_lsn, target, before, after) ->
           match Hashtbl.find_opt by_lsn (Lsn.to_int target) with
           | Some v ->
               v.m_surgeries <-
@@ -251,8 +259,8 @@ let scan db ~upto =
                   s_intent = os.os_begin;
                   s_clr = clr_lsn;
                   s_committed = committed;
-                  s_writer_before = wb;
-                  s_writer_after = wa;
+                  s_writer_before = writer_of_bytes before;
+                  s_writer_after = writer_of_bytes after;
                   s_deleg = os.os_deleg;
                 }
                 :: v.m_surgeries
@@ -307,38 +315,51 @@ let apply_op value = function
   | Record.Set { after; _ } -> after
   | Record.Add d -> value + d
 
-(* committed versions and transfer adoptions merged in LSN order:
-   (lsn, oid, op) ascending *)
-let committed_ops sc =
-  let vs =
-    Array.to_list sc.sc_versions
-    |> List.filter_map (fun v ->
-           match v.v_status with
-           | Committed _ -> Some (v.v_lsn, v.v_oid, v.v_op)
-           | _ -> None)
+(* Fold [f acc oid op] over the committed versions and the transfer
+   adoptions in ascending LSN order. Both streams are already ascending,
+   so this merges them. *)
+let fold_committed sc f init =
+  let vs = sc.sc_versions in
+  let n = Array.length vs in
+  let rec go i ads acc =
+    match ads with
+    | (l, oid, value) :: rest when i >= n || Lsn.(l < vs.(i).v_lsn) ->
+        go i rest (f acc oid (Record.Set { before = 0; after = value }))
+    | _ when i < n ->
+        let v = vs.(i) in
+        let acc =
+          match v.v_status with Committed _ -> f acc v.v_oid v.v_op | _ -> acc
+        in
+        go (i + 1) ads acc
+    | _ -> acc
   in
-  let ads =
-    List.map
-      (fun (l, o, value) -> (l, o, Record.Set { before = 0; after = value }))
-      sc.sc_adoptions
-  in
-  List.sort (fun (a, _, _) (b, _, _) -> Lsn.compare a b) (vs @ ads)
+  go 0 sc.sc_adoptions init
 
-let as_of db ~lsn oid =
-  let sc = scan db ~upto:lsn in
-  List.fold_left
-    (fun acc (_, o, op) -> if Oid.equal o oid then apply_op acc op else acc)
-    0 (committed_ops sc)
+(* Committed value at [lsn] of each object in [oids], from a scan that
+   tracks only them. *)
+let values_at db lsn oids =
+  let sc = scan db ~objects:(Only oids) ~upto:lsn in
+  let vals =
+    fold_committed sc
+      (fun m o op ->
+        Oid.Map.add o
+          (apply_op (Option.value (Oid.Map.find_opt o m) ~default:0) op)
+          m)
+      Oid.Map.empty
+  in
+  fun o -> Option.value (Oid.Map.find_opt o vals) ~default:0
+
+let as_of db ~lsn oid = values_at db lsn (Oid.Set.singleton oid) oid
 
 let snapshot_at db lsn =
-  let sc = scan db ~upto:lsn in
+  let sc = scan db ~objects:All ~upto:lsn in
   let n = (Db.config db).Config.n_objects in
   let out = Array.make n 0 in
-  List.iter
-    (fun (_, o, op) ->
+  fold_committed sc
+    (fun () o op ->
       let i = Oid.to_int o in
       if i < n then out.(i) <- apply_op out.(i) op)
-    (committed_ops sc);
+    ();
   out
 
 let history db ?upto oid =
@@ -347,9 +368,8 @@ let history db ?upto oid =
     | Some l -> l
     | None -> Log_store.durable (Db.log_store db)
   in
-  let sc = scan db ~upto in
+  let sc = scan db ~objects:(Only (Oid.Set.singleton oid)) ~upto in
   Array.to_list sc.sc_versions
-  |> List.filter (fun v -> Oid.equal v.v_oid oid)
 
 (* {2 Reenactment} *)
 
@@ -383,7 +403,7 @@ let impl_str = function
 
 let explain db xid =
   let durable = Log_store.durable (Db.log_store db) in
-  let sc = scan db ~upto:durable in
+  let sc = scan db ~objects:All ~upto:durable in
   let begin_lsn =
     match Xid.Tbl.find_opt sc.sc_begins xid with
     | Some l -> l
@@ -403,10 +423,11 @@ let explain db xid =
   let touched =
     List.sort_uniq Oid.compare (List.map (fun v -> v.v_oid) (invoked @ received))
   in
-  let snapshot =
-    let base = snapshot_at db begin_lsn in
-    List.map (fun o -> (o, base.(Oid.to_int o))) touched
+  let values_of_touched lsn =
+    let value = values_at db lsn (Oid.Set.of_list touched) in
+    List.map (fun o -> (o, value o)) touched
   in
+  let snapshot = values_of_touched begin_lsn in
   let not_compensated v =
     match v.v_status with Compensated _ -> false | _ -> true
   in
@@ -425,10 +446,7 @@ let explain db xid =
   let replayed = replay (fun v -> Xid.equal v.v_provenance xid) in
   let attributed = replay (fun v -> Xid.equal v.v_holder xid) in
   let end_lsn = match commit with Some c -> c | None -> durable in
-  let as_of_end =
-    let final = snapshot_at db end_lsn in
-    List.map (fun o -> (o, final.(Oid.to_int o))) touched
-  in
+  let as_of_end = values_of_touched end_lsn in
   let via v =
     match v.v_transfers with
     | t :: _ -> `Delegate t.t_at

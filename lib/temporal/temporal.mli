@@ -107,7 +107,11 @@ val status_str : status -> string
     history does not cover [[1, lsn]] (truncated prefix without an
     archive bridging from genesis, or [lsn] above the durable horizon),
     and never answer from a partial prefix. [Lsn.nil] asks for genesis —
-    its covering range is empty, so it always answers. *)
+    its covering range is empty, so it always answers.
+
+    Each reads every record in the covered prefix, but builds versions
+    only for the objects it asks about: a single-object query pays the
+    record pass plus that object's own history. *)
 
 val as_of : Db.t -> lsn:Lsn.t -> Oid.t -> int
 (** Committed value of one object at [lsn]. *)

@@ -239,13 +239,13 @@ let put_ckpt b ck =
         o.ck_scopes)
     ck.ck_obs
 
-let fnv1a s =
+(* FNV-1a over the first [len] bytes of [s] *)
+let fnv1a s len =
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x7fffffff)
-    s;
+  for i = 0 to len - 1 do
+    h :=
+      (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0x7fffffff
+  done;
   !h
 
 let encode t =
@@ -309,7 +309,7 @@ let encode t =
   let payload = Buffer.contents b in
   let b2 = Buffer.create (String.length payload + 4) in
   Buffer.add_string b2 payload;
-  put_u32 b2 (fnv1a payload);
+  put_u32 b2 (fnv1a payload (String.length payload));
   Buffer.contents b2
 
 type decode_error =
@@ -326,29 +326,38 @@ let pp_decode_error ppf = function
 
 exception Bad of decode_error
 
-type cursor = { s : string; mutable pos : int }
+(* The payload is parsed in place: the cursor reads [s] up to [lim], the
+   start of the checksum trailer, so nothing is copied out of the frame. *)
+type cursor = { s : string; mutable pos : int; lim : int }
 
-let need c n = if c.pos + n > String.length c.s then raise (Bad Truncated)
+let need c n = if c.pos + n > c.lim then raise (Bad Truncated)
 
 let get_u8 c =
   need c 1;
-  let v = Char.code c.s.[c.pos] in
+  let v = Char.code (String.unsafe_get c.s c.pos) in
   c.pos <- c.pos + 1;
   v
 
+let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xffff_ffff
+
 let get_u32 c =
-  let a = get_u8 c in
-  let b = get_u8 c in
-  let d = get_u8 c in
-  let e = get_u8 c in
-  a lor (b lsl 8) lor (d lsl 16) lor (e lsl 24)
+  need c 4;
+  let v = u32_at c.s c.pos in
+  c.pos <- c.pos + 4;
+  v
 
 let get_i64 c =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (get_u8 c)) (8 * i))
-  done;
-  Int64.to_int !v
+  need c 8;
+  let v = Int64.to_int (String.get_int64_le c.s c.pos) in
+  c.pos <- c.pos + 8;
+  v
+
+(* xids are positive: a zero where a transaction must be named is a
+   malformed record, not a reason to raise *)
+let get_xid c =
+  match get_u32 c with
+  | 0 -> raise (Bad (Bad_encoding "xid 0"))
+  | n -> Xid.of_int n
 
 let get_op c =
   match get_u8 c with
@@ -379,7 +388,7 @@ let get_bytes c =
 let get_ckpt c =
   let ck_txns =
     get_list c (fun c ->
-        let ck_xid = Xid.of_int (get_u32 c) in
+        let ck_xid = get_xid c in
         let ck_status =
           match get_u8 c with
           | 0 -> Ck_active
@@ -399,13 +408,13 @@ let get_ckpt c =
   in
   let ck_obs =
     get_list c (fun c ->
-        let ck_owner = Xid.of_int (get_u32 c) in
+        let ck_owner = get_xid c in
         let ck_oid = Oid.of_int (get_u32 c) in
         let d = get_u32 c in
         let ck_deleg = if d = 0 then None else Some (Xid.of_int d) in
         let ck_scopes =
           get_list c (fun c ->
-              let ck_invoker = Xid.of_int (get_u32 c) in
+              let ck_invoker = get_xid c in
               let ck_first = Lsn.of_int (get_u32 c) in
               let ck_last = Lsn.of_int (get_u32 c) in
               { ck_invoker; ck_first; ck_last })
@@ -416,11 +425,9 @@ let get_ckpt c =
 
 let decode_exn s =
   if String.length s < 13 then raise (Bad Truncated);
-  let payload = String.sub s 0 (String.length s - 4) in
-  let c = { s; pos = String.length s - 4 } in
-  let sum = get_u32 c in
-  if sum <> fnv1a payload then raise (Bad Checksum_mismatch);
-  let c = { s = payload; pos = 0 } in
+  let lim = String.length s - 4 in
+  if u32_at s lim <> fnv1a s lim then raise (Bad Checksum_mismatch);
+  let c = { s; pos = 0; lim } in
   let tag = get_u8 c in
   let xid_raw = get_u32 c in
   let xid = if xid_raw = 0 then None else Some (Xid.of_int xid_raw) in
@@ -435,11 +442,11 @@ let decode_exn s =
     | 6 ->
         let upd = get_update c in
         let undone = Lsn.of_int (get_u32 c) in
-        let invoker = Xid.of_int (get_u32 c) in
+        let invoker = get_xid c in
         let undo_next = Lsn.of_int (get_u32 c) in
         Clr { upd; undone; invoker; undo_next }
     | 7 ->
-        let tee = Xid.of_int (get_u32 c) in
+        let tee = get_xid c in
         let tee_prev = Lsn.of_int (get_u32 c) in
         let oid = Oid.of_int (get_u32 c) in
         let op =
@@ -447,7 +454,7 @@ let decode_exn s =
           | 0 -> None
           | _ ->
               let l = Lsn.of_int (get_u32 c) in
-              let x = Xid.of_int (get_u32 c) in
+              let x = get_xid c in
               Some (l, x)
         in
         Delegate { tee; tee_prev; oid; op }
@@ -459,8 +466,8 @@ let decode_exn s =
           match get_u8 c with
           | 0 -> None
           | _ ->
-              let tor = Xid.of_int (get_u32 c) in
-              let tee = Xid.of_int (get_u32 c) in
+              let tor = get_xid c in
+              let tee = get_xid c in
               let oid = Oid.of_int (get_u32 c) in
               Some (tor, tee, oid)
         in
@@ -498,7 +505,7 @@ let decode_exn s =
         Xfer_end { xfer_id; oid; committed }
     | n -> raise (Bad (Bad_tag n))
   in
-  if c.pos <> String.length payload then
+  if c.pos <> lim then
     raise (Bad (Bad_encoding "trailing bytes"));
   { xid; prev; body }
 

@@ -174,7 +174,8 @@ type decode_error =
 val pp_decode_error : Format.formatter -> decode_error -> unit
 
 val decode : string -> (t, decode_error) result
-(** Inverse of {!encode}. A torn or bit-flipped stable record surfaces
+(** Inverse of {!encode}, total: any bytes yield a record or a typed
+    [Error], never an exception. A torn or bit-flipped stable record surfaces
     as [Error] — recovery treats a corrupt record at the stable tail as
     end-of-log rather than failing restart. *)
 

@@ -216,6 +216,23 @@ let homes_rebuilt_from_logs () =
     (Sharded.peek sh (oid 0));
   Alcotest.(check (list string)) "audit clean" [] (Sharded.audit sh)
 
+(* --- torn-page repair keeps transfers -------------------------------- *)
+
+(* Repair rebuilds a torn page from its shadow by replaying the durable
+   log. Skipping Xfer_in there drops the adopted value, and a later
+   update on the page lifts its LSN past the transfer, so redo never
+   restores it: this storm lost ob23's committed +1 from crash #43 on. *)
+let sim_storm_repairs_transfers () =
+  let o =
+    Crash_storm.run_sim
+      ~config:{ Crash_storm.default_config with shards = 2 }
+      ~sim:{ Crash_storm.default_sim with steps = 600 }
+      ()
+  in
+  Alcotest.(check (list string)) "no failures" [] o.Storm.failures;
+  Alcotest.(check bool) "torn pages were repaired" true
+    (o.Storm.repaired_pages > 0)
+
 (* --- cross-shard delegation stays explicit --------------------------- *)
 
 let delegation_requires_one_shard () =
@@ -351,6 +368,8 @@ let suite =
         refusal_is_typed_and_counted;
       Alcotest.test_case "homes rebuilt from durable logs" `Quick
         homes_rebuilt_from_logs;
+      Alcotest.test_case "torn-page repair replays transfers (sim storm)"
+        `Quick sim_storm_repairs_transfers;
       Alcotest.test_case "cross-shard delegate is refused" `Quick
         delegation_requires_one_shard;
       Alcotest.test_case "pool basics" `Quick pool_basics;

@@ -9,6 +9,7 @@ open Ariesrh_workload
 module Temporal = Ariesrh_temporal.Temporal
 module Backend = Ariesrh_storage.Backend
 module Log_store = Ariesrh_wal.Log_store
+module Sharded = Ariesrh_shard.Sharded
 
 let n_objects = 32
 
@@ -214,6 +215,160 @@ let truncation_bridges_or_refuses =
                  QCheck.Test.fail_reportf "untruncated answer changed");
               true))
 
+(* (d) as_of and history scan only the object they ask about, explain's
+   snapshots only the objects it touched, snapshot_at every object. The
+   restricted scans must agree with the full one: every object at every
+   given point, and explain's begin/end values for every committed
+   transaction. *)
+let restricted_agrees db points =
+  List.iter
+    (fun l ->
+      let snap = Temporal.snapshot_at db l in
+      Array.iteri
+        (fun o want ->
+          let got = Temporal.as_of db ~lsn:l (Oid.of_int o) in
+          if got <> want then
+            QCheck.Test.fail_reportf "at %d ob%d: as_of %d, snapshot_at %d"
+              (Lsn.to_int l) o got want)
+        snap)
+    points;
+  let project l oids =
+    let snap = Temporal.snapshot_at db l in
+    List.map (fun o -> (o, snap.(Oid.to_int o))) oids
+  in
+  let durable = (Temporal.coverage db).Temporal.upto in
+  List.iter
+    (fun (_, x) ->
+      let e = Temporal.explain db x in
+      let touched =
+        List.sort_uniq Oid.compare
+          (List.map
+             (fun (v : Temporal.version) -> v.v_oid)
+             (e.e_invoked @ e.e_received))
+      in
+      let end_lsn = Option.value e.e_commit ~default:durable in
+      if e.e_snapshot <> project e.e_begin touched then
+        QCheck.Test.fail_reportf "explain %a: snapshot at begin differs" Xid.pp
+          x;
+      if e.e_as_of_end <> project end_lsn touched then
+        QCheck.Test.fail_reportf "explain %a: as_of at end differs" Xid.pp x;
+      (* explain's versions come from a scan of every object, history's
+         from a scan of one *)
+      List.iter
+        (fun (v : Temporal.version) ->
+          if
+            not
+              (List.exists (( = ) v) (Temporal.history db ~upto:durable v.v_oid))
+          then
+            QCheck.Test.fail_reportf "explain %a: ob%d@%d differs in history"
+              Xid.pp x (Oid.to_int v.v_oid) (Lsn.to_int v.v_lsn))
+        (e.e_invoked @ e.e_received))
+    (Temporal.commit_points db)
+
+let lsns_of points = List.map fst points
+
+(* op-level delegations, which generated scripts never issue (rh and
+   lazy only): pairs of transactions where one hands single increments
+   to the other, each pair resolved differently, the last left running
+   for a crash to resolve *)
+let op_level_tail db ~seed =
+  let rng = Random.State.make [| seed |] in
+  for pair = 0 to 3 do
+    let a = Db.begin_txn db in
+    let b = Db.begin_txn db in
+    for _ = 1 to 3 do
+      let o = Oid.of_int (Random.State.int rng n_objects) in
+      Db.add db a o (1 + Random.State.int rng 9);
+      if Random.State.bool rng then
+        Db.delegate_update db ~from_:a ~to_:b o (Db.last_lsn_of db a)
+    done;
+    match pair with
+    | 0 -> Db.commit db a; Db.commit db b
+    | 1 -> Db.abort db a; Db.commit db b
+    | 2 -> Db.commit db a; Db.abort db b
+    | _ -> Db.checkpoint db (* forces the log: the handoffs are durable *)
+  done;
+  Db.crash db;
+  ignore (Db.recover db)
+
+let restricted_scan_agrees =
+  QCheck.Test.make ~count:25
+    ~name:"restricted scans agree with snapshot_at (rh, eager, lazy)" arb
+    (fun p ->
+      with_db p ~tag:"restrict" (fun db ->
+          let script = script_of p in
+          ignore (Driver.run_to_crash db script ~crash_at:(crash_point p script));
+          if p.which <> 1 then op_level_tail db ~seed:(Int64.to_int p.seed);
+          restricted_agrees db (lsns_of (Temporal.commit_points db));
+          true))
+
+let restricted_scan_agrees_bridged =
+  QCheck.Test.make ~count:15
+    ~name:"restricted scans agree below an archive-bridged horizon" arb
+    (fun p ->
+      with_db p ~tag:"restrict-bridged" (fun db ->
+          ignore (Db.attach_archive db);
+          Driver.run db (script_of p);
+          let points = lsns_of (Temporal.commit_points db) in
+          Db.checkpoint db;
+          ignore (Db.truncate_log db);
+          if
+            Lsn.(Log_store.truncated_below (Db.log_store db) > Lsn.first)
+            && not (Temporal.coverage db).Temporal.bridged
+          then QCheck.Test.fail_report "truncated but not bridged";
+          restricted_agrees db points;
+          true))
+
+let restricted_scan_agrees_per_shard =
+  QCheck.Test.make ~count:15
+    ~name:"restricted scans agree on each shard of a 2-shard store" arb
+    (fun p ->
+      let script = script_of p in
+      let sh =
+        Shard_driver.fresh ~impl:(impl_of p.which) ~shards:2 ~n_objects ()
+      in
+      Shard_driver.run ~homes:(Shard_driver.assign_homes script ~shards:2) sh
+        script;
+      (* co-homed scripts migrate an object only on its first touch, so
+         every adoption they log carries 0: move each object holding a
+         value to the other shard, then add to it there *)
+      for o = 0 to n_objects - 1 do
+        let oid = Oid.of_int o in
+        if Sharded.peek sh oid <> 0 then begin
+          let target = 1 - Sharded.home sh oid in
+          Sharded.migrate sh oid ~target;
+          let x = Sharded.begin_txn sh ~shard:target in
+          Sharded.add sh x oid 1;
+          Sharded.commit sh x
+        end
+      done;
+      Sharded.flush_commits sh;
+      let adoptions = ref 0 in
+      for i = 0 to 1 do
+        let db = Sharded.db sh i in
+        Log_store.iter_forward (Db.log_store db) ~from:Lsn.nil (fun _ r ->
+            match r.Ariesrh_wal.Record.body with
+            | Ariesrh_wal.Record.Xfer_in { value; _ } when value <> 0 ->
+                incr adoptions
+            | _ -> ());
+        restricted_agrees db (lsns_of (Temporal.commit_points db));
+        (* and the adoptions land in LSN order: at the durable horizon
+           each object homed here reads its live value *)
+        let durable = (Temporal.coverage db).Temporal.upto in
+        for o = 0 to n_objects - 1 do
+          let oid = Oid.of_int o in
+          if Sharded.home sh oid = i then begin
+            let got = Temporal.as_of db ~lsn:durable oid in
+            if got <> Sharded.peek sh oid then
+              QCheck.Test.fail_reportf "shard %d ob%d: as_of %d, live %d" i o
+                got (Sharded.peek sh oid)
+          end
+        done
+      done;
+      Sharded.close sh;
+      QCheck.assume (!adoptions > 0);
+      true)
+
 (* --- deterministic reenactment: delegated-then-rewritten --- *)
 
 (* t1 invokes an update on ob0, delegates ob0 to t2, both commit; t2
@@ -378,6 +533,9 @@ let suite =
       asof_matches_oracle_at_every_commit;
       history_agrees_with_lineage;
       truncation_bridges_or_refuses;
+      restricted_scan_agrees;
+      restricted_scan_agrees_bridged;
+      restricted_scan_agrees_per_shard;
     ]
   @ [
       Alcotest.test_case "reenact delegated txn (rh)" `Quick reenact_rh;

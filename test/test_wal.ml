@@ -167,6 +167,50 @@ let gen_update =
       (fun o p op -> { Record.oid = oid o; page = pid p; op })
       (int_bound 500) (int_bound 100) gen_op)
 
+let gen_ckpt =
+  QCheck.Gen.(
+    let small_list g = list_size (int_bound 3) g in
+    let gen_txn =
+      map3
+        (fun x status (last, undo) ->
+          {
+            Record.ck_xid = xid x;
+            ck_status = status;
+            ck_last_lsn = lsn last;
+            ck_undo_next = lsn undo;
+          })
+        (int_range 1 1000)
+        (oneofl [ Record.Ck_active; Record.Ck_committed; Record.Ck_rolling_back ])
+        (pair (int_bound 1000) (int_bound 1000))
+    in
+    let gen_scope =
+      map3
+        (fun inv first last ->
+          { Record.ck_invoker = xid inv; ck_first = lsn first; ck_last = lsn last })
+        (int_range 1 1000) (int_bound 1000) (int_bound 1000)
+    in
+    let gen_ob =
+      map3
+        (fun (owner, o) deleg scopes ->
+          {
+            Record.ck_owner = xid owner;
+            ck_oid = oid o;
+            ck_deleg = Option.map xid deleg;
+            ck_scopes = scopes;
+          })
+        (pair (int_range 1 1000) (int_bound 500))
+        (option (int_range 1 1000))
+        (small_list gen_scope)
+    in
+    map3
+      (fun ck_txns ck_dpt ck_obs -> { Record.ck_txns; ck_dpt; ck_obs })
+      (small_list gen_txn)
+      (small_list (map2 (fun p l -> (pid p, lsn l)) (int_bound 100) (int_bound 1000)))
+      (small_list gen_ob))
+
+(* u32 fields carry naturals below 2^32; i64 fields any native int *)
+let gen_u32 = QCheck.Gen.int_bound 100_000
+
 let gen_record =
   QCheck.Gen.(
     let* x = int_range 1 1000 in
@@ -196,7 +240,38 @@ let gen_record =
               (Record.Delegate
                  { tee = xid tee; tee_prev = lsn tp; oid = oid o; op = None }))
           (int_range 1 1000) (int_bound 1000) (int_bound 500);
+        map3
+          (fun tee o (l, inv) ->
+            mk
+              (Record.Delegate
+                 {
+                   tee = xid tee;
+                   tee_prev = lsn prev;
+                   oid = oid o;
+                   op = Some (lsn l, xid inv);
+                 }))
+          (int_range 1 1000) (int_bound 500)
+          (pair (int_bound 1000) (int_range 1 1000));
         return (mk Record.Anchor);
+        return (Record.mk_system Record.Ckpt_begin);
+        map (fun ck -> Record.mk_system (Record.Ckpt_end ck)) gen_ckpt;
+        map3
+          (fun (xfer_id, hop) (o, target) value ->
+            Record.mk_system
+              (Record.Xfer_out { xfer_id; hop; oid = oid o; target; value }))
+          (pair gen_u32 gen_u32) (pair (int_bound 500) gen_u32) int;
+        map3
+          (fun (xfer_id, hop) (o, p, source) (before, value) ->
+            Record.mk_system
+              (Record.Xfer_in
+                 { xfer_id; hop; oid = oid o; page = pid p; source; before; value }))
+          (pair gen_u32 gen_u32)
+          (triple (int_bound 500) (int_bound 100) gen_u32)
+          (pair int int);
+        map3
+          (fun xfer_id o committed ->
+            Record.mk_system (Record.Xfer_end { xfer_id; oid = oid o; committed }))
+          gen_u32 (int_bound 500) bool;
         map2
           (fun targets deleg ->
             Record.mk_system
@@ -227,6 +302,90 @@ let codec_roundtrip_prop =
   QCheck.Test.make ~count:500 ~name:"codec roundtrips on random records"
     (QCheck.make gen_record)
     (fun r -> Record.decode (Record.encode r) = Ok r)
+
+(* --- decoder totality: adversarial bytes --- *)
+
+let arb_record =
+  QCheck.make ~print:(fun r -> Format.asprintf "%a" Record.pp r) gen_record
+
+let decode_total input =
+  match Record.decode input with
+  | r -> r
+  | exception e ->
+      QCheck.Test.fail_reportf "decode raised %s on %S" (Printexc.to_string e)
+        input
+
+let flip s i c = String.mapi (fun j x -> if j = i then c else x) s
+
+(* Every single-byte change, every proper prefix and every 1-8 byte
+   extension of a valid encoding is refused with a typed error, or
+   decodes to a record that encodes back to exactly those bytes. *)
+let decoder_total_on_damage =
+  QCheck.Test.make ~count:150
+    ~name:"decode is total on flipped, cut and extended encodings" arb_record
+    (fun r ->
+      let s = Record.encode r in
+      let n = String.length s in
+      let honest input =
+        match decode_total input with
+        | Error _ -> ()
+        | Ok r' ->
+            if Record.encode r' <> input then
+              QCheck.Test.fail_reportf "accepted %S as %a" input Record.pp r'
+      in
+      if decode_total s <> Ok r then QCheck.Test.fail_report "no roundtrip";
+      for i = 0 to n - 1 do
+        for v = 0 to 255 do
+          if Char.chr v <> s.[i] then honest (flip s i (Char.chr v))
+        done
+      done;
+      for len = 0 to n - 1 do
+        honest (String.sub s 0 len)
+      done;
+      for k = 1 to 8 do
+        honest (s ^ String.make k '\000');
+        honest (s ^ String.sub s 0 (min k n))
+      done;
+      true)
+
+(* the frame checksum, recomputed so damage reaches the parser *)
+let fnv1a s =
+  let h = ref 0x811c9dc5 in
+  String.iter
+    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x7fffffff)
+    s;
+  !h
+
+let reframe payload =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 (Int32.of_int (fnv1a payload));
+  payload ^ Bytes.to_string b
+
+(* Past the checksum: payloads with a changed byte or cut short, framed
+   with a matching checksum, still decode to a typed error or to a
+   record that roundtrips — never an exception. *)
+let decoder_total_past_checksum =
+  QCheck.Test.make ~count:150
+    ~name:"decode is total on re-checksummed damaged payloads"
+    QCheck.(pair arb_record (make QCheck.Gen.(list_repeat 4 (int_bound 255))))
+    (fun (r, values) ->
+      let s = Record.encode r in
+      let payload = String.sub s 0 (String.length s - 4) in
+      let sound input =
+        match decode_total (reframe input) with
+        | Error _ -> ()
+        | Ok r' ->
+            if Record.decode (Record.encode r') <> Ok r' then
+              QCheck.Test.fail_reportf "%a does not roundtrip" Record.pp r'
+      in
+      String.iteri
+        (fun i _ ->
+          List.iter (fun v -> sound (flip payload i (Char.chr v))) (0 :: values))
+        payload;
+      for len = 0 to String.length payload - 1 do
+        sound (String.sub payload 0 len)
+      done;
+      true)
 
 (* rendering: forensic trails print surgery records by tag, and the CLR
    images print as byte counts, never as raw bytes *)
@@ -368,6 +527,8 @@ let suite =
     Alcotest.test_case "truncation detected" `Quick truncation_detected;
     Alcotest.test_case "rewrite records render" `Quick rewrite_records_render;
     QCheck_alcotest.to_alcotest codec_roundtrip_prop;
+    QCheck_alcotest.to_alcotest decoder_total_on_damage;
+    QCheck_alcotest.to_alcotest decoder_total_past_checksum;
     Alcotest.test_case "store append/read" `Quick store_append_read;
     Alcotest.test_case "store crash drops tail" `Quick store_crash_drops_tail;
     Alcotest.test_case "store flush clamps" `Quick store_flush_clamps;
