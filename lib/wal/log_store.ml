@@ -130,7 +130,11 @@ let record_cache_misses t = t.cache_misses
    of [enc] — rewrite, truncate, crash-applied tears, tail amputation,
    LSN reuse after a crash — evicts the affected indices. Bounded
    deterministically: when full, it is cleared wholesale (no
-   recency/randomness, so same-seed runs stay byte-identical). *)
+   recency/randomness, so same-seed runs stay byte-identical). Clearing
+   keeps the full-size bucket array: a scan longer than the cache does
+   not regrow and rehash it after every wipe, and the entries it drops
+   are not promoted by the next minor collection through the slots of
+   an abandoned (major-heap) array. *)
 let raw_decode t s =
   t.decode_calls <- t.decode_calls + 1;
   Record.decode s
@@ -147,7 +151,7 @@ let decode_at t idx =
         let res = raw_decode t t.enc.(idx) in
         (match res with
         | Ok r ->
-            if Hashtbl.length t.cache >= t.cache_cap then Hashtbl.reset t.cache;
+            if Hashtbl.length t.cache >= t.cache_cap then Hashtbl.clear t.cache;
             Hashtbl.replace t.cache idx r
         | Error _ -> ());
         res
