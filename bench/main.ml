@@ -792,12 +792,13 @@ let artifact_extra : (string * Obs.Json.t) list ref = ref []
 
 let e16 () =
   header "E16: hot-path logical counters (perf-regression gate)"
-    "The four hot paths of this PR, measured with deterministic logical\n\
+    "Five hot paths, measured with deterministic logical\n\
      counters — never wall time, so CI can gate on exact drift:\n\
      (a) decoded-record cache under a restart-heavy workload\n\
      (b) O(1) LRU eviction: frames examined per eviction, across pool sizes\n\
      (c) group commit: log forces under the concurrent simulator\n\
-     (d) invoker-indexed scope lookup under heavy delegation.\n\
+     (d) invoker-indexed scope lookup under heavy delegation\n\
+     (e) log records restart reads, on a plain and a two-shard store.\n\
      CI regenerates these counters and fails if any regresses >5%\n\
      against bench/baseline_e16.json.";
   let engines =
@@ -820,15 +821,39 @@ let e16 () =
     }
   in
   let restart_script = Gen.generate restart_spec ~seed:37L in
+  let log_reads dbs =
+    Array.fold_left
+      (fun n db -> n + (Log_store.stats (Db.log_store db)).Log_stats.reads)
+      0 dbs
+  in
   let restart_heavy impl ~record_cache =
     let db = Driver.fresh_db ~impl ~record_cache ~n_objects:128 () in
     Driver.run ~upto:(List.length restart_script * 9 / 10) db restart_script;
     flush_log db;
+    let before = log_reads [| db |] in
     for _ = 1 to 6 do
       Db.crash db;
       ignore (Db.recover db)
     done;
-    (Log_store.decode_calls (Db.log_store db), Db.peek_all db)
+    ( Log_store.decode_calls (Db.log_store db),
+      log_reads [| db |] - before,
+      Db.peek_all db )
+  in
+  (* (e) restart reads on two shards: the same script co-homed across
+     an inline two-shard store, crashed at 90% and restarted once. Each
+     shard's forward pass plus the router's transfer resolution. *)
+  let restart_reads_2shard impl =
+    let module Sharded = Ariesrh_shard.Sharded in
+    let sh = Shard_driver.fresh ~impl ~shards:2 ~n_objects:128 () in
+    let homes = Shard_driver.assign_homes restart_script ~shards:2 in
+    Shard_driver.run
+      ~upto:(List.length restart_script * 9 / 10)
+      ~homes sh restart_script;
+    Array.iter flush_log (Sharded.dbs sh);
+    let before = log_reads (Sharded.dbs sh) in
+    Sharded.crash sh;
+    ignore (Sharded.recover sh);
+    log_reads (Sharded.dbs sh) - before
   in
   (* (b) eviction scans: E12's skewed workload at two pool sizes; the
      gate is scans == evictions (one frame examined per eviction)
@@ -887,16 +912,17 @@ let e16 () =
   in
   let rows = ref [] in
   Format.printf
-    "%-6s | %10s %10s %7s | %9s %9s | %9s %9s | %10s@." "engine"
+    "%-6s | %10s %10s %7s | %9s %9s | %9s %9s | %10s | %8s %8s@." "engine"
     "dec_cold" "dec_cache" "saved" "scan/ev4" "scan/ev32" "flushes"
-    "flushes_g" "scope_prb";
+    "flushes_g" "scope_prb" "rd_plain" "rd_2shard";
   List.iter
     (fun (name, impl) ->
-      let dec_cold, st_cold = restart_heavy impl ~record_cache:0 in
-      let dec_cached, st_cached =
+      let dec_cold, reads_plain, st_cold = restart_heavy impl ~record_cache:0 in
+      let dec_cached, reads_cached, st_cached =
         restart_heavy impl ~record_cache:Config.default.Config.record_cache
       in
-      assert (st_cold = st_cached);
+      assert (st_cold = st_cached && reads_plain = reads_cached);
+      let reads_2shard = restart_reads_2shard impl in
       let ev4, scans4 = evictions impl ~capacity:4 in
       let ev32, scans32 = evictions impl ~capacity:32 in
       assert (scans4 = ev4 && scans32 = ev32);
@@ -910,9 +936,9 @@ let e16 () =
       in
       assert (2 * dec_cached <= dec_cold);
       Format.printf
-        "%-6s | %10d %10d %6.1f%% | %4d/%-4d %4d/%-4d | %9d %9d | %10d@."
+        "%-6s | %10d %10d %6.1f%% | %4d/%-4d %4d/%-4d | %9d %9d | %10d | %8d %8d@."
         name dec_cold dec_cached saved scans4 ev4 scans32 ev32 fl_eager
-        fl_grouped probes;
+        fl_grouped probes reads_plain reads_2shard;
       rows :=
         ( name,
           Obs.Json.Obj
@@ -927,6 +953,8 @@ let e16 () =
               ("log_flushes_grouped", Obs.Json.Int fl_grouped);
               ("sim_committed", Obs.Json.Int committed);
               ("scope_probes", Obs.Json.Int probes);
+              ("restart_log_reads_plain", Obs.Json.Int reads_plain);
+              ("restart_log_reads_2shard", Obs.Json.Int reads_2shard);
             ] )
         :: !rows)
     engines;

@@ -1355,23 +1355,21 @@ let run_audit t =
   Obs.Ring.emit t.ring (Obs.Event.Restart_leave Obs.Event.Audit)
 
 (* A degraded run may have left logical delegate records in the durable
-   log; conventional ARIES cannot interpret them, so detect them
-   (skipping any corrupt tail record — amputation has not run yet) and
+   log; conventional ARIES cannot interpret them, so detect them and
    heal through the lazy recovery path, which splices them physically.
    After it, the log is purely physical again and the engine leaves
-   degraded mode. *)
+   degraded mode. Amputation has not run yet, so a corrupt tail record
+   ends the search, as end-of-log. *)
 let has_delegate t =
   let exception Found in
   try
-    ignore
-      (Log_store.iter_valid_forward t.log
-         ~from:(Log_store.truncated_below t.log)
-         (fun _ r ->
-           match r.Record.body with
-           | Record.Delegate _ -> raise Found
-           | _ -> ()));
+    Log_store.iter_control t.log ~kind:Log_store.Delegation
+      ~from:(Log_store.truncated_below t.log) (fun _ r ->
+        match r.Record.body with Record.Delegate _ -> raise Found | _ -> ());
     false
-  with Found -> true
+  with
+  | Found -> true
+  | Log_store.Corrupt_record _ -> false
 
 let recover t =
   (* re-entering restart subsumes any prior interrupted drain *)

@@ -204,7 +204,7 @@ let scan ?(passes = Merged) ?(apply_redo = true) (env : Env.t) ~mode
               { Record.oid; page; op = Record.Set { before; after = value } }
       (* rewrite system-transaction records are resolved by
          [Rewrite.recover_surgeries] before any scan runs; transfer
-         intent/end records by [Xfer.resolve] after per-shard recovery;
+         intent/end records by [Xfer.recover] after per-shard recovery;
          to analysis and redo they are inert bookkeeping *)
       | Record.Ckpt_begin | Record.Ckpt_end _ | Record.Rewrite_begin _
       | Record.Rewrite_clr _ | Record.Rewrite_end _ | Record.Xfer_out _

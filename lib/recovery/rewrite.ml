@@ -210,9 +210,10 @@ type surgery = {
    inside one engine operation and a checkpoint inside another, so they
    never interleave — any surgery whose intent record sits at or below
    the master's checkpoint-end record ended before that checkpoint was
-   taken. Restart therefore only walks the same tail window analysis
-   will, not the whole retained log. (The full-log bracketing
-   invariants are the self-audit's job.) *)
+   taken. Restart therefore only looks at the same tail window analysis
+   will, and reads nothing in it but the surgery records, through the
+   log's control index. (The full-log bracketing invariants are the
+   self-audit's job.) *)
 let recover_surgeries (env : Env.t) =
   let log = env.Env.log in
   let surgeries = ref [] in
@@ -222,7 +223,7 @@ let recover_surgeries (env : Env.t) =
     let base = Log_store.truncated_below log in
     if Lsn.is_nil master then base else Lsn.max base (Lsn.next master)
   in
-  Log_store.iter_forward log ~from (fun lsn record ->
+  Log_store.iter_control log ~kind:Log_store.Surgery ~from (fun lsn record ->
       match record.Record.body with
       | Record.Rewrite_begin _ ->
           (match !current with

@@ -17,13 +17,12 @@ open Ariesrh_wal
 
 type resolution = { rolled_forward : int; rolled_back : int }
 
-(* one pass over a shard's durable log *)
-let scan_shard (env : Env.t) f =
-  let log = env.Env.log in
-  let base = Log_store.truncated_below log in
-  let durable = Log_store.durable log in
-  if Lsn.(durable >= base) then
-    Log_store.iter_forward log ~from:base ~upto:durable f
+type rebuild = {
+  homes : (int, int) Hashtbl.t;
+  next_xfer_id : int;
+  last_hops : (int, int) Hashtbl.t;
+  last_ins : (int, int * Lsn.t) Hashtbl.t;
+}
 
 let close_intent (env : Env.t) ~xfer_id ~oid ~committed =
   let log = env.Env.log in
@@ -33,55 +32,37 @@ let close_intent (env : Env.t) ~xfer_id ~oid ~committed =
   in
   Log_store.flush log ~upto:lsn
 
-let resolve shards =
-  (* durable transfer-ins, per shard: shard -> xfer_id set *)
+(* Resolve every in-doubt intent, then reconstruct the volatile routing
+   state from the durable logs alone. Transfers of one object are
+   serialized — only its current home ever initiates the next hop — so
+   the {e highest committed hop} alone determines where the object lives
+   now: its target is the current home. A hop counts as committed when
+   its intent carries a committed end, or when the target-side [Xfer_in]
+   survives; either record names the target, so the reconstruction
+   tolerates the other side's log having been truncated. (The router's
+   external truncation pin keeps each migrated object's latest [Xfer_in]
+   readable, so the highest committed hop is always visible on at least
+   one log.) *)
+let recover shards ~base =
+  (* durable transfer-ins: (shard, xfer_id) *)
   let ins : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (shard, env) ->
-      scan_shard env (fun _ record ->
-          match record.Record.body with
-          | Record.Xfer_in { xfer_id; _ } ->
-              Hashtbl.replace ins (shard, xfer_id) ()
-          | _ -> ()))
-    shards;
-  let forward = ref 0 and back = ref 0 in
-  List.iter
-    (fun (_, env) ->
-      (* in-doubt intents on this shard: xfer_id -> (oid, target) *)
-      let open_outs : (int, Oid.t * int) Hashtbl.t = Hashtbl.create 4 in
-      scan_shard env (fun _ record ->
-          match record.Record.body with
-          | Record.Xfer_out { xfer_id; oid; target; _ } ->
-              Hashtbl.replace open_outs xfer_id (oid, target)
-          | Record.Xfer_end { xfer_id; _ } -> Hashtbl.remove open_outs xfer_id
-          | _ -> ());
-      Hashtbl.iter
-        (fun xfer_id (oid, target) ->
-          let committed = Hashtbl.mem ins (target, xfer_id) in
-          close_intent env ~xfer_id ~oid ~committed;
-          if committed then incr forward else incr back)
-        open_outs)
-    shards;
-  { rolled_forward = !forward; rolled_back = !back }
-
-type rebuild = {
-  homes : (int, int) Hashtbl.t;
-  next_xfer_id : int;
-  last_hops : (int, int) Hashtbl.t;
-  last_ins : (int, int * Lsn.t) Hashtbl.t;
-}
-
-(* Reconstruct the volatile routing state from the durable logs alone.
-   Transfers of one object are serialized — only its current home ever
-   initiates the next hop — so the {e highest committed hop} alone
-   determines where the object lives now: its target is the current
-   home. A hop counts as committed when its intent carries a committed
-   end, or when the target-side [Xfer_in] survives; either record names
-   the target, so the reconstruction tolerates the other side's log
-   having been truncated. (The router's external truncation pin keeps
-   each migrated object's latest [Xfer_in] readable, so the highest
-   committed hop is always visible on at least one log.) *)
-let rebuild shards ~base =
+  (* one walk per shard over the log's control index, which never reads
+     the records between transfer records; oldest first *)
+  let logs =
+    List.map
+      (fun (shard, (env : Env.t)) ->
+        let log = env.Env.log and acc = ref [] in
+        Log_store.iter_control log ~kind:Log_store.Transfer
+          ~from:(Log_store.truncated_below log) ~upto:(Log_store.durable log)
+          (fun lsn { Record.body; _ } ->
+            (match body with
+            | Record.Xfer_in { xfer_id; _ } ->
+                Hashtbl.replace ins (shard, xfer_id) ()
+            | _ -> ());
+            acc := (lsn, body) :: !acc);
+        (shard, env, List.rev !acc))
+      shards
+  in
   (* oid -> (best committed hop, its target) *)
   let best : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
   (* oid -> (shard, lsn) of the Xfer_in of the best committed hop *)
@@ -97,25 +78,38 @@ let rebuild shards ~base =
     | Some h when h >= hop -> ()
     | _ -> Hashtbl.replace last_hops oid hop
   in
-  let max_id = ref 0 in
+  let max_id = ref 0 and forward = ref 0 and back = ref 0 in
   List.iter
-    (fun (shard, env) ->
-      (* intent status on this shard's log: xfer_id -> committed *)
+    (fun (shard, env, records) ->
+      (* intents on this shard: the in-doubt ones (xfer_id -> (oid,
+         target)) and the verdicts of the ended ones *)
+      let open_outs : (int, Oid.t * int) Hashtbl.t = Hashtbl.create 4 in
       let ends : (int, bool) Hashtbl.t = Hashtbl.create 8 in
-      scan_shard env (fun _ record ->
-          match record.Record.body with
-          | Record.Xfer_end { xfer_id; committed; _ } ->
+      List.iter
+        (function
+          | _, Record.Xfer_out { xfer_id; oid; target; _ } ->
+              Hashtbl.replace open_outs xfer_id (oid, target)
+          | _, Record.Xfer_end { xfer_id; committed; _ } ->
+              Hashtbl.remove open_outs xfer_id;
               Hashtbl.replace ends xfer_id committed
-          | _ -> ());
-      scan_shard env (fun lsn record ->
-          match record.Record.body with
-          | Record.Xfer_out { xfer_id; hop; oid; target; _ } ->
+          | _ -> ())
+        records;
+      Hashtbl.iter
+        (fun xfer_id (oid, target) ->
+          let committed = Hashtbl.mem ins (target, xfer_id) in
+          close_intent env ~xfer_id ~oid ~committed;
+          Hashtbl.replace ends xfer_id committed;
+          if committed then incr forward else incr back)
+        open_outs;
+      List.iter
+        (function
+          | _, Record.Xfer_out { xfer_id; hop; oid; target; _ } ->
               max_id := max !max_id xfer_id;
               let oid = Oid.to_int oid in
               note_hop ~oid ~hop;
               if Option.value ~default:false (Hashtbl.find_opt ends xfer_id)
               then note_committed ~oid ~hop ~target
-          | Record.Xfer_in { xfer_id; hop; oid; _ } -> (
+          | lsn, Record.Xfer_in { xfer_id; hop; oid; _ } -> (
               max_id := max !max_id xfer_id;
               let oid = Oid.to_int oid in
               note_hop ~oid ~hop;
@@ -123,15 +117,14 @@ let rebuild shards ~base =
               match Hashtbl.find_opt best_in oid with
               | Some (h, _) when h >= hop -> ()
               | _ -> Hashtbl.replace best_in oid (hop, (shard, lsn)))
-          | _ -> ()))
-    shards;
-  let homes = Hashtbl.create 16 in
-  let last_ins = Hashtbl.create 16 in
+          | _ -> ())
+        records)
+    logs;
+  let homes = Hashtbl.create 16 and last_ins = Hashtbl.create 16 in
   Hashtbl.iter
     (fun oid (_, target) ->
       if target <> base (Oid.of_int oid) then Hashtbl.replace homes oid target)
     best;
-  Hashtbl.iter
-    (fun oid (_, at) -> Hashtbl.replace last_ins oid at)
-    best_in;
-  { homes; next_xfer_id = !max_id + 1; last_hops; last_ins }
+  Hashtbl.iter (fun oid (_, at) -> Hashtbl.replace last_ins oid at) best_in;
+  ( { rolled_forward = !forward; rolled_back = !back },
+    { homes; next_xfer_id = !max_id + 1; last_hops; last_ins } )

@@ -12,9 +12,6 @@ open Ariesrh_types
 
 type resolution = { rolled_forward : int; rolled_back : int }
 
-val resolve : (int * Env.t) list -> resolution
-(** [resolve shards] over [(shard index, env)] for every shard. *)
-
 type rebuild = {
   homes : (int, int) Hashtbl.t;
       (** object (as int) -> current home shard; only objects living
@@ -29,9 +26,11 @@ type rebuild = {
           truncation pin must keep readable *)
 }
 
-val rebuild : (int * Env.t) list -> base:(Oid.t -> int) -> rebuild
-(** Reconstruct the router's volatile state from the durable logs
-    alone. Transfers of one object are serialized, so the highest
-    committed hop's target is its current home; [base oid] is the home
-    of an object with no committed transfers. Call after {!resolve}
-    (so no hop is in doubt). *)
+val recover : (int * Env.t) list -> base:(Oid.t -> int) -> resolution * rebuild
+(** [recover shards ~base] over [(shard index, env)] for every shard:
+    resolve every in-doubt intent, then reconstruct the router's
+    volatile state from the durable logs alone. Transfers of one object
+    are serialized, so the highest committed hop's target is its current
+    home; [base oid] is the home of an object with no committed
+    transfers. Reads only the transfer records, once per shard, through
+    {!Ariesrh_wal.Log_store.iter_control}. *)

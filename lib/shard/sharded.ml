@@ -24,7 +24,7 @@ module Fault = Ariesrh_fault.Fault
         its durable presence is the commit point;
      3. forced [Xfer_end committed=true] on the source (reserved space).
 
-   A crash at any I/O point resolves at restart ([Xfer.resolve]): the
+   A crash at any I/O point resolves at restart ([Xfer.recover]): the
    intent rolls forward iff the target-side record became durable.
    Only the in-flight flush can tear, so each completed force above is
    durable before the next step begins — the same assumption the
@@ -370,10 +370,9 @@ let recover t =
   in
   locked t (fun () ->
       let envs = envs t in
-      let res = Xfer.resolve envs in
+      let res, rb = Xfer.recover envs ~base:(base_home t) in
       t.resolved_forward <- t.resolved_forward + res.Xfer.rolled_forward;
       t.resolved_back <- t.resolved_back + res.Xfer.rolled_back;
-      let rb = Xfer.rebuild envs ~base:(base_home t) in
       Hashtbl.reset t.homes;
       Hashtbl.iter (Hashtbl.replace t.homes) rb.Xfer.homes;
       Hashtbl.reset t.hops;

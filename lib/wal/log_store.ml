@@ -58,7 +58,89 @@ type t = {
   mutable decode_calls : int;  (* lifetime Record.decode invocations *)
   mutable cache_hits : int;
   mutable cache_misses : int;
+  (* --- control-record index ---
+     Ascending array indices of the retained control records, each with
+     its class mask: what restart's preambles look for, without reading
+     the records between them. *)
+  mutable ctl : int array;
+  mutable ctl_cls : int array;
+  mutable ctl_n : int;
 }
+
+type control = Delegation | Surgery | Transfer
+
+(* Class masks. An entry whose kind is unknown — a loaded record that
+   does not decode — carries every bit, so every filtered walk visits
+   it and its read raises [Corrupt_record] instead of skipping it. *)
+let mask = function Delegation -> 1 | Surgery -> 2 | Transfer -> 4
+let cls_unknown = mask Delegation lor mask Surgery lor mask Transfer
+
+let class_of_body = function
+  | Record.Delegate _ -> mask Delegation
+  | Record.Rewrite_begin _ | Record.Rewrite_clr _ | Record.Rewrite_end _ ->
+      mask Surgery
+  | Record.Xfer_out _ | Record.Xfer_in _ | Record.Xfer_end _ -> mask Transfer
+  | Record.Begin | Record.Update _ | Record.Commit | Record.Abort | Record.End
+  | Record.Clr _ | Record.Ckpt_begin | Record.Ckpt_end _ | Record.Anchor ->
+      0
+
+let class_of_encoded s =
+  match Record.decode s with
+  | Ok r -> class_of_body r.Record.body
+  | Error _ -> cls_unknown
+
+let ctl_push t idx cls =
+  if t.ctl_n = Array.length t.ctl then begin
+    let ncap = max 16 (2 * t.ctl_n) in
+    let grow a = Array.append a (Array.make (ncap - t.ctl_n) 0) in
+    t.ctl <- grow t.ctl;
+    t.ctl_cls <- grow t.ctl_cls
+  end;
+  t.ctl.(t.ctl_n) <- idx;
+  t.ctl_cls.(t.ctl_n) <- cls;
+  t.ctl_n <- t.ctl_n + 1
+
+(* position of the first entry with index >= [idx] *)
+let ctl_search t idx =
+  let lo = ref 0 and hi = ref t.ctl_n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.ctl.(mid) < idx then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* forget every entry at or above [idx] (crash, amputation) *)
+let ctl_drop_from t idx =
+  while t.ctl_n > 0 && t.ctl.(t.ctl_n - 1) >= idx do
+    t.ctl_n <- t.ctl_n - 1
+  done
+
+(* class of the record at [idx] as the index has it (0 = not control) *)
+let ctl_class t idx =
+  let j = ctl_search t idx in
+  if j < t.ctl_n && t.ctl.(j) = idx then t.ctl_cls.(j) else 0
+
+(* re-kind an indexed record: an unknown entry once its bytes decode *)
+let ctl_set t idx cls =
+  let j = ctl_search t idx in
+  if j < t.ctl_n && t.ctl.(j) = idx then
+    if cls <> 0 then t.ctl_cls.(j) <- cls
+    else begin
+      Array.blit t.ctl (j + 1) t.ctl j (t.ctl_n - j - 1);
+      Array.blit t.ctl_cls (j + 1) t.ctl_cls j (t.ctl_n - j - 1);
+      t.ctl_n <- t.ctl_n - 1
+    end
+
+(* Rebuild from the stored bytes (reopen, archive install). Decoding is
+   the only way to know a loaded record's kind; one that does not decode
+   is indexed as unknown. Like the scrubber's checks, this pass is not
+   charged to the decode counters. *)
+let ctl_rebuild t =
+  t.ctl_n <- 0;
+  for i = t.low to t.count - 1 do
+    let cls = class_of_encoded t.enc.(i) in
+    if cls <> 0 then ctl_push t i cls
+  done
 
 let create ?(page_size = 4096) ?capacity_bytes ?capacity_records
     ?(record_cache = 8192) ?(fault = Fault.none ())
@@ -95,6 +177,9 @@ let create ?(page_size = 4096) ?capacity_bytes ?capacity_records
       decode_calls = 0;
       cache_hits = 0;
       cache_misses = 0;
+      ctl = [||];
+      ctl_cls = [||];
+      ctl_n = 0;
     }
   in
   (* Reopen path: rebuild the durable prefix from whatever frames the
@@ -116,7 +201,8 @@ let create ?(page_size = 4096) ?capacity_bytes ?capacity_records
         if i >= t.low then
           t.live_bytes <- t.live_bytes + String.length t.enc.(i)
       done;
-      t.next_offset <- !off);
+      t.next_offset <- !off;
+      ctl_rebuild t);
   t
 
 let stats t = t.stats
@@ -252,8 +338,9 @@ let unreserve t ~bytes ~records =
   t.reserved_bytes <- max 0 (t.reserved_bytes - bytes);
   t.reserved_records <- max 0 (t.reserved_records - records)
 
-let store t s =
+let store t ~cls s =
   ensure_capacity t;
+  if cls <> 0 then ctl_push t t.count cls;
   (* this index may have held an amputated/crash-discarded record whose
      LSN is being reused — a stale decode must not survive that *)
   cache_invalidate t t.count;
@@ -270,7 +357,7 @@ let append t r =
   apply_squeeze t;
   let s = Record.encode r in
   admit t ~bytes:(String.length s) ~records:1;
-  store t s
+  store t ~cls:(class_of_body r.Record.body) s
 
 (* Bypasses admission: for records whose space was paid for up front by
    [reserve] (rollback CLRs, Abort/Commit/End, checkpoint records) and
@@ -279,7 +366,7 @@ let append t r =
    pool always equals the sum of live obligations. *)
 let append_reserved t r =
   apply_squeeze t;
-  store t (Record.encode r)
+  store t ~cls:(class_of_body r.Record.body) (Record.encode r)
 
 let append_with_reserve t ~reserve_bytes ~reserve_records r =
   apply_squeeze t;
@@ -290,7 +377,7 @@ let append_with_reserve t ~reserve_bytes ~reserve_records r =
   t.reserved_bytes <- t.reserved_bytes + reserve_bytes;
   t.reserved_records <- t.reserved_records + reserve_records;
   t.stats.reservations <- t.stats.reservations + 1;
-  store t s
+  store t ~cls:(class_of_body r.Record.body) s
 
 let flush t ~upto =
   let target = min (Lsn.to_int upto) t.count in
@@ -345,6 +432,7 @@ let crash t =
   | None -> ());
   (* volatile tail dies with the crash — cached decodes of it must too *)
   cache_invalidate_range t t.durable_count (t.count - 1);
+  ctl_drop_from t t.durable_count;
   for i = t.durable_count to t.count - 1 do
     t.live_bytes <- t.live_bytes - String.length t.enc.(i)
   done;
@@ -402,6 +490,10 @@ let truncate t ~below =
       t.enc.(i) <- ""
     done;
     t.low <- b - 1;
+    let j = ctl_search t t.low in
+    Array.blit t.ctl j t.ctl 0 (t.ctl_n - j);
+    Array.blit t.ctl_cls j t.ctl_cls 0 (t.ctl_n - j);
+    t.ctl_n <- t.ctl_n - j;
     Log_device.set_low t.device t.low
   end;
   reclaimed
@@ -426,6 +518,13 @@ let rewrite t lsn r =
   let s = Record.encode r in
   if String.length s <> String.length t.enc.(idx) then
     invalid_arg "Log_store.rewrite: record size changed";
+  (* surgery re-attributes records, it never changes what they are; an
+     entry of unknown kind takes the kind of its replacement *)
+  let cls = class_of_body r.Record.body in
+  (match ctl_class t idx with
+  | old when old = cls -> ()
+  | old when old = cls_unknown -> ctl_set t idx cls
+  | _ -> invalid_arg "Log_store.rewrite: record kind changed");
   (* rewriting a durable record is a synchronous in-place I/O: it gets
      its own crash point, fired before the bytes change so an injected
      crash leaves the record intact *)
@@ -442,26 +541,22 @@ let rewrite t lsn r =
 
 let set_rewrite_hook t h = t.rewrite_hook <- h
 
-let iter_forward ?upto t ~from f =
+(* 1-based inclusive LSN bounds of a forward sweep *)
+let forward_range ?upto t ~from =
   let start = if Lsn.is_nil from then 1 else Lsn.to_int from in
-  let start = max start (t.low + 1) in
   let stop =
-    match upto with
-    | None -> t.count
-    | Some l -> min (Lsn.to_int l) t.count
+    match upto with None -> t.count | Some l -> min (Lsn.to_int l) t.count
   in
+  (max start (t.low + 1), stop)
+
+let iter_forward ?upto t ~from f =
+  let start, stop = forward_range ?upto t ~from in
   for i = start to stop do
     f (Lsn.of_int i) (read t (Lsn.of_int i))
   done
 
 let iter_valid_forward ?upto t ~from f =
-  let start = if Lsn.is_nil from then 1 else Lsn.to_int from in
-  let start = max start (t.low + 1) in
-  let stop =
-    match upto with
-    | None -> t.count
-    | Some l -> min (Lsn.to_int l) t.count
-  in
+  let start, stop = forward_range ?upto t ~from in
   let corrupt = ref None in
   let i = ref start in
   while !corrupt = None && !i <= stop do
@@ -472,6 +567,20 @@ let iter_valid_forward ?upto t ~from f =
     incr i
   done;
   !corrupt
+
+(* [stop] is fixed when the walk starts: records [f] appends are not
+   visited. *)
+let iter_control ?upto ?kind t ~from f =
+  let start, stop = forward_range ?upto t ~from in
+  let want = match kind with None -> cls_unknown | Some k -> mask k in
+  let j = ref (ctl_search t (start - 1)) in
+  while !j < t.ctl_n && t.ctl.(!j) < stop do
+    if t.ctl_cls.(!j) land want <> 0 then begin
+      let lsn = Lsn.of_int (t.ctl.(!j) + 1) in
+      f lsn (read t lsn)
+    end;
+    incr j
+  done
 
 let iter_backward t ~from f =
   let start = if Lsn.is_nil from then t.count else Lsn.to_int from in
@@ -496,6 +605,7 @@ let recover_tail t =
         t.durable_count <- min t.durable_count t.count;
         t.amputated_total <- t.amputated_total + 1
   done;
+  ctl_drop_from t t.count;
   t.next_offset <-
     (if t.count = 0 then 0
      else t.offsets.(t.count - 1) + String.length t.enc.(t.count - 1));
@@ -550,6 +660,7 @@ let heal_record t ~idx s =
     invalid_arg "Log_store.heal_record: archived copy length mismatch";
   t.enc.(idx) <- s;
   cache_invalidate t idx;
+  ctl_set t idx (class_of_encoded s);
   Log_device.rewrite t.device ~idx s
 
 (* Injection primitive: flip bits in one durable record's stored bytes,
@@ -594,6 +705,7 @@ let install_archive t ~low ~master frames =
   t.low <- low;
   t.pending_tear <- None;
   Hashtbl.reset t.cache;
+  ctl_rebuild t;
   Log_device.install t.device ~low ~master ~frames:(Array.to_list frames)
 
 let sync t = Log_device.sync t.device

@@ -161,7 +161,9 @@ val read_result : t -> Lsn.t -> (Record.t, Record.decode_error) result
 
 val rewrite : t -> Lsn.t -> Record.t -> unit
 (** Replace the record at an LSN (history surgery, baselines only).
-    Charged as a page fetch + page write when the record is stable. *)
+    Charged as a page fetch + page write when the record is stable.
+    Raises [Invalid_argument] if the encoded size or the control kind
+    (see {!control}) would change. *)
 
 val set_rewrite_hook : t -> (idx:int -> string -> unit) option -> unit
 (** Observe every in-place {!rewrite} (surgery apply {e and} its
@@ -185,6 +187,32 @@ val iter_valid_forward :
     decode and returns it, instead of raising. [None] means the whole
     range decoded. This is how scans treat a corrupt record as
     end-of-log. *)
+
+type control =
+  | Delegation  (** [Delegate] *)
+  | Surgery  (** [Rewrite_begin], [Rewrite_clr], [Rewrite_end] *)
+  | Transfer  (** [Xfer_out], [Xfer_in], [Xfer_end] *)
+(** The control records: the rare records restart's preambles resolve
+    before (surgeries, degraded-mode delegations) or after (transfers)
+    the forward pass. *)
+
+val iter_control :
+  ?upto:Lsn.t ->
+  ?kind:control ->
+  t ->
+  from:Lsn.t ->
+  (Lsn.t -> Record.t -> unit) ->
+  unit
+(** {!iter_forward} restricted to the control records (of [kind] only,
+    when given), in ascending LSN order, without touching the records
+    between them. The store keeps an index of them, maintained on every
+    append and on every change to the stored records ({!crash},
+    {!recover_tail}, {!truncate}, {!rewrite}, {!heal_record}, a reopen,
+    {!install_archive}). Each visited record goes through {!read}: same
+    decode, checksum, cache and I/O accounting, and a corrupt one raises
+    {!Corrupt_record}. A reopened or installed record that does not
+    decode has no known kind and is visited by every walk, so it is
+    never skipped silently. *)
 
 val iter_backward : t -> from:Lsn.t -> (Lsn.t -> Record.t -> unit) -> unit
 (** Sequential sweep from [from] (or [head] if nil) down to [Lsn.first]. *)

@@ -347,6 +347,61 @@ let governor_follows_cluster_pressure () =
   | _ -> Alcotest.fail "bad view slot must be refused"
   | exception Invalid_argument _ -> ()
 
+(* --- restart reads only what it replays ------------------------------ *)
+
+(* An inline two-shard restart charges one log read per record of each
+   shard's forward pass, one for the master checkpoint record analysis
+   starts from, and one per transfer record the router resolves from:
+   the surgery and transfer preambles walk the logs' control index
+   instead of rescanning every log. *)
+let restart_reads_forward_plus_control () =
+  let sh = Shard_driver.fresh ~shards:2 ~n_objects:16 () in
+  let work round =
+    for i = 0 to 7 do
+      let o = oid ((2 * i) + (round mod 2)) in
+      let a = Sharded.begin_txn sh ~shard:(Sharded.home sh o) in
+      Sharded.add sh a o 1;
+      Sharded.commit sh a;
+      Sharded.migrate sh o ~target:(1 - Sharded.home sh o)
+    done
+  in
+  work 0;
+  Sharded.checkpoint sh;
+  work 1;
+  Sharded.flush_commits sh;
+  let logs = Array.map Db.log_store (Sharded.dbs sh) in
+  Array.iter (fun log -> Log_store.flush log ~upto:(Log_store.head log)) logs;
+  Sharded.crash sh;
+  let retained = ref 0 and transfers = ref 0 in
+  Array.iter
+    (fun log ->
+      Log_store.iter_forward log ~from:Lsn.nil (fun _ r ->
+          incr retained;
+          match r.Record.body with
+          | Record.Xfer_out _ | Record.Xfer_in _ | Record.Xfer_end _ ->
+              incr transfers
+          | _ -> ()))
+    logs;
+  let reads () =
+    Array.fold_left
+      (fun n log -> n + (Log_store.stats log).Ariesrh_wal.Log_stats.reads)
+      0 logs
+  in
+  let before = reads () in
+  let reports = Sharded.recover sh in
+  let forward =
+    Array.fold_left
+      (fun n r -> n + r.Ariesrh_recovery.Report.forward_records)
+      0 reports
+  in
+  Alcotest.(check bool) "transfers happened" true (!transfers >= 32);
+  Alcotest.(check bool) "the checkpoint bounds the forward pass" true
+    (forward < !retained);
+  Alcotest.(check int) "reads = forward + master + transfer records"
+    (forward + Array.length logs + !transfers)
+    (reads () - before);
+  Alcotest.(check (list string)) "audit clean" [] (Sharded.audit sh)
+
 let suite =
   List.map
     (fun (name, impl) ->
@@ -372,6 +427,8 @@ let suite =
         `Quick sim_storm_repairs_transfers;
       Alcotest.test_case "cross-shard delegate is refused" `Quick
         delegation_requires_one_shard;
+      Alcotest.test_case "restart reads forward range plus control records"
+        `Quick restart_reads_forward_plus_control;
       Alcotest.test_case "pool basics" `Quick pool_basics;
       Alcotest.test_case "pooled router end to end" `Quick
         pooled_router_end_to_end;

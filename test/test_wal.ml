@@ -520,6 +520,268 @@ let set_prev_for_delegate () =
   let d'' = Record.set_prev_for d (xid 3) (lsn 66) in
   Alcotest.(check int) "tor side patched" 66 (Lsn.to_int (Record.prev_for d'' (xid 3)))
 
+(* --- the control-record index ---------------------------------------- *)
+
+module Backend = Ariesrh_storage.Backend
+module Fault = Ariesrh_fault.Fault
+
+let kind_of (r : Record.t) =
+  match r.Record.body with
+  | Record.Delegate _ -> Some Log_store.Delegation
+  | Record.Rewrite_begin _ | Record.Rewrite_clr _ | Record.Rewrite_end _ ->
+      Some Log_store.Surgery
+  | Record.Xfer_out _ | Record.Xfer_in _ | Record.Xfer_end _ ->
+      Some Log_store.Transfer
+  | _ -> None
+
+let walk_kinds =
+  None
+  :: List.map Option.some Log_store.[ Delegation; Surgery; Transfer ]
+
+let of_kind kind r =
+  match (kind, kind_of r) with
+  | _, None -> false
+  | None, Some _ -> true
+  | Some k, Some k' -> k = k'
+
+(* the reference: every record in range, decoded, filtered to [kind];
+   the scan stops at the first corrupt record and returns it *)
+let scan_control ?kind log ~from ~upto =
+  let acc = ref [] in
+  let corrupt =
+    Log_store.iter_valid_forward log ~from ~upto (fun l r ->
+        if of_kind kind r then acc := (l, r) :: !acc)
+  in
+  (List.rev !acc, corrupt)
+
+let walk_control ?kind log ~from ~upto =
+  let acc = ref [] in
+  Log_store.iter_control ?kind log ~from ~upto (fun l r -> acc := (l, r) :: !acc);
+  List.rev !acc
+
+let store_rewrite_keeps_kind () =
+  let log = Log_store.create () in
+  let upd = List.nth sample_records 1 in
+  let l = Log_store.append log upd in
+  let clr pad =
+    Record.mk_system
+      (Record.Rewrite_clr
+         { target = lsn 1; before = String.make pad 'x'; after = "" })
+  in
+  let pad =
+    String.length (Record.encode upd) - String.length (Record.encode (clr 0))
+  in
+  Alcotest.check_raises "a surgery record cannot replace an update"
+    (Invalid_argument "Log_store.rewrite: record kind changed") (fun () ->
+      Log_store.rewrite log l (clr pad));
+  Alcotest.(check bool) "record untouched" true (Log_store.read log l = upd)
+
+let control_walk_reads_only_control () =
+  let log = Log_store.create () in
+  List.iter (fun r -> ignore (Log_store.append log r)) sample_records;
+  Log_store.flush log ~upto:(Log_store.head log);
+  let expected, _ = scan_control log ~from:Lsn.nil ~upto:(Log_store.head log) in
+  let reads = (Log_store.stats log).Log_stats.reads in
+  let got = walk_control log ~from:Lsn.nil ~upto:(Log_store.head log) in
+  Alcotest.(check bool) "same records" true (got = expected);
+  Alcotest.(check int) "one read per control record" (List.length expected)
+    ((Log_store.stats log).Log_stats.reads - reads)
+
+type ctl_op =
+  | Append of Record.t
+  | Flush
+  | Crash of bool  (* tear the last record of a crashing flush *)
+  | Truncate of int
+  | Rewrite of int
+  | Install
+  | Reopen
+  | Check of int * int
+
+let pp_ctl_op = function
+  | Append r -> Format.asprintf "append %a" Record.pp r
+  | Flush -> "flush"
+  | Crash torn -> Printf.sprintf "crash torn=%b" torn
+  | Truncate k -> Printf.sprintf "truncate %d" k
+  | Rewrite k -> Printf.sprintf "rewrite %d" k
+  | Install -> "install_archive"
+  | Reopen -> "reopen"
+  | Check (a, b) -> Printf.sprintf "check %d %d" a b
+
+let gen_ctl_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, map (fun r -> Append r) gen_record);
+        (3, return Flush);
+        (2, map (fun torn -> Crash torn) bool);
+        (1, map (fun k -> Truncate k) nat);
+        (2, map (fun k -> Rewrite k) nat);
+        (1, return Install);
+        (1, return Reopen);
+        (3, map2 (fun a b -> Check (a, b)) nat nat);
+      ])
+
+let dir_seq = ref 0
+
+let fresh_dir () =
+  incr dir_seq;
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ariesrh-ctl-%d-%d" (Unix.getpid ()) !dir_seq)
+  in
+  Backend.remove_tree d;
+  d
+
+(* Over random histories of every record kind — flushes, crashes with
+   torn tails, their amputation, truncation, in-place rewrites, archive
+   installs and cold reopens of a file-backed log — the control walk
+   yields exactly what a full scan filtered to control records yields,
+   over any range and for every kind filter. Then one durable record is
+   bit-flipped: if it is a control record the walk must raise at it,
+   and after a cold reopen (where its kind is no longer known) every
+   walk must, until the scrubber's heal restores it. *)
+let control_index_matches_scan =
+  QCheck.Test.make ~count:80
+    ~name:"control walk = full scan filtered to control records"
+    (QCheck.make
+       ~print:(fun (ops, _) -> String.concat "; " (List.map pp_ctl_op ops))
+       QCheck.Gen.(pair (list_size (int_range 1 60) gen_ctl_op) nat))
+    (fun (ops, pick) ->
+      let dirs = ref [] in
+      let file_backend () =
+        let dir = fresh_dir () in
+        dirs := dir :: !dirs;
+        Backend.File { dir }
+      in
+      let fault = Fault.create ~seed:5L () in
+      let backend = ref (file_backend ()) in
+      let log = ref (Log_store.create ~fault ~backend:!backend ()) in
+      let check ~from ~upto =
+        List.iter
+          (fun kind ->
+            let expected, corrupt = scan_control ?kind !log ~from ~upto in
+            let upto =
+              match corrupt with
+              | None -> upto
+              | Some (c, _) -> Lsn.of_int (Lsn.to_int c - 1)
+            in
+            if walk_control ?kind !log ~from ~upto <> expected then
+              QCheck.Test.fail_reportf "walk differs from scan over [%d, %d]"
+                (Lsn.to_int from) (Lsn.to_int upto))
+          walk_kinds
+      in
+      (* a torn tail is observable until restart amputates it; nothing
+         is appended behind it (an untorn crash may be appended to
+         directly) *)
+      let restart () =
+        check ~from:Lsn.nil ~upto:(Log_store.head !log);
+        ignore (Log_store.recover_tail !log)
+      in
+      let apply = function
+        | Append r -> ignore (Log_store.append_reserved !log r)
+        | Flush -> Log_store.flush !log ~upto:(Log_store.head !log)
+        | Crash torn ->
+            if torn && Lsn.(Log_store.durable !log < Log_store.head !log)
+            then begin
+              Fault.set_tear_log_on_crash fault true;
+              Fault.arm_crash_in fault 1;
+              (try Log_store.flush !log ~upto:(Log_store.head !log)
+               with Fault.Injected_crash _ -> ());
+              Fault.set_tear_log_on_crash fault false;
+              Fault.disarm_crash fault
+            end;
+            Log_store.crash !log;
+            if torn then restart ()
+            else check ~from:Lsn.nil ~upto:(Log_store.head !log)
+        | Truncate k ->
+            let tb = Lsn.to_int (Log_store.truncated_below !log) in
+            let d = Lsn.to_int (Log_store.durable !log) in
+            if d >= tb then begin
+              Log_store.set_master !log (lsn d);
+              let below = lsn (tb + (k mod (d - tb + 1))) in
+              ignore (Log_store.truncate !log ~below)
+            end
+        | Rewrite k -> (
+            let tb = Lsn.to_int (Log_store.truncated_below !log) in
+            let n = Lsn.to_int (Log_store.head !log) - tb + 1 in
+            if n > 0 then
+              let l = lsn (tb + (k mod n)) in
+              match Log_store.read_result !log l with
+              | Ok ({ Record.xid = Some _; _ } as r) ->
+                  Log_store.rewrite !log l (Record.set_writer r (xid 7))
+              | Ok r -> Log_store.rewrite !log l r
+              | Error _ -> ())
+        | Install ->
+            let old = !log in
+            let low = Lsn.to_int (Log_store.truncated_below old) - 1 in
+            let frames =
+              Array.init
+                (Lsn.to_int (Log_store.durable old) - low)
+                (fun i -> Log_store.raw_get old ~idx:(low + i))
+            in
+            let master = Lsn.to_int (Log_store.master old) in
+            Log_store.close old;
+            backend := file_backend ();
+            log := Log_store.create ~fault ~backend:!backend ();
+            Log_store.install_archive !log ~low ~master frames
+        | Reopen ->
+            Log_store.close !log;
+            log := Log_store.create ~fault ~backend:!backend ();
+            restart ()
+        | Check (a, b) ->
+            let span = Lsn.to_int (Log_store.head !log) + 2 in
+            check ~from:(lsn (a mod span)) ~upto:(lsn (b mod span))
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Log_store.close !log;
+          List.iter Backend.remove_tree !dirs)
+        (fun () ->
+          List.iter apply ops;
+          check ~from:Lsn.nil ~upto:(Log_store.head !log);
+          let tb = Lsn.to_int (Log_store.truncated_below !log) in
+          let d = Lsn.to_int (Log_store.durable !log) in
+          let l = lsn (tb + (pick mod max 1 (d - tb + 1))) in
+          let victim =
+            if d < tb then None
+            else Result.to_option (Log_store.read_result !log l)
+          in
+          (match victim with
+          | None -> ()
+          | Some r ->
+              let idx = Lsn.to_int l - 1 in
+              let intact = Log_store.raw_get !log ~idx in
+              Log_store.bitrot_record !log ~idx;
+              let raised_at kind =
+                let walk () =
+                  Log_store.iter_control ?kind !log ~from:Lsn.nil (fun _ _ -> ())
+                in
+                match walk () with
+                | () -> None
+                | exception Log_store.Corrupt_record { lsn; _ } -> Some lsn
+              in
+              (* rot in a control record raises; rot elsewhere is left to
+                 the scrubber *)
+              List.iter
+                (fun kind ->
+                  if raised_at kind <> (if of_kind kind r then Some l else None)
+                  then QCheck.Test.fail_reportf "rot at %a misreported" Lsn.pp l)
+                walk_kinds;
+              (* reopened, the rotted record's kind is unknown: every walk
+                 raises at it; healed, it is classified again *)
+              Log_store.close !log;
+              log := Log_store.create ~backend:!backend ();
+              List.iter
+                (fun kind ->
+                  if raised_at kind <> Some l then
+                    QCheck.Test.fail_reportf "rot at %a not raised after reopen"
+                      Lsn.pp l)
+                walk_kinds;
+              Log_store.heal_record !log ~idx intact;
+              check ~from:Lsn.nil ~upto:(Log_store.head !log));
+          true))
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip (samples)" `Quick roundtrip;
@@ -538,4 +800,9 @@ let suite =
     Alcotest.test_case "sequential vs random io model" `Quick sequential_vs_random_io;
     Alcotest.test_case "prev_for on delegate records" `Quick prev_for_delegate;
     Alcotest.test_case "set_prev_for on delegate records" `Quick set_prev_for_delegate;
+    Alcotest.test_case "store rewrite keeps the control kind" `Quick
+      store_rewrite_keeps_kind;
+    Alcotest.test_case "control walk reads only control records" `Quick
+      control_walk_reads_only_control;
+    QCheck_alcotest.to_alcotest control_index_matches_scan;
   ]
