@@ -1366,6 +1366,8 @@ let e20 () =
     (match Sharded.audit sh with
     | [] -> ()
     | vs -> failwith (String.concat "; " vs));
+    (* every posted transfer close has drained: no claim, no open intent *)
+    (match Sharded.validate sh with Ok () -> () | Error m -> failwith m);
     let c = Sharded.counters sh in
     Sharded.close sh;
     Shard_pool.shutdown pool;

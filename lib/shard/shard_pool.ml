@@ -6,7 +6,9 @@
    [exec] from worker [i] to shard [i] runs inline (re-entrancy);
    [exec] to another shard enqueues and waits, draining its own queue
    while blocked so two workers migrating into each other's shards
-   cannot deadlock. *)
+   cannot deadlock. [post] enqueues without waiting; an exception it
+   raises is parked on its shard and re-raised to the next caller
+   there. *)
 
 type job = unit -> unit
 
@@ -15,6 +17,10 @@ type t = {
   queues : job Queue.t array;
   locks : Mutex.t array;
   conds : Condition.t array;
+  failed : exn option array;
+      (* per shard: the first exception of a posted job, not yet
+         reported. Only that shard's worker touches its slot (and
+         [shutdown], after the join). *)
   mutable domains : unit Domain.t array;
   mutable stopped : bool;
 }
@@ -61,6 +67,7 @@ let create n =
       queues = Array.init n (fun _ -> Queue.create ());
       locks = Array.init n (fun _ -> Mutex.create ());
       conds = Array.init n (fun _ -> Condition.create ());
+      failed = Array.make n None;
       domains = [||];
       stopped = false;
     }
@@ -83,16 +90,39 @@ let poll t =
   | Some i -> ignore (run_one t i)
   | None -> ()
 
-let exec t i f =
-  if i < 0 || i >= t.n then invalid_arg "Shard_pool.exec: no such shard";
+(* on worker [i]: a parked failure of a posted job is the answer to
+   whoever asks shard [i] next, raised in place of running their job *)
+let report_failure t i =
+  match t.failed.(i) with
+  | None -> ()
+  | Some e ->
+      t.failed.(i) <- None;
+      raise e
+
+let check_shard t i op =
+  if i < 0 || i >= t.n then invalid_arg ("Shard_pool." ^ op ^ ": no such shard")
+
+let post t i f =
+  check_shard t i "post";
   match Domain.DLS.get my_shard_key with
   | Some j when j = i -> f ()
+  | _ ->
+      push t i (fun () ->
+          try f ()
+          with e -> if Option.is_none t.failed.(i) then t.failed.(i) <- Some e)
+
+let exec t i f =
+  check_shard t i "exec";
+  match Domain.DLS.get my_shard_key with
+  | Some j when j = i ->
+      report_failure t i;
+      f ()
   | me ->
       let slot = ref None in
       let m = Mutex.create () in
       let c = Condition.create () in
       push t i (fun () ->
-          let r = try Ok (f ()) with e -> Error e in
+          let r = try report_failure t i; Ok (f ()) with e -> Error e in
           Mutex.lock m;
           slot := Some r;
           Condition.signal c;
@@ -148,7 +178,7 @@ let map t f =
   let pending = ref t.n in
   for i = 0 to t.n - 1 do
     push t i (fun () ->
-        let r = try Ok (f i) with e -> Error e in
+        let r = try report_failure t i; Ok (f i) with e -> Error e in
         Mutex.lock m;
         results.(i) <- Some r;
         decr pending;
@@ -175,5 +205,12 @@ let shutdown t =
         Mutex.unlock l)
       t.locks;
     Array.iter Domain.join t.domains;
-    t.domains <- [||]
+    t.domains <- [||];
+    (* the drained queues may have ended in a failed post nobody asked
+       about since *)
+    Array.iteri
+      (fun i e ->
+        t.failed.(i) <- None;
+        Option.iter raise e)
+      t.failed
   end

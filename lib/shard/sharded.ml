@@ -23,6 +23,9 @@ module Fault = Ariesrh_fault.Fault
      2. forced [Xfer_in] on the target, carrying the committed value —
         its durable presence is the commit point;
      3. forced [Xfer_end committed=true] on the source (reserved space).
+        With a pool it is posted one way: the migrating op proceeds on
+        the target at once, and the object's claim is held until the
+        source has logged the close.
 
    A crash at any I/O point resolves at restart ([Xfer.recover]): the
    intent rolls forward iff the target-side record became durable.
@@ -46,6 +49,13 @@ type t = {
   n : int;
   dbs : Db.t array;
   pool : Shard_pool.t option;
+  avail : int Atomic.t array;
+      (* oid -> the shard where ops on it may run now, or [claimed]
+         while a migration holds it: the op path's only routing read *)
+  epoch : int Atomic.t;
+      (* bumped by [crash]: a close posted before it is void *)
+  refused : bool Atomic.t array;
+      (* shard -> a transfer to it was refused since its last abort *)
   mu : Mutex.t;  (* guards the routing tables below *)
   homes : (int, int) Hashtbl.t;  (* oid -> home, only when <> base *)
   hops : (int, int) Hashtbl.t;  (* oid -> last transfer hop consumed *)
@@ -57,7 +67,7 @@ type t = {
          between its Xfer_out and Xfer_end *)
   migrating : (int, unit) Hashtbl.t;
       (* oid -> claimed: at most one transfer of an object in flight,
-         and shard workers treat a claimed object as unavailable *)
+         from the claim until its source has logged the close *)
   mutable next_xfer_id : int;
   mutable migrations : int;
   mutable migrations_refused : int;
@@ -87,6 +97,10 @@ let create ?fault ?(tracing = false) ?pool config =
     n;
     dbs;
     pool;
+    avail =
+      Array.init config.Config.n_objects (fun o -> Atomic.make (o mod n));
+    epoch = Atomic.make 0;
+    refused = Array.init n (fun _ -> Atomic.make false);
     mu = Mutex.create ();
     homes = Hashtbl.create 64;
     hops = Hashtbl.create 64;
@@ -122,11 +136,22 @@ let locked t f =
 
 let base_home t oid = Oid.to_int oid mod t.n
 
-let home t oid =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.homes (Oid.to_int oid) with
-      | Some h -> h
-      | None -> base_home t oid)
+(* with [t.mu] held *)
+let home_of t key =
+  match Hashtbl.find_opt t.homes key with Some h -> h | None -> key mod t.n
+
+let home t oid = locked t (fun () -> home_of t (Oid.to_int oid))
+
+(* the availability word's value while a migration holds the object *)
+let claimed = -1
+
+let avail t oid =
+  let key = Oid.to_int oid in
+  if key >= Array.length t.avail then
+    invalid_arg
+      (Format.asprintf "Sharded: %a out of range (%d objects)" Oid.pp oid
+         (Array.length t.avail));
+  t.avail.(key)
 
 (* recompute every shard's external truncation pin: the oldest LSN
    among (a) the latest Xfer_in of each object whose latest transfer
@@ -157,17 +182,27 @@ let relax t ~tries =
    one.
 
    Concurrency discipline (pool mode): the object is first *claimed*
-   under [t.mu] — at most one transfer of an object is ever in flight,
-   and shard workers treat a claimed object as unavailable. [t.mu] is
-   never held across a cross-worker call (that deadlocks against a
-   worker blocked on [t.mu]); instead the whole source phase — holder
-   check, commit hardening, value read, forced intent — ships as ONE
-   job, so shard-local ops serialize either wholly before it (their
-   lock makes the transfer refuse) or wholly after the claim is
-   visible. *)
+   under [t.mu] — at most one transfer of an object is ever in flight —
+   and the claim publishes [claimed] in its availability word, so no
+   shard runs ops on it. [t.mu] is never held across a cross-worker
+   call (that deadlocks against a worker blocked on [t.mu]); instead
+   the whole source phase — holder check, commit hardening, value read,
+   forced intent — ships as ONE job, so shard-local ops serialize
+   either wholly before it (their lock makes the transfer refuse) or
+   wholly after the claim is visible.
+
+   Once the target's record is durable the word names the target and
+   the migrating op goes ahead. With a pool the close is posted to the
+   source without waiting; the claim and the in-flight intent are
+   dropped by that job once the close is logged, so a later transfer of
+   the object cannot overtake it. The word is published before the
+   post: the posted job may drop the claim at once, after which a new
+   claim owns the word. Inline, the close runs in place, in protocol
+   order. *)
 let migrate t oid ~target =
   if target < 0 || target >= t.n then invalid_arg "Sharded.migrate: no shard";
   let key = Oid.to_int oid in
+  let word = avail t oid in
   let rec claim tries =
     Mutex.lock t.mu;
     if Hashtbl.mem t.migrating key then begin
@@ -177,17 +212,14 @@ let migrate t oid ~target =
       claim (if tries >= 1000 then 0 else tries + 1)
     end
     else begin
-      let source =
-        match Hashtbl.find_opt t.homes key with
-        | Some h -> h
-        | None -> base_home t oid
-      in
+      let source = home_of t key in
       if source = target then begin
         Mutex.unlock t.mu;
         None
       end
       else begin
         Hashtbl.replace t.migrating key ();
+        Atomic.set word claimed;
         let xfer_id = t.next_xfer_id in
         t.next_xfer_id <- xfer_id + 1;
         (* the hop number is consumed even if the transfer aborts:
@@ -202,7 +234,15 @@ let migrate t oid ~target =
   match claim 0 with
   | None -> ()
   | Some (source, xfer_id, hop) ->
-      let release () = locked t (fun () -> Hashtbl.remove t.migrating key) in
+      (* where ops may run once the claim drops; the claim is ours to
+         drop until a posted close takes it over *)
+      let owner = ref source and held = ref true in
+      let release () =
+        if !held then
+          locked t (fun () ->
+              Atomic.set word !owner;
+              Hashtbl.remove t.migrating key)
+      in
       Fun.protect ~finally:release @@ fun () ->
       let src = t.dbs.(source) and dst = t.dbs.(target) in
       (* 1. the whole source phase as one shard job, ending in the
@@ -228,6 +268,7 @@ let migrate t oid ~target =
         with Errors.Xfer_refused _ as e ->
           locked t (fun () ->
               t.migrations_refused <- t.migrations_refused + 1);
+          Atomic.set t.refused.(target) true;
           raise e
       in
       (* the intent is durable and must stay readable until closed *)
@@ -255,9 +296,28 @@ let migrate t oid ~target =
           if target = base_home t oid then Hashtbl.remove t.homes key
           else Hashtbl.replace t.homes key target;
           t.migrations <- t.migrations + 1);
+      owner := target;
       (* 3. close the intent (reserved space — cannot die of Log_full) *)
-      finish true;
-      locked t (fun () -> update_pins t)
+      match t.pool with
+      | None ->
+          finish true;
+          locked t (fun () -> update_pins t)
+      | Some p ->
+          Atomic.set word target;
+          held := false;
+          let epoch = Atomic.get t.epoch in
+          Shard_pool.post p source (fun () ->
+              (* a crash since the post voids the close: restart
+                 resolves the intent from the durable logs *)
+              if Atomic.get t.epoch = epoch then
+                Fun.protect
+                  ~finally:(fun () ->
+                    locked t (fun () ->
+                        Hashtbl.remove t.inflight xfer_id;
+                        update_pins t;
+                        Hashtbl.remove t.migrating key))
+                  (fun () ->
+                    ignore (Db.xfer_end src ~xfer_id ~oid ~committed:true)))
 
 (* --- the single-db API, routed --- *)
 
@@ -267,7 +327,26 @@ let begin_txn t ~shard =
 
 let on_shard t fx f = exec t fx.shard (fun () -> f t.dbs.(fx.shard))
 let commit t fx = on_shard t fx (fun db -> Db.commit db fx.txn)
-let abort t fx = on_shard t fx (fun db -> Db.abort db fx.txn)
+
+(* A transaction whose transfer was refused steps back at its abort,
+   for a random moment and serving its worker's queue, before its
+   caller can retry. Retrying at once livelocks two ways: two workers
+   whose transactions each hold what the other's transfer needs refuse
+   each other again in lockstep; and a holder waiting for the claim on
+   an object it has already locked never sees the claim drop, because
+   the retry re-claims the object first. The 400 µs bound is several
+   times [relax]'s sleep, the longest a claim waiter goes without
+   looking. *)
+let abort t fx =
+  on_shard t fx (fun db -> Db.abort db fx.txn);
+  if Option.is_some t.pool && Atomic.exchange t.refused.(fx.shard) false
+  then begin
+    let until = Unix.gettimeofday () +. Random.float 4e-4 in
+    while Unix.gettimeofday () < until do
+      relax t ~tries:0
+    done
+  end
+
 let is_active t fx = on_shard t fx (fun db -> Db.is_active db fx.txn)
 let savepoint t fx = on_shard t fx (fun db -> Db.savepoint db fx.txn)
 
@@ -283,20 +362,14 @@ let rollback_to t fx sp =
    single-threading then makes check + op atomic against the migration
    protocol's source phase, which runs as one job on the same worker.
    A check done on the calling domain instead would race a concurrent
-   migration and apply the op to a stale copy. *)
+   migration and apply the op to a stale copy. The check is one read of
+   the object's availability word; the router mutex stays off this
+   path. *)
 let rec on_object t fx oid f =
-  let key = Oid.to_int oid in
+  let word = avail t oid in
   let ran =
     exec t fx.shard (fun () ->
-        let at_home =
-          locked t (fun () ->
-              (not (Hashtbl.mem t.migrating key))
-              && (match Hashtbl.find_opt t.homes key with
-                 | Some h -> h
-                 | None -> base_home t oid)
-                 = fx.shard)
-        in
-        if at_home then Some (f t.dbs.(fx.shard)) else None)
+        if Atomic.get word = fx.shard then Some (f t.dbs.(fx.shard)) else None)
   in
   match ran with
   | Some v -> v
@@ -350,7 +423,9 @@ let sum t f =
 let flush_commits t = each t Db.flush_commits
 let checkpoint t = each t Db.checkpoint
 let truncate_log t = sum t Db.truncate_log
-let crash t = each t Db.crash
+let crash t =
+  Atomic.incr t.epoch;
+  each t Db.crash
 let shutdown t = each t Db.shutdown
 let close t = each t Db.close
 
@@ -381,6 +456,7 @@ let recover t =
       Hashtbl.iter (Hashtbl.replace t.latest_in) rb.Xfer.last_ins;
       Hashtbl.reset t.inflight;
       Hashtbl.reset t.migrating;
+      Array.iteri (fun key w -> Atomic.set w (home_of t key)) t.avail;
       t.next_xfer_id <- max t.next_xfer_id rb.Xfer.next_xfer_id;
       update_pins t;
       if t.config.Config.audit then
@@ -426,6 +502,16 @@ let validate t =
   (match locked t (fun () -> Audit.check_transfers (envs t)) with
   | [] -> ()
   | vs -> errs := vs @ !errs);
+  (* every shard job above ran after the closes posted before it *)
+  (match
+     locked t (fun () -> (Hashtbl.length t.migrating, Hashtbl.length t.inflight))
+   with
+  | 0, 0 -> ()
+  | claims, intents ->
+      errs :=
+        Printf.sprintf "router: %d transfer claim(s) and %d in-flight intent(s) outstanding"
+          claims intents
+        :: !errs);
   match !errs with
   | [] -> Ok ()
   | es -> Error (String.concat "; " (List.rev es))

@@ -11,7 +11,9 @@
     + forced [Xfer_out] intent on the source shard,
     + forced [Xfer_in] (marker + value adoption in one record) on the
       target — its durable presence is the transfer's commit point,
-    + [Xfer_end] closing the intent through reserved log headroom.
+    + [Xfer_end] closing the intent through reserved log headroom —
+      with a pool, posted to the source without waiting
+      ({!Shard_pool.post}); the object stays claimed until it is logged.
 
     A crash at any I/O point leaves the pair resolvable at restart:
     {!recover} runs per-shard recovery (in parallel when a
@@ -19,6 +21,10 @@
     backward from the target-side evidence ({!Ariesrh_recovery.Xfer}),
     rebuilds the routing tables from the durable logs alone, and — with
     [config.audit] — cross-checks every transfer pair across shards.
+
+    Ops on an object run only on the shard its availability word
+    names; the check is one atomic read inside the shard's job, off the
+    router mutex.
 
     [shards = 1] never migrates and is byte-identical to a plain [Db]. *)
 
@@ -93,6 +99,11 @@ val migrate : t -> Oid.t -> target:int -> unit
 val begin_txn : t -> shard:int -> xid
 val commit : t -> xid -> unit
 val abort : t -> xid -> unit
+(** With a pool, aborting a transaction after a transfer to its shard
+    was refused pauses up to 400 µs (random, serving the worker's
+    queue) before returning, so that retrying at once cannot livelock
+    against the holder. *)
+
 val is_active : t -> xid -> bool
 val savepoint : t -> xid -> Lsn.t
 val rollback_to : t -> xid -> Lsn.t -> unit
@@ -151,6 +162,10 @@ val audit : t -> string list
     cross-shard transfer pairing audit. *)
 
 val validate : t -> (unit, string) result
+(** Per-shard {!Db.validate}, the cross-shard transfer audit, and the
+    router's own state: no transfer claim or in-flight intent may be
+    outstanding. Call it with no migration running; closes posted
+    before it have drained by the time it checks. *)
 
 val peek : t -> Oid.t -> int
 (** Committed value, read at the object's current home. *)

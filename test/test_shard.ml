@@ -271,8 +271,42 @@ let pool_basics () =
   | exception Failure m -> Alcotest.(check string) "message" "boom" m);
   Shard_pool.poll pool;
   (* a no-op on the main domain *)
+  (* a posted job runs before a later exec to the same shard ([seen] is
+     touched on worker 1 only) *)
+  let seen = ref 0 in
+  Shard_pool.post pool 1 (fun () -> seen := 1);
+  Alcotest.(check int) "post runs before a later exec" 1
+    (Shard_pool.exec pool 1 (fun () -> !seen));
+  (* from the shard's own worker, post runs inline *)
+  Alcotest.(check bool) "post from its own worker runs inline" true
+    (Shard_pool.exec pool 2 (fun () ->
+         let ran = ref false in
+         Shard_pool.post pool 2 (fun () -> ran := true);
+         !ran));
+  (* a posted job's exception reaches the next caller, once *)
+  Shard_pool.post pool 1 (fun () -> failwith "late");
+  (match Shard_pool.exec pool 1 (fun () -> 0) with
+  | _ -> Alcotest.fail "a posted job's exception was lost"
+  | exception Failure m ->
+      Alcotest.(check string) "posted failure surfaces" "late" m);
+  Alcotest.(check int) "reported once" 3 (Shard_pool.exec pool 1 (fun () -> 3));
+  (* shutdown runs whatever is still queued *)
+  let drained = Atomic.make 0 in
+  for _ = 1 to 20 do
+    Shard_pool.post pool 0 (fun () ->
+        Unix.sleepf 1e-4;
+        Atomic.incr drained)
+  done;
   Shard_pool.shutdown pool;
-  Shard_pool.shutdown pool (* idempotent *)
+  Alcotest.(check int) "shutdown drains posted jobs" 20 (Atomic.get drained);
+  Shard_pool.shutdown pool (* idempotent *);
+  (* a failure nobody collected surfaces at shutdown *)
+  let lone = Shard_pool.create 1 in
+  Shard_pool.post lone 0 (fun () -> failwith "unread");
+  match Shard_pool.shutdown lone with
+  | () -> Alcotest.fail "shutdown dropped a posted failure"
+  | exception Failure m ->
+      Alcotest.(check string) "shutdown re-raises it" "unread" m
 
 let pooled_router_end_to_end () =
   let pool = Shard_pool.create 2 in
@@ -302,6 +336,113 @@ let pooled_router_end_to_end () =
     (Sharded.peek sh (oid 0));
   Sharded.close sh;
   Shard_pool.shutdown pool
+
+(* Two workers in closed loops on their own shards; every 5th
+   transaction also adds to one of a few roaming objects of the peer,
+   and each worker's own objects include its roaming ones, so objects
+   migrate both ways while the peer runs ops and posted closes. A
+   refused transfer aborts and retries the whole transaction. *)
+let pooled_concurrent_migration () =
+  let shards = 2 and n_objects = 32 and roaming = 3 and txns = 300 in
+  let pool = Shard_pool.create shards in
+  Fun.protect ~finally:(fun () -> Shard_pool.shutdown pool) @@ fun () ->
+  let sh =
+    Sharded.create ~pool
+      (Config.make ~n_objects ~objects_per_page:4 ~buffer_capacity:8
+         ~impl:Config.Rh ~locking:true ~audit:true ~shards ())
+  in
+  let worker i =
+    let rng = Random.State.make [| 5; i |] in
+    let pick owner range = oid (owner + (shards * Random.State.int rng range)) in
+    let applied = ref 0 in
+    for k = 1 to txns do
+      Shard_pool.poll pool;
+      let objs = List.init 3 (fun _ -> pick i (n_objects / shards)) in
+      let objs =
+        if k mod 5 = 0 then pick ((i + 1) mod shards) roaming :: objs else objs
+      in
+      let rec attempt tries =
+        let x = Sharded.begin_txn sh ~shard:i in
+        match List.iter (fun o -> Sharded.add sh x o 1) objs with
+        | () ->
+            Sharded.commit sh x;
+            applied := !applied + List.length objs
+        | exception Errors.Xfer_refused _ ->
+            Sharded.abort sh x;
+            if tries >= 100_000 then Alcotest.fail "a transfer never got through";
+            attempt (tries + 1)
+      in
+      attempt 0
+    done;
+    !applied
+  in
+  let applied = Array.fold_left ( + ) 0 (Shard_pool.map pool worker) in
+  Alcotest.(check bool) "objects migrated" true
+    ((Sharded.counters sh).Sharded.migrations > 0);
+  let check what =
+    Alcotest.(check int)
+      (what ^ ": value conserved")
+      applied
+      (Array.fold_left ( + ) 0 (Sharded.peek_all sh));
+    Alcotest.(check (list string)) (what ^ ": audit clean") [] (Sharded.audit sh);
+    match Sharded.validate sh with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "%s: %s" what m
+  in
+  check "after the load";
+  Sharded.crash sh;
+  ignore (Sharded.recover sh);
+  check "after restart";
+  Sharded.close sh
+
+(* A close posted one way can still sit in the source's queue when the
+   engine crashes: the transfer's commit point ([Xfer_in]) is durable,
+   its close is not. Shard 0's worker is parked once it has served the
+   source phase, so the close queues behind it; the target meanwhile
+   runs an op on the object without waiting for the close. *)
+let close_queued_at_crash () =
+  let pool = Shard_pool.create 2 in
+  Fun.protect ~finally:(fun () -> Shard_pool.shutdown pool) @@ fun () ->
+  let sh =
+    Sharded.create ~pool
+      (Config.make ~n_objects:8 ~objects_per_page:4 ~buffer_capacity:4
+         ~impl:Config.Rh ~locking:true ~audit:true ~shards:2 ())
+  in
+  let a = Sharded.begin_txn sh ~shard:0 in
+  Sharded.write sh a (oid 0) 5;
+  Sharded.commit sh a;
+  let log0 = Db.log_store (Sharded.db sh 0) in
+  let queued = Atomic.make false and crashed = Atomic.make false in
+  Shard_pool.post pool 0 (fun () ->
+      let head = Log_store.head log0 in
+      while Lsn.equal (Log_store.head log0) head do
+        Shard_pool.poll pool
+      done;
+      (* the intent is forced; stop serving the queue *)
+      while not (Atomic.get queued) do
+        Domain.cpu_relax ()
+      done;
+      Sharded.crash sh;
+      Atomic.set crashed true);
+  let b = Sharded.begin_txn sh ~shard:1 in
+  Sharded.add sh b (oid 0) 1;
+  Sharded.commit sh b;
+  Alcotest.(check int) "homed on the target" 1 (Sharded.home sh (oid 0));
+  Atomic.set queued true;
+  while not (Atomic.get crashed) do
+    Domain.cpu_relax ()
+  done;
+  ignore (Sharded.recover sh);
+  Alcotest.(check int) "the unclosed transfer rolled forward" 1
+    (Sharded.counters sh).Sharded.resolved_forward;
+  Alcotest.(check int) "still homed on the target" 1 (Sharded.home sh (oid 0));
+  Alcotest.(check int) "value and the later op on the target" 6
+    (Sharded.peek sh (oid 0));
+  Alcotest.(check (list string)) "audit clean" [] (Sharded.audit sh);
+  (match Sharded.validate sh with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "validate: %s" m);
+  Sharded.close sh
 
 (* --- the shared pressure view ---------------------------------------- *)
 
@@ -432,6 +573,10 @@ let suite =
       Alcotest.test_case "pool basics" `Quick pool_basics;
       Alcotest.test_case "pooled router end to end" `Quick
         pooled_router_end_to_end;
+      Alcotest.test_case "pooled workers migrate into each other" `Quick
+        pooled_concurrent_migration;
+      Alcotest.test_case "a close still queued at crash rolls forward" `Quick
+        close_queued_at_crash;
       Alcotest.test_case "pressure view basics" `Quick pressure_view_basics;
       Alcotest.test_case "governor follows cluster pressure" `Quick
         governor_follows_cluster_pressure;
