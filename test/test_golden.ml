@@ -46,18 +46,18 @@ let recovery shards () =
     (Recovery_storm.run_script ~config:(crash_config shards)
        { spec with Gen.n_steps = 60 })
 
-let pressure () =
+let pressure impl () =
   show Pressure_storm.pp_outcome
     (Pressure_storm.run
-       ~config:{ Pressure_storm.default_config with steps = 400 }
+       ~config:{ Pressure_storm.default_config with steps = 400; impl }
        ())
 
-let media () =
+let media impl () =
   show Media_storm.pp_outcome
     (Media_storm.run
        ~config:
          { Media_storm.default_config with rounds = 6; steps_per_round = 60 }
-       ())
+       ~impl ())
 
 let cases =
   [
@@ -73,8 +73,12 @@ let cases =
     ("sim shards=2", sim 2);
     ("recovery shards=1", recovery 1);
     ("recovery shards=2", recovery 2);
-    ("pressure rh", pressure);
-    ("media rh", media);
+    ("pressure rh", pressure Config.Rh);
+    ("pressure eager", pressure Config.Eager);
+    ("pressure lazy", pressure Config.Lazy);
+    ("media rh", media Config.Rh);
+    ("media eager", media Config.Eager);
+    ("media lazy", media Config.Lazy);
   ]
 
 (* change only with a deliberate change to a storm's fault schedule,
@@ -158,11 +162,35 @@ crashes=7 nested=7 recoveries=16 squeezes=3 checks=8 drain_commits=2
 governor: ticks=53 checkpoints=5 truncations=8 records_truncated=530 victims=0
 log: reservations=303 admission_rejects=0 peak_pressure=0.72
 tt_reads=24 tt_refused=12 failures=0|} );
+    ( "pressure eager",
+      {|steps=410 committed=55 aborted=6 delegations=37
+overloads=0 log_fulls=0 backoffs=0 abandoned=0 victimized=0
+crashes=11 nested=12 recoveries=24 squeezes=3 checks=12 drain_commits=4
+governor: ticks=51 checkpoints=10 truncations=14 records_truncated=774 victims=0
+log: reservations=346 admission_rejects=0 peak_pressure=0.79
+tt_reads=32 tt_refused=20 failures=0|} );
+    ( "pressure lazy",
+      {|steps=424 committed=54 aborted=10 delegations=38
+overloads=0 log_fulls=0 backoffs=0 abandoned=0 victimized=0
+crashes=7 nested=7 recoveries=16 squeezes=3 checks=8 drain_commits=2
+governor: ticks=53 checkpoints=5 truncations=8 records_truncated=546 victims=0
+log: reservations=303 admission_rejects=0 peak_pressure=0.87
+tt_reads=24 tt_refused=12 failures=0|} );
     ( "media rh",
       {|rounds=6 actions=305 crashes=2 recoveries=3
 injected: bitrot=1 lost=4 misdirected=1 archive_rot=3
 scrub: checked=4242 detected=5 healed=5 unhealable=0
 archived=420 cold_restores=1 checks=9 failures=0|} );
+    ( "media eager",
+      {|rounds=6 actions=301 crashes=2 recoveries=3
+injected: bitrot=3 lost=2 misdirected=0 archive_rot=3
+scrub: checked=5386 detected=6 healed=6 unhealable=0
+archived=540 cold_restores=1 checks=9 failures=0|} );
+    ( "media lazy",
+      {|rounds=6 actions=305 crashes=2 recoveries=3
+injected: bitrot=1 lost=4 misdirected=1 archive_rot=3
+scrub: checked=4282 detected=5 healed=5 unhealable=0
+archived=428 cold_restores=1 checks=9 failures=0|} );
   ]
 
 let check name run () =
