@@ -76,12 +76,12 @@ let assign_homes script ~shards =
   homes
 
 let fresh ?fault ?(impl = Config.Rh) ?group_commit ?record_cache ?audit
-    ?recovery_mode ?tracing ~shards ~n_objects () =
+    ?recovery_mode ?log_capacity_bytes ?tracing ~shards ~n_objects () =
   Sharded.create ?fault ?tracing
     (Config.make ~n_objects ~objects_per_page:8
        ~buffer_capacity:(max 4 (n_objects / 32))
        ~impl ~locking:true ?group_commit ?record_cache ?audit ?recovery_mode
-       ~shards ())
+       ?log_capacity_bytes ~shards ())
 
 let run ?upto ?(on_action = fun _ -> ()) ?xid_map ~homes sh script =
   let xids = match xid_map with Some h -> h | None -> Hashtbl.create 16 in

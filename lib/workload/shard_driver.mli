@@ -22,6 +22,7 @@ val fresh :
   ?record_cache:int ->
   ?audit:bool ->
   ?recovery_mode:Config.recovery_mode ->
+  ?log_capacity_bytes:int ->
   ?tracing:bool ->
   shards:int ->
   n_objects:int ->
