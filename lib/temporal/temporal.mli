@@ -11,8 +11,9 @@
 
     - {!as_of} / {!snapshot_at} — the committed value of an object at an
       arbitrary LSN: fold every durable update with [lsn <= L] whose
-      responsible holder (initial writer, then each durable delegation
-      with [lsn <= L]) has a durable commit at or below [L], skipping
+      responsible holder (initial writer as it stood at [L], then each
+      durable delegation with [lsn <= L]) has a durable commit at or
+      below [L], skipping
       updates compensated by a CLR at or below [L]. Because a
       delegation always precedes the delegator's termination, all three
       engines (logical delegate records, eager in-place surgery, lazy
@@ -32,10 +33,18 @@
       operation) and {e attribution} (who is responsible for it after
       delegation / history rewriting) diverge.
 
+    A surgery committed above [L] rewrote some updates at or below [L]
+    in place after the fact (a lazy restart splice does so long after
+    their commit points): the writer the log shows now is not the one
+    that stood at [L]. So each query also walks the surgery records
+    above [L] and starts such an update's holder at the writer of the
+    earliest of those before-images.
+
     Coverage is all-or-nothing: a query at [L] needs every record in
-    [[1, L]]. If the prefix was truncated and no attached archive
-    bridges the gap from genesis, the query raises
-    [Errors.History_unavailable] — never a silently partial answer. *)
+    [[1, L]], and every surgery record above [L]. If the prefix was
+    truncated and no attached archive bridges the gap from genesis, the
+    query raises [Errors.History_unavailable] — never a silently
+    partial answer. *)
 
 open Ariesrh_types
 module Record := Ariesrh_wal.Record
@@ -88,14 +97,20 @@ type version = {
   v_lsn : Lsn.t;
   v_oid : Oid.t;
   v_op : Record.op;
-  v_writer : Xid.t;  (** physical writer as the log reads now *)
+  v_writer : Xid.t;
+      (** physical writer as the log reads now, even when a surgery
+          above the query bound rewrote it *)
   v_provenance : Xid.t;
-      (** original invoker: [v_writer] unless a committed surgery
-          rewrote it in place, in which case the earliest surgery's
+      (** original invoker: the writer as it stood at the query bound,
+          unless a committed surgery at or below the bound rewrote it in
+          place, in which case the earliest such surgery's
           before-image writer *)
-  v_holder : Xid.t;  (** responsible party at the query bound *)
+  v_holder : Xid.t;
+      (** responsible party at the query bound: the writer as it stood
+          there, moved by each durable delegation at or below it *)
   v_transfers : transfer list;  (** durable delegations, oldest first *)
-  v_surgeries : surgery list;  (** in-place rewrites, oldest first *)
+  v_surgeries : surgery list;
+      (** in-place rewrites at or below the query bound, oldest first *)
   v_status : status;
 }
 

@@ -291,6 +291,21 @@ let eager_seed3_surgery_now_atomic () =
    storm's restarts. Exercises both engines that rewrite history in
    place: eager (surgery at delegation time) and lazy (batched splice
    at restart). *)
+let surgery_window_storm ~seed ~impl =
+  let config =
+    { Ariesrh_workload.Crash_storm.default_config with
+      seed;
+      crash_step = 1;
+      forensic_dir = None }
+  in
+  let spec =
+    { Ariesrh_workload.Gen.default with
+      n_objects = 12;
+      n_steps = 60;
+      p_delegate = 0.35 }
+  in
+  Ariesrh_workload.Crash_storm.run_script ~config ~impl spec
+
 let surgery_window_crashes_idempotent =
   QCheck.Test.make ~count:6
     ~name:"crash at every I/O of the surgery window: restart idempotent"
@@ -306,23 +321,22 @@ let surgery_window_crashes_idempotent =
            (map Int64.of_int (int_bound 1000))
            (oneofl [ Ariesrh_core.Config.Eager; Ariesrh_core.Config.Lazy ])))
     (fun (seed, impl) ->
-      let config =
-        { Ariesrh_workload.Crash_storm.default_config with
-          seed;
-          crash_step = 1;
-          forensic_dir = None }
-      in
-      let spec =
-        { Ariesrh_workload.Gen.default with
-          n_objects = 12;
-          n_steps = 60;
-          p_delegate = 0.35 }
-      in
-      let o = Ariesrh_workload.Crash_storm.run_script ~config ~impl spec in
+      let o = surgery_window_storm ~seed ~impl in
       if not (Ariesrh_workload.Storm.ok o) then
         QCheck.Test.fail_reportf "storm failed: %a"
           Ariesrh_workload.Crash_storm.pp_outcome o;
       true)
+
+(* The two seeds of the surgery-window storm whose lazy restart splice
+   once made the time-travel reader count a spliced update as committed
+   by its later writer (as_of at LSN 43, resp. 48, off by one +8, resp.
+   +11, on ob2): the splice rewrote the update's writer far above the
+   commit point being read. *)
+let lazy_splice_asof_regression seed () =
+  let o = surgery_window_storm ~seed ~impl:Ariesrh_core.Config.Lazy in
+  if not (Ariesrh_workload.Storm.ok o) then
+    Alcotest.failf "seed %Ld lazy storm failed: %a" seed
+      Ariesrh_workload.Crash_storm.pp_outcome o
 
 let attribute_only_literal () =
   let env = raw_env () in
@@ -360,6 +374,10 @@ let suite =
     Alcotest.test_case "eager seed-3: surgery now crash-atomic" `Quick
       eager_seed3_surgery_now_atomic;
     QCheck_alcotest.to_alcotest surgery_window_crashes_idempotent;
+    Alcotest.test_case "as_of below lazy splice, seed 229" `Quick
+      (lazy_splice_asof_regression 229L);
+    Alcotest.test_case "as_of below lazy splice, seed 491" `Quick
+      (lazy_splice_asof_regression 491L);
     Alcotest.test_case "attribute-only literal Fig. 1" `Quick
       attribute_only_literal;
   ]

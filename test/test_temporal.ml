@@ -147,6 +147,100 @@ let asof_matches_oracle_at_every_commit =
             (Temporal.commit_points db);
           true))
 
+(* as_of below a surgery that rewrote history in place. A lazy restart
+   splice rewrites an update's writer long after its commit points; an
+   eager surgery does so at delegation time, while both parties are
+   active. Either way, as_of at a point below the surgery must answer
+   with the history as it stood there. Each seed replays a small,
+   delegation-heavy script with a crash at every I/O in turn (torn log
+   tails on), restarts, and reads every object at every durable commit
+   point below the latest surgery intent, against the oracle filtered
+   to commits at or below that point. The restricted-equals-unrestricted
+   properties cannot see an attribution bug both scans share; this
+   compares with the ground truth. *)
+let splice_spec =
+  { Gen.default with n_objects = 12; n_steps = 60; p_delegate = 0.35 }
+
+(* One crash point; [None] once the script survives it, else whether a
+   surgery was found below which the reads ran. *)
+let check_below_surgery ~impl ~seed ~crash_io script =
+  let fault = Ariesrh_fault.Fault.create ~seed () in
+  Ariesrh_fault.Fault.set_tear_log_on_crash fault true;
+  Ariesrh_fault.Fault.arm_crash_at fault crash_io;
+  let n_objects = splice_spec.Gen.n_objects in
+  let db = Driver.fresh_db ~fault ~impl ~n_objects () in
+  let xid_map = Hashtbl.create 16 in
+  let executed = ref 0 in
+  let crashed =
+    match
+      Driver.run ~xid_map ~on_action:(fun i -> executed := i + 1) db script
+    with
+    | () -> false
+    | exception Ariesrh_fault.Fault.Injected_crash _ -> true
+  in
+  Ariesrh_fault.Fault.disarm_crash fault;
+  Db.crash db;
+  ignore (Db.recover db);
+  let surgery = ref None in
+  Log_store.iter_control ~kind:Log_store.Surgery (Db.log_store db)
+    ~from:Lsn.first (fun l r ->
+      match r.Ariesrh_wal.Record.body with
+      | Ariesrh_wal.Record.Rewrite_begin _ -> surgery := Some l
+      | _ -> ());
+  Option.iter
+    (fun s ->
+      let points = Temporal.commit_points db in
+      let commit_lsn = Xid.Tbl.create 32 in
+      List.iter
+        (fun (l, x) ->
+          if not (Xid.Tbl.mem commit_lsn x) then Xid.Tbl.add commit_lsn x l)
+        points;
+      List.iter
+        (fun (l, _) ->
+          if Lsn.(l < s) then
+            let want =
+              Oracle.expected_for ~n_objects ~crash_at:!executed script
+                ~committed:(fun t ->
+                  match Hashtbl.find_opt xid_map t with
+                  | None -> false
+                  | Some x -> (
+                      match Xid.Tbl.find_opt commit_lsn x with
+                      | Some cl -> Lsn.(cl <= l)
+                      | None -> false))
+            in
+            Array.iteri
+              (fun o w ->
+                let got = Temporal.as_of db ~lsn:l (Oid.of_int o) in
+                if got <> w then
+                  Alcotest.failf
+                    "seed=%Ld crash_io=%d: as_of ob%d at %d (surgery at \
+                     %d): got %d want %d"
+                    seed crash_io o (Lsn.to_int l) (Lsn.to_int s) got w)
+              want)
+        points)
+    !surgery;
+  Db.close db;
+  if crashed then Some (!surgery <> None) else None
+
+(* Every crash point of one seed's script; true if any read ran below a
+   surgery. *)
+let asof_below_surgeries ~impl ~seed =
+  let script = Gen.generate splice_spec ~seed in
+  let rec go crash_io below =
+    match check_below_surgery ~impl ~seed ~crash_io script with
+    | None -> below
+    | Some b -> go (crash_io + 1) (below || b)
+  in
+  go 1 false
+
+let asof_below_surgery_prop impl name =
+  QCheck.Test.make ~count:40
+    ~name:(Printf.sprintf "as_of below %s surgery = oracle" name)
+    QCheck.(make ~print:Int64.to_string Gen.(map Int64.of_int (int_bound 1000)))
+    (fun seed ->
+      QCheck.assume (asof_below_surgeries ~impl ~seed);
+      true)
+
 (* (b) per-object history attribution (holder + resolution status)
    agrees with the trace ring's independent Obs.Lineage reconstruction,
    across delegate chains that cross a crash *)
@@ -536,6 +630,8 @@ let suite =
       restricted_scan_agrees;
       restricted_scan_agrees_bridged;
       restricted_scan_agrees_per_shard;
+      asof_below_surgery_prop Config.Lazy "lazy-splice";
+      asof_below_surgery_prop Config.Eager "eager";
     ]
   @ [
       Alcotest.test_case "reenact delegated txn (rh)" `Quick reenact_rh;
