@@ -4,13 +4,13 @@
 Usage: python3 bench/check_e16.py BENCH_e16.json [bench/baseline_e16.json]
 
 Every E16 counter is a logical count (record decodes, eviction scans,
-log forces, scope probes, restart log reads) over fixed seeded
-workloads — no wall time — so on identical code the run reproduces the
-baseline bit for bit, and any drift is a real behaviour change.  The
-gate fails when a cost counter grows more than 5% over baseline, or
-when the committed-work sanity figure shrinks more than 5%.  An
-intentional improvement (or an intentional workload change) lands by
-refreshing the baseline in the same commit:
+log forces, scope probes, restart log reads, time-travel reads) over
+fixed seeded workloads — no wall time — so on identical code the run
+reproduces the baseline bit for bit, and any drift is a real behaviour
+change.  The gate fails when a cost counter grows more than 5% over
+baseline, or when the committed-work sanity figure shrinks more than
+5%.  An intentional improvement (or an intentional workload change)
+lands by refreshing the baseline in the same commit:
 
     dune exec bench/main.exe -- e16
     python3 - <<'EOF'
@@ -42,6 +42,8 @@ COST_COUNTERS = [
     "scope_probes",
     "restart_log_reads_plain",
     "restart_log_reads_2shard",
+    "asof_reads_live",
+    "asof_reads_bridged",
 ]
 
 # Shrinking committed work means the simulator got less done — also a

@@ -792,13 +792,15 @@ let artifact_extra : (string * Obs.Json.t) list ref = ref []
 
 let e16 () =
   header "E16: hot-path logical counters (perf-regression gate)"
-    "Five hot paths, measured with deterministic logical\n\
+    "Six hot paths, measured with deterministic logical\n\
      counters — never wall time, so CI can gate on exact drift:\n\
      (a) decoded-record cache under a restart-heavy workload\n\
      (b) O(1) LRU eviction: frames examined per eviction, across pool sizes\n\
      (c) group commit: log forces under the concurrent simulator\n\
      (d) invoker-indexed scope lookup under heavy delegation\n\
-     (e) log records restart reads, on a plain and a two-shard store.\n\
+     (e) log records restart reads, on a plain and a two-shard store\n\
+     (f) records a fixed batch of as_of queries reads, live and\n\
+     \    archive-bridged.\n\
      CI regenerates these counters and fails if any regresses >5%\n\
      against bench/baseline_e16.json.";
   let engines =
@@ -854,6 +856,38 @@ let e16 () =
     Sharded.crash sh;
     ignore (Sharded.recover sh);
     log_reads (Sharded.dbs sh) - before
+  in
+  (* (f) time-travel reads: a fixed batch of single-object as_of queries
+     over the same history, counted as live records plus archived frames
+     read — on the live log, then after a checkpoint and truncation with
+     the archive bridging the reclaimed prefix. Same answers both ways. *)
+  let asof_reads impl =
+    let module Temporal = Ariesrh_temporal.Temporal in
+    let module Archive = Ariesrh_storage.Archive in
+    let db = Driver.fresh_db ~impl ~n_objects:128 () in
+    let ar = Db.attach_archive db in
+    Driver.run ~upto:(List.length restart_script * 9 / 10) db restart_script;
+    flush_log db;
+    let cps = Array.of_list (Temporal.commit_points db) in
+    let batch =
+      List.init 16 (fun k ->
+          (fst cps.(k * Array.length cps / 16), Oid.of_int (k mod 8)))
+    in
+    let reads () = log_reads [| db |] + Archive.wal_reads ar in
+    let run () =
+      let before = reads () in
+      let answers =
+        List.map (fun (lsn, o) -> Temporal.as_of db ~lsn o) batch
+      in
+      (reads () - before, answers)
+    in
+    let live, answers = run () in
+    Db.checkpoint db;
+    ignore (Db.truncate_log db);
+    assert (Temporal.coverage db).Temporal.bridged;
+    let bridged, answers' = run () in
+    assert (answers = answers');
+    (live, bridged)
   in
   (* (b) eviction scans: E12's skewed workload at two pool sizes; the
      gate is scans == evictions (one frame examined per eviction)
@@ -912,9 +946,9 @@ let e16 () =
   in
   let rows = ref [] in
   Format.printf
-    "%-6s | %10s %10s %7s | %9s %9s | %9s %9s | %10s | %8s %8s@." "engine"
-    "dec_cold" "dec_cache" "saved" "scan/ev4" "scan/ev32" "flushes"
-    "flushes_g" "scope_prb" "rd_plain" "rd_2shard";
+    "%-6s | %10s %10s %7s | %9s %9s | %9s %9s | %10s | %8s %8s | %8s %8s@."
+    "engine" "dec_cold" "dec_cache" "saved" "scan/ev4" "scan/ev32" "flushes"
+    "flushes_g" "scope_prb" "rd_plain" "rd_2shard" "asof_liv" "asof_brg";
   List.iter
     (fun (name, impl) ->
       let dec_cold, reads_plain, st_cold = restart_heavy impl ~record_cache:0 in
@@ -931,14 +965,15 @@ let e16 () =
       assert (committed = committed');
       assert (fl_grouped < fl_eager);
       let probes = scope_probes impl in
+      let asof_live, asof_bridged = asof_reads impl in
       let saved =
         100. *. (1. -. (float_of_int dec_cached /. float_of_int dec_cold))
       in
       assert (2 * dec_cached <= dec_cold);
       Format.printf
-        "%-6s | %10d %10d %6.1f%% | %4d/%-4d %4d/%-4d | %9d %9d | %10d | %8d %8d@."
+        "%-6s | %10d %10d %6.1f%% | %4d/%-4d %4d/%-4d | %9d %9d | %10d | %8d %8d | %8d %8d@."
         name dec_cold dec_cached saved scans4 ev4 scans32 ev32 fl_eager
-        fl_grouped probes reads_plain reads_2shard;
+        fl_grouped probes reads_plain reads_2shard asof_live asof_bridged;
       rows :=
         ( name,
           Obs.Json.Obj
@@ -955,6 +990,8 @@ let e16 () =
               ("scope_probes", Obs.Json.Int probes);
               ("restart_log_reads_plain", Obs.Json.Int reads_plain);
               ("restart_log_reads_2shard", Obs.Json.Int reads_2shard);
+              ("asof_reads_live", Obs.Json.Int asof_live);
+              ("asof_reads_bridged", Obs.Json.Int asof_bridged);
             ] )
         :: !rows)
     engines;
@@ -1188,14 +1225,29 @@ let e18 () =
 let e19 () =
   header "E19: time-travel read latency vs history depth"
     "as_of / snapshot_at / history reconstruct state from the durable\n\
-     log alone, so a query at LSN L scans the covered prefix [1, L]:\n\
-     cost is linear in history depth, amortised per record. Part one\n\
-     grows the log and measures the per-query and per-record cost.\n\
-     Part two truncates the prefix: with the archive attached the same\n\
-     query is answered by bridging through the archived WAL frames\n\
-     (same answer, measured separately); without it, the reader gets a\n\
-     typed refusal instead of a partial answer.";
+     log alone. snapshot_at reads the covered prefix [1, L], so its cost\n\
+     is linear in history depth; as_of and history read only what the\n\
+     log index files under their object, the surgery records and the\n\
+     holders' outcome records. Part one grows the log and measures the\n\
+     per-query cost and the records one as_of reads. Part two truncates\n\
+     the prefix: with the archive attached the same query is answered\n\
+     by bridging through the archived WAL frames (same answer, measured\n\
+     separately); without it, the reader gets a typed refusal instead\n\
+     of a partial answer. Part three repeats the bridged read at a low\n\
+     L on every engine, after a crash at 3/4 let restart rewrite the\n\
+     log.";
   let module Temporal = Ariesrh_temporal.Temporal in
+  let module Archive = Ariesrh_storage.Archive in
+  (* live records plus archived frames one call reads *)
+  let reads_of db f =
+    let count () =
+      (Log_store.stats (Db.log_store db)).Log_stats.reads
+      + Option.fold ~none:0 ~some:Archive.wal_reads (Db.archive db)
+    in
+    let before = count () in
+    f ();
+    count () - before
+  in
   let n_objects = 128 in
   let spec =
     { Gen.default with n_objects; n_steps = 0; p_delegate = 0.15;
@@ -1209,30 +1261,32 @@ let e19 () =
       let (), ms = time (fun () -> for _ = 1 to reps do f () done) in
       1000. *. ms /. float_of_int reps (* us/query *)
     in
-    let as_of = timed (fun () -> ignore (Temporal.as_of db ~lsn:last (Oid.of_int 0))) in
+    let query () = ignore (Temporal.as_of db ~lsn:last (Oid.of_int 0)) in
+    let reads = reads_of db query in
+    let as_of = timed query in
     let snap = timed (fun () -> ignore (Temporal.snapshot_at db last)) in
     let hist = timed (fun () -> ignore (Temporal.history db (Oid.of_int 0))) in
-    (Lsn.to_int last, List.length cps, as_of, snap, hist)
+    (Lsn.to_int last, List.length cps, reads, as_of, snap, hist)
   in
   let rows = ref [] in
-  Format.printf "%-8s | %8s %8s | %12s %12s %12s | %12s@." "steps" "records"
-    "commits" "as_of(us)" "snap(us)" "history(us)" "as_of us/rec";
+  Format.printf "%-8s | %8s %8s | %10s %12s %12s %12s@." "steps" "records"
+    "commits" "as_of rds" "as_of(us)" "snap(us)" "history(us)";
   List.iter
     (fun n_steps ->
       let script = Gen.generate { spec with n_steps } ~seed:47L in
       let db = Driver.fresh_db ~n_objects () in
       Driver.run db script;
       flush_log db;
-      let records, commits, as_of, snap, hist = bench_queries db in
-      Format.printf "%-8d | %8d %8d | %12.1f %12.1f %12.1f | %12.4f@."
-        n_steps records commits as_of snap hist
-        (as_of /. float_of_int records);
+      let records, commits, reads, as_of, snap, hist = bench_queries db in
+      Format.printf "%-8d | %8d %8d | %10d %12.1f %12.1f %12.1f@." n_steps
+        records commits reads as_of snap hist;
       rows :=
         Obs.Json.Obj
           [
             ("steps", Obs.Json.Int n_steps);
             ("records", Obs.Json.Int records);
             ("commits", Obs.Json.Int commits);
+            ("as_of_reads", Obs.Json.Int reads);
             ("as_of_us", Obs.Json.Float as_of);
             ("snapshot_us", Obs.Json.Float snap);
             ("history_us", Obs.Json.Float hist);
@@ -1280,9 +1334,64 @@ let e19 () =
      archive-bridged after truncation %.1f us (identical answer);@.\
      without the archive the truncated read is refused, never partial.@."
     live_us bridged_us;
+  (* part three: a low L below an archive-bridged horizon, on a history
+     restart rewrote (eager's surgeries, lazy's splices) *)
+  Format.printf "@.%-6s | %6s %8s | %10s %10s | %10s %10s@." "engine" "L"
+    "bridged" "snap(us)" "snap rds" "as_of(us)" "as_of rds";
+  let low_rows =
+    List.map
+      (fun (name, impl) ->
+        let db = Driver.fresh_db ~impl ~n_objects () in
+        ignore (Db.attach_archive db);
+        ignore
+          (Driver.run_to_crash db script
+             ~crash_at:(3 * List.length script / 4));
+        flush_log db;
+        let l = fst (List.nth (Temporal.commit_points db) 4) in
+        (* the object updated most often at or below L *)
+        let counts = Array.make n_objects 0 in
+        Log_store.iter_forward (Db.log_store db) ~from:Lsn.nil ~upto:l
+          (fun _ r ->
+            match r.Ariesrh_wal.Record.body with
+            | Ariesrh_wal.Record.Update u ->
+                let i = Oid.to_int u.Ariesrh_wal.Record.oid in
+                counts.(i) <- counts.(i) + 1
+            | _ -> ());
+        let o = ref 0 in
+        Array.iteri (fun i c -> if c > counts.(!o) then o := i) counts;
+        let o = Oid.of_int !o in
+        let answer = (Temporal.snapshot_at db l, Temporal.as_of db ~lsn:l o) in
+        Db.shutdown db;
+        Db.checkpoint db;
+        ignore (Db.truncate_log db);
+        assert (Temporal.coverage db).Temporal.bridged;
+        assert (
+          (Temporal.snapshot_at db l, Temporal.as_of db ~lsn:l o) = answer);
+        let bridged =
+          Lsn.to_int (Log_store.truncated_below (Db.log_store db)) - 1
+        in
+        let snap () = ignore (Temporal.snapshot_at db l) in
+        let as_of () = ignore (Temporal.as_of db ~lsn:l o) in
+        let snap_us = timed snap and as_of_us = timed as_of in
+        let snap_reads = reads_of db snap and as_of_reads = reads_of db as_of in
+        Format.printf "%-6s | %6d %8d | %10.1f %10d | %10.1f %10d@." name
+          (Lsn.to_int l) bridged snap_us snap_reads as_of_us as_of_reads;
+        Obs.Json.Obj
+          [
+            ("engine", Obs.Json.String name);
+            ("lsn", Obs.Json.Int (Lsn.to_int l));
+            ("bridged_records", Obs.Json.Int bridged);
+            ("snapshot_us", Obs.Json.Float snap_us);
+            ("snapshot_reads", Obs.Json.Int snap_reads);
+            ("as_of_us", Obs.Json.Float as_of_us);
+            ("as_of_reads", Obs.Json.Int as_of_reads);
+          ])
+      [ ("rh", Config.Rh); ("eager", Config.Eager); ("lazy", Config.Lazy) ]
+  in
   artifact_extra :=
     [
       ("depth", Obs.Json.List (List.rev !rows));
+      ("bridged_low", Obs.Json.List low_rows);
       ( "bridging",
         Obs.Json.Obj
           [

@@ -76,9 +76,11 @@ type t = {
   mutable refuse_begins : bool;  (* governor backpressure flags *)
   mutable refuse_delegations : bool;
   (* Group commit: committed-but-not-yet-forced transactions waiting on
-     the shared flush, as (xid, commit-record LSN). Volatile — a crash
-     drops the group, and those transactions roll back at restart. *)
-  mutable gc_waiters : (Xid.t * Lsn.t) list;
+     the shared flush, as (xid, commit-record LSN, rollback pin). Volatile
+     — a crash drops the group, and those transactions roll back at
+     restart, so until then truncation keeps their records from the pin
+     up (see [truncation_horizon]). *)
+  mutable gc_waiters : (Xid.t * Lsn.t * Lsn.t) list;
   mutable on_commit_durable : (Xid.t -> unit) option;
   (* Eager engine only: at least one delegation fell back to a logical
      delegate record (surgery could not complete), so the log is no
@@ -557,6 +559,16 @@ let finish t (info : Txn_table.info) =
 
 let set_commit_durable_hook t f = t.on_commit_durable <- f
 
+(* The lowest LSN a rollback of [info] may read: conventional
+   (eager-mode) undo walks the whole chain, begin record included, and
+   eager surgery may splice delegated-in records below the begin, which
+   the Ob_List's scopes cover. *)
+let rollback_pin (info : Txn_table.info) =
+  let pin = info.begin_lsn in
+  match Ob_list.min_first info.ob_list with
+  | Some f when Lsn.is_nil pin || Lsn.compare f pin < 0 -> f
+  | _ -> pin
+
 let notify_durable t xid =
   match t.on_commit_durable with None -> () | Some f -> f xid
 
@@ -569,16 +581,16 @@ let settle_group t =
   | [] -> ()
   | ws ->
       let d = Log_store.durable t.log in
-      let hard, still = List.partition (fun (_, l) -> Lsn.(l <= d)) ws in
+      let hard, still = List.partition (fun (_, l, _) -> Lsn.(l <= d)) ws in
       t.gc_waiters <- still;
-      List.iter (fun (x, _) -> notify_durable t x) (List.rev hard)
+      List.iter (fun (x, _, _) -> notify_durable t x) (List.rev hard)
 
 let flush_commits t =
   settle_group t;
   match t.gc_waiters with
   | [] -> ()
   | ws ->
-      let hi = List.fold_left (fun a (_, l) -> Lsn.max a l) Lsn.nil ws in
+      let hi = List.fold_left (fun a (_, l, _) -> Lsn.max a l) Lsn.nil ws in
       Log_store.flush t.log ~upto:hi;
       t.stats.group_flushes <- t.stats.group_flushes + 1;
       settle_group t
@@ -600,7 +612,7 @@ let commit t xid =
         record, lock release, and table removal below do not wait: the
         commit record alone decides the outcome at restart. *)
      settle_group t;
-     t.gc_waiters <- (xid, commit_lsn) :: t.gc_waiters;
+     t.gc_waiters <- (xid, commit_lsn, rollback_pin info) :: t.gc_waiters;
      t.stats.group_joins <- t.stats.group_joins + 1;
      if List.length t.gc_waiters >= t.config.Config.group_commit then
        flush_commits t
@@ -830,14 +842,11 @@ let truncation_horizon t =
     List.iter
       (fun (_, rec_lsn) -> horizon := Lsn.min !horizon rec_lsn)
       (Buffer_pool.dirty_page_table t.pool);
-    Txn_table.iter t.tt (fun info ->
-        (* conventional (eager-mode) undo walks the whole chain, begin
-           record included, so live transactions pin from their begin *)
-        if not (Lsn.is_nil info.begin_lsn) then
-          horizon := Lsn.min !horizon info.begin_lsn;
-        match Ob_list.min_first info.ob_list with
-        | Some first -> horizon := Lsn.min !horizon first
-        | None -> ());
+    let pin l = if not (Lsn.is_nil l) then horizon := Lsn.min !horizon l in
+    Txn_table.iter t.tt (fun info -> pin (rollback_pin info));
+    (* a commit still waiting on its group force has left the table, but
+       a crash before the force rolls it back: its records stay pinned *)
+    List.iter (fun (_, _, p) -> pin p) t.gc_waiters;
     !horizon
   end
 

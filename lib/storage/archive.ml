@@ -63,6 +63,7 @@ type t = {
   mutable wal_count : int;
   mutable wal_fd : Unix.file_descr option;
   mutable fsyncs : int;
+  mutable wal_reads : int;  (* frames handed out by [wal_get] *)
 }
 
 (* --- file helpers --------------------------------------------------- *)
@@ -311,6 +312,7 @@ let create ?dir ~n_objects ~objects_per_page ~impl_tag () =
       wal_count = 0;
       wal_fd = None;
       fsyncs = 0;
+      wal_reads = 0;
     }
   in
   (match dir with
@@ -375,9 +377,16 @@ let append_wal t ~idx payload =
 
 let wal_base t = max 0 t.wal_base
 
-let wal_get t ~idx =
+let frame t ~idx =
   if t.wal_base < 0 || idx < t.wal_base || idx >= archived_upto t then None
   else Some t.frames.(idx - t.wal_base)
+
+let wal_get t ~idx =
+  let f = frame t ~idx in
+  if f <> None then t.wal_reads <- t.wal_reads + 1;
+  f
+
+let wal_reads t = t.wal_reads
 
 let iter_wal t f =
   for i = 0 to t.wal_count - 1 do
@@ -446,7 +455,7 @@ let heal_wal t ~idx payload =
 
 (* Test / injection primitive: rot one archived frame in place. *)
 let bitrot_wal t ~idx =
-  match wal_get t ~idx with
+  match frame t ~idx with
   | None -> ()
   | Some payload when String.length payload > 0 ->
       let b = Bytes.of_string payload in

@@ -58,6 +58,11 @@ val archived_upto : t -> int
 
 val wal_base : t -> int
 val wal_get : t -> idx:int -> string option
+
+val wal_reads : t -> int
+(** Lifetime count of frames {!wal_get} handed out: what time travel
+    read below the live log's truncation horizon. *)
+
 val iter_wal : t -> (idx:int -> string -> unit) -> unit
 
 val sync : t -> unit

@@ -27,23 +27,32 @@ let unavailable ~lsn cov =
   Errors.history_unavailable ~lsn ~available_from:cov.from_
     ~available_upto:cov.upto
 
-(* The archived WAL frames for LSNs in [from, upto] below the live log's
-   truncation horizon, in LSN order. A missing or rotted frame in that
-   range surfaces as History_unavailable — never as a silently shorter
-   history. *)
-let iter_archived db ~from ~upto f =
-  let tb = Log_store.truncated_below (Db.log_store db) in
-  (* frame [idx] holds LSN [idx + 1] *)
-  for idx = Lsn.to_int from - 1 to min (Lsn.to_int upto) (Lsn.to_int tb - 1) - 1
-  do
-    let lsn = Lsn.of_int (idx + 1) in
+(* The record at [lsn] for a read bounded by [upto]: the archived WAL
+   frame below the live log's truncation horizon, the live record from
+   there. A missing or rotted frame surfaces as History_unavailable —
+   never as a silently shorter history. *)
+let read_at db ~upto lsn =
+  let log = Db.log_store db in
+  let tb = Log_store.truncated_below log in
+  if Lsn.(lsn >= tb) then Log_store.read log lsn
+  else
+    (* frame [idx] holds LSN [idx + 1] *)
+    let idx = Lsn.to_int lsn - 1 in
     match
       Option.map Record.decode
         (Option.bind (Db.archive db) (fun ar -> Archive.wal_get ar ~idx))
     with
-    | Some (Ok r) -> f lsn r
+    | Some (Ok r) -> r
     | Some (Error _) | None ->
         unavailable ~lsn { from_ = tb; upto; bridged = false }
+
+(* The archived WAL frames for LSNs in [from, upto] below the live log's
+   truncation horizon, in LSN order. *)
+let iter_archived db ~from ~upto f =
+  let tb = Log_store.truncated_below (Db.log_store db) in
+  for i = Lsn.to_int from to min (Lsn.to_int upto) (Lsn.to_int tb - 1) do
+    let lsn = Lsn.of_int i in
+    f lsn (read_at db ~upto lsn)
   done
 
 (* Every record with LSN in [1, upto], in LSN order: archived frames
@@ -54,22 +63,36 @@ let iter_history db ~upto f =
   iter_archived db ~from:Lsn.first ~upto f;
   if Lsn.(tb <= upto) then Log_store.iter_forward log ~from:tb ~upto f
 
+(* The records the log index files under any of [keys] with LSN in
+   [from, upto], in LSN order, each read once: the walk reads only
+   those, archived or live. Below the index floor (the prefix a reopen
+   or an archive install did not load) the index knows nothing, so
+   there every archived record in range is read and passed to [f]. *)
+let iter_indexed db keys ~from ~upto f =
+  let log = Db.log_store db in
+  let floor_lsn = Log_store.index_floor log in
+  if Lsn.compare from floor_lsn < 0 then
+    iter_archived db ~from ~upto:(Lsn.min upto (Lsn.prev floor_lsn)) f;
+  let from = Lsn.max from floor_lsn in
+  List.iter
+    (fun lsn -> f lsn (read_at db ~upto lsn))
+    (List.sort_uniq Lsn.compare
+       (List.concat_map (fun k -> Log_store.index_walk log k ~from ~upto) keys))
+
 let writer_of_bytes bytes =
   match Record.decode bytes with Ok r -> r.Record.xid | Error _ -> None
 
 (* The surgery records ([Rewrite_begin], [Rewrite_clr], [Rewrite_end])
-   with LSN in [from, upto], in LSN order: archived frames below the
-   truncation horizon, then the live log's control index. *)
+   with LSN in [from, upto], in LSN order, found through the log index
+   whether archived or live. *)
 let surgeries db ~from ~upto =
   let acc = ref [] in
-  let add lsn r = acc := (lsn, r) :: !acc in
-  iter_archived db ~from ~upto (fun lsn r ->
+  iter_indexed db [ Log_store.Kind Log_store.Surgery ] ~from ~upto
+    (fun lsn r ->
       match r.Record.body with
       | Record.Rewrite_begin _ | Record.Rewrite_clr _ | Record.Rewrite_end _ ->
-          add lsn r
+          acc := (lsn, r) :: !acc
       | _ -> ());
-  Log_store.iter_control ~kind:Log_store.Surgery (Db.log_store db) ~from
-    ~upto add;
   List.rev !acc
 
 (* The writer each update had at [upto], for the updates that a surgery
@@ -207,10 +230,11 @@ type scan = {
          their presence alone *)
 }
 
-(* The objects a scan builds state for. Every record in [1, upto] is
-   read either way, so coverage refusals and log reads do not depend on
-   it; versions, CLR links, transfers, surgeries and transfer adoptions
-   are built only for tracked objects. *)
+(* The objects a scan builds state for: versions, CLR links, transfers,
+   surgeries and transfer adoptions are built only for tracked objects.
+   [All] reads every record in [1, upto]; [Only] reads what the log
+   index files under its objects, the surgery records, and the outcome
+   of each transaction left holding one of their live versions. *)
 type objects = All | Only of Oid.Set.t
 
 let tracks objects oid =
@@ -238,89 +262,119 @@ let scan db ~objects ~upto =
     | Some l -> !l
     | None -> []
   in
-  iter_history db ~upto (fun lsn r ->
-      match r.Record.body with
-      | Record.Begin ->
-          let x = Record.writer_exn r in
-          if not (Xid.Tbl.mem begins x) then Xid.Tbl.replace begins x lsn
-      | Record.Update u when tracks objects u.Record.oid ->
-          let w = Record.writer_exn r in
-          let w0 =
-            Option.value ~default:w
-              (Hashtbl.find_opt rewritten (Lsn.to_int lsn))
-          in
-          let v =
-            {
-              m_lsn = lsn;
-              m_oid = u.Record.oid;
-              m_op = u.Record.op;
-              m_writer = w;
-              m_start = w0;
-              m_holder = w0;
-              m_transfers = [];
-              m_surgeries = [];
-              m_comp = None;
-            }
-          in
-          Hashtbl.replace by_lsn (Lsn.to_int lsn) v;
-          (match Hashtbl.find_opt by_oid (Oid.to_int u.Record.oid) with
-          | Some l -> l := v :: !l
-          | None ->
-              Hashtbl.replace by_oid (Oid.to_int u.Record.oid) (ref [ v ]));
-          order := v :: !order
-      | Record.Update _ -> ()
-      | Record.Clr { undone; _ } -> (
-          match Hashtbl.find_opt by_lsn (Lsn.to_int undone) with
-          | Some v when v.m_comp = None ->
-              v.m_comp <- Some (Record.writer_exn r, lsn)
-          | _ -> ())
-      | Record.Commit ->
-          let x = Record.writer_exn r in
-          if not (Xid.Tbl.mem commits x) then Xid.Tbl.replace commits x lsn
-      | Record.Abort ->
-          let x = Record.writer_exn r in
-          if not (Xid.Tbl.mem aborts x) then Xid.Tbl.replace aborts x lsn
-      | Record.Delegate { tee; oid; op; _ } -> (
-          let tor = Record.writer_exn r in
-          (* a compensated update is closed — its CLR already named the
-             responsible party, so a later delegation of the object
-             moves only the still-live operations (Lineage agrees:
-             transfers apply to Live versions only) *)
-          let move v op_level =
-            if Xid.equal v.m_holder tor && v.m_comp = None then begin
-              v.m_holder <- tee;
-              v.m_transfers <-
-                { t_at = lsn; t_from = tor; t_to = tee; t_op_level = op_level }
-                :: v.m_transfers
-            end
-          in
-          match op with
-          | None -> List.iter (fun v -> move v false) (oid_list oid)
-          | Some (ulsn, _invoker) -> (
-              match Hashtbl.find_opt by_lsn (Lsn.to_int ulsn) with
-              | Some v -> move v true
-              | None -> ()))
-      | Record.Rewrite_begin { deleg; _ } ->
-          open_surgeries :=
-            { os_begin = lsn; os_deleg = deleg; os_clrs = [] }
-            :: !open_surgeries
-      | Record.Rewrite_clr { target; before; after } -> (
-          match !open_surgeries with
-          | os :: _ -> os.os_clrs <- (lsn, target, before, after) :: os.os_clrs
-          | [] -> ())
-      | Record.Rewrite_end { begin_lsn; committed } ->
-          let matching, rest =
-            List.partition
-              (fun os -> Lsn.equal os.os_begin begin_lsn)
-              !open_surgeries
-          in
-          open_surgeries := rest;
-          List.iter (fun os -> closed := (os, committed) :: !closed) matching
-      | Record.Xfer_in { oid; value; _ } when tracks objects oid ->
-          adoptions := (lsn, oid, value) :: !adoptions
-      | Record.End | Record.Anchor | Record.Ckpt_begin | Record.Ckpt_end _
-      | Record.Xfer_out _ | Record.Xfer_in _ | Record.Xfer_end _ ->
-          ());
+  let note_outcome lsn r =
+    match r.Record.body with
+    | Record.Commit ->
+        let x = Record.writer_exn r in
+        if not (Xid.Tbl.mem commits x) then Xid.Tbl.replace commits x lsn
+    | Record.Abort ->
+        let x = Record.writer_exn r in
+        if not (Xid.Tbl.mem aborts x) then Xid.Tbl.replace aborts x lsn
+    | _ -> ()
+  in
+  let visit lsn r =
+    match r.Record.body with
+    | Record.Begin ->
+        let x = Record.writer_exn r in
+        if not (Xid.Tbl.mem begins x) then Xid.Tbl.replace begins x lsn
+    | Record.Update u when tracks objects u.Record.oid ->
+        let w = Record.writer_exn r in
+        let w0 =
+          Option.value ~default:w
+            (Hashtbl.find_opt rewritten (Lsn.to_int lsn))
+        in
+        let v =
+          {
+            m_lsn = lsn;
+            m_oid = u.Record.oid;
+            m_op = u.Record.op;
+            m_writer = w;
+            m_start = w0;
+            m_holder = w0;
+            m_transfers = [];
+            m_surgeries = [];
+            m_comp = None;
+          }
+        in
+        Hashtbl.replace by_lsn (Lsn.to_int lsn) v;
+        (match Hashtbl.find_opt by_oid (Oid.to_int u.Record.oid) with
+        | Some l -> l := v :: !l
+        | None ->
+            Hashtbl.replace by_oid (Oid.to_int u.Record.oid) (ref [ v ]));
+        order := v :: !order
+    | Record.Update _ -> ()
+    | Record.Clr { undone; _ } -> (
+        match Hashtbl.find_opt by_lsn (Lsn.to_int undone) with
+        | Some v when v.m_comp = None ->
+            v.m_comp <- Some (Record.writer_exn r, lsn)
+        | _ -> ())
+    | Record.Commit | Record.Abort -> note_outcome lsn r
+    | Record.Delegate { tee; oid; op; _ } -> (
+        let tor = Record.writer_exn r in
+        (* a compensated update is closed — its CLR already named the
+           responsible party, so a later delegation of the object
+           moves only the still-live operations (Lineage agrees:
+           transfers apply to Live versions only) *)
+        let move v op_level =
+          if Xid.equal v.m_holder tor && v.m_comp = None then begin
+            v.m_holder <- tee;
+            v.m_transfers <-
+              { t_at = lsn; t_from = tor; t_to = tee; t_op_level = op_level }
+              :: v.m_transfers
+          end
+        in
+        match op with
+        | None -> List.iter (fun v -> move v false) (oid_list oid)
+        | Some (ulsn, _invoker) -> (
+            match Hashtbl.find_opt by_lsn (Lsn.to_int ulsn) with
+            | Some v -> move v true
+            | None -> ()))
+    | Record.Rewrite_begin { deleg; _ } ->
+        open_surgeries :=
+          { os_begin = lsn; os_deleg = deleg; os_clrs = [] }
+          :: !open_surgeries
+    | Record.Rewrite_clr { target; before; after } -> (
+        match !open_surgeries with
+        | os :: _ -> os.os_clrs <- (lsn, target, before, after) :: os.os_clrs
+        | [] -> ())
+    | Record.Rewrite_end { begin_lsn; committed } ->
+        let matching, rest =
+          List.partition
+            (fun os -> Lsn.equal os.os_begin begin_lsn)
+            !open_surgeries
+        in
+        open_surgeries := rest;
+        List.iter (fun os -> closed := (os, committed) :: !closed) matching
+    | Record.Xfer_in { oid; value; _ } when tracks objects oid ->
+        adoptions := (lsn, oid, value) :: !adoptions
+    | Record.End | Record.Anchor | Record.Ckpt_begin | Record.Ckpt_end _
+    | Record.Xfer_out _ | Record.Xfer_in _ | Record.Xfer_end _ ->
+        ()
+  in
+  (match objects with
+  | All -> iter_history db ~upto visit
+  | Only s ->
+      iter_indexed db
+        (Log_store.Kind Log_store.Surgery
+        :: List.map (fun o -> Log_store.Object o) (Oid.Set.elements s))
+        ~from:Lsn.first ~upto visit;
+      (* A holder's first Commit or Abort at or below [upto]. Below the
+         index floor every record was just read, outcomes included. *)
+      let from = Log_store.index_floor (Db.log_store db) in
+      let seen = Xid.Tbl.create 16 in
+      List.iter
+        (fun v ->
+          let h = v.m_holder in
+          if v.m_comp = None && not (Xid.Tbl.mem seen h) then begin
+            Xid.Tbl.replace seen h ();
+            List.iter
+              (fun lsn ->
+                if not (Xid.Tbl.mem commits h) then
+                  note_outcome lsn (read_at db ~upto lsn))
+              (Log_store.index_walk (Db.log_store db) (Log_store.Txn h) ~from
+                 ~upto)
+          end)
+        (List.rev !order));
   (* a surgery never closed by [upto] counts as not committed: its
      intent is durable but nothing proves the rewrites completed *)
   List.iter (fun os -> closed := (os, false) :: !closed) !open_surgeries;

@@ -40,11 +40,14 @@
     above [L] and starts such an update's holder at the writer of the
     earliest of those before-images.
 
-    Coverage is all-or-nothing: a query at [L] needs every record in
+    Coverage is all-or-nothing: a query at [L] needs the history
     [[1, L]], and every surgery record above [L]. If the prefix was
     truncated and no attached archive bridges the gap from genesis, the
     query raises [Errors.History_unavailable] — never a silently
-    partial answer. *)
+    partial answer. A single-object query reads only the records the
+    log index ({!Ariesrh_wal.Log_index}) files under its object, so
+    rot in a record it skips is the scrubber's to find; rot in a record
+    it reads still refuses. *)
 
 open Ariesrh_types
 module Record := Ariesrh_wal.Record
@@ -124,9 +127,14 @@ val status_str : status -> string
     and never answer from a partial prefix. [Lsn.nil] asks for genesis —
     its covering range is empty, so it always answers.
 
-    Each reads every record in the covered prefix, but builds versions
-    only for the objects it asks about: a single-object query pays the
-    record pass plus that object's own history. *)
+    {!snapshot_at} and {!explain} read every record in the covered
+    prefix. {!as_of} and {!history} read only what the log index files
+    under their object at or below the bound, the surgery records, and
+    the first [Commit] or [Abort] of each transaction left holding one
+    of its live versions: their cost follows that object's history,
+    not the log's depth. Below the index floor (the prefix a cold
+    reopen or an archive install did not load) they read every
+    archived record, like a snapshot. *)
 
 val as_of : Db.t -> lsn:Lsn.t -> Oid.t -> int
 (** Committed value of one object at [lsn]. *)

@@ -58,89 +58,22 @@ type t = {
   mutable decode_calls : int;  (* lifetime Record.decode invocations *)
   mutable cache_hits : int;
   mutable cache_misses : int;
-  (* --- control-record index ---
-     Ascending array indices of the retained control records, each with
-     its class mask: what restart's preambles look for, without reading
-     the records between them. *)
-  mutable ctl : int array;
-  mutable ctl_cls : int array;
-  mutable ctl_n : int;
+  (* One entry per record, slot = array index, kept at every mutation of
+     [enc] below. Truncation keeps the entries of the reclaimed prefix
+     for archive-bridged reads. *)
+  index : Log_index.t;
 }
 
-type control = Delegation | Surgery | Transfer
-
-(* Class masks. An entry whose kind is unknown — a loaded record that
-   does not decode — carries every bit, so every filtered walk visits
-   it and its read raises [Corrupt_record] instead of skipping it. *)
-let mask = function Delegation -> 1 | Surgery -> 2 | Transfer -> 4
-let cls_unknown = mask Delegation lor mask Surgery lor mask Transfer
-
-let class_of_body = function
-  | Record.Delegate _ -> mask Delegation
-  | Record.Rewrite_begin _ | Record.Rewrite_clr _ | Record.Rewrite_end _ ->
-      mask Surgery
-  | Record.Xfer_out _ | Record.Xfer_in _ | Record.Xfer_end _ -> mask Transfer
-  | Record.Begin | Record.Update _ | Record.Commit | Record.Abort | Record.End
-  | Record.Clr _ | Record.Ckpt_begin | Record.Ckpt_end _ | Record.Anchor ->
-      0
-
-let class_of_encoded s =
-  match Record.decode s with
-  | Ok r -> class_of_body r.Record.body
-  | Error _ -> cls_unknown
-
-let ctl_push t idx cls =
-  if t.ctl_n = Array.length t.ctl then begin
-    let ncap = max 16 (2 * t.ctl_n) in
-    let grow a = Array.append a (Array.make (ncap - t.ctl_n) 0) in
-    t.ctl <- grow t.ctl;
-    t.ctl_cls <- grow t.ctl_cls
-  end;
-  t.ctl.(t.ctl_n) <- idx;
-  t.ctl_cls.(t.ctl_n) <- cls;
-  t.ctl_n <- t.ctl_n + 1
-
-(* position of the first entry with index >= [idx] *)
-let ctl_search t idx =
-  let lo = ref 0 and hi = ref t.ctl_n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.ctl.(mid) < idx then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* forget every entry at or above [idx] (crash, amputation) *)
-let ctl_drop_from t idx =
-  while t.ctl_n > 0 && t.ctl.(t.ctl_n - 1) >= idx do
-    t.ctl_n <- t.ctl_n - 1
-  done
-
-(* class of the record at [idx] as the index has it (0 = not control) *)
-let ctl_class t idx =
-  let j = ctl_search t idx in
-  if j < t.ctl_n && t.ctl.(j) = idx then t.ctl_cls.(j) else 0
-
-(* re-kind an indexed record: an unknown entry once its bytes decode *)
-let ctl_set t idx cls =
-  let j = ctl_search t idx in
-  if j < t.ctl_n && t.ctl.(j) = idx then
-    if cls <> 0 then t.ctl_cls.(j) <- cls
-    else begin
-      Array.blit t.ctl (j + 1) t.ctl j (t.ctl_n - j - 1);
-      Array.blit t.ctl_cls (j + 1) t.ctl_cls j (t.ctl_n - j - 1);
-      t.ctl_n <- t.ctl_n - 1
-    end
+type control = Log_index.control = Delegation | Surgery | Transfer
+type key = Log_index.key = Kind of control | Object of Oid.t | Txn of Xid.t
 
 (* Rebuild from the stored bytes (reopen, archive install). Decoding is
-   the only way to know a loaded record's kind; one that does not decode
+   the only way to know a loaded record's entry; one that does not decode
    is indexed as unknown. Like the scrubber's checks, this pass is not
    charged to the decode counters. *)
-let ctl_rebuild t =
-  t.ctl_n <- 0;
-  for i = t.low to t.count - 1 do
-    let cls = class_of_encoded t.enc.(i) in
-    if cls <> 0 then ctl_push t i cls
-  done
+let index_rebuild t =
+  Log_index.rebuild t.index ~floor:t.low ~length:t.count (fun i ->
+      Log_index.tag_of_encoded t.enc.(i))
 
 let create ?(page_size = 4096) ?capacity_bytes ?capacity_records
     ?(record_cache = 8192) ?(fault = Fault.none ())
@@ -177,9 +110,7 @@ let create ?(page_size = 4096) ?capacity_bytes ?capacity_records
       decode_calls = 0;
       cache_hits = 0;
       cache_misses = 0;
-      ctl = [||];
-      ctl_cls = [||];
-      ctl_n = 0;
+      index = Log_index.create ();
     }
   in
   (* Reopen path: rebuild the durable prefix from whatever frames the
@@ -202,7 +133,7 @@ let create ?(page_size = 4096) ?capacity_bytes ?capacity_records
           t.live_bytes <- t.live_bytes + String.length t.enc.(i)
       done;
       t.next_offset <- !off;
-      ctl_rebuild t);
+      index_rebuild t);
   t
 
 let stats t = t.stats
@@ -338,9 +269,9 @@ let unreserve t ~bytes ~records =
   t.reserved_bytes <- max 0 (t.reserved_bytes - bytes);
   t.reserved_records <- max 0 (t.reserved_records - records)
 
-let store t ~cls s =
+let store t r s =
   ensure_capacity t;
-  if cls <> 0 then ctl_push t t.count cls;
+  Log_index.push t.index (Log_index.tag_of r);
   (* this index may have held an amputated/crash-discarded record whose
      LSN is being reused — a stale decode must not survive that *)
   cache_invalidate t t.count;
@@ -357,7 +288,7 @@ let append t r =
   apply_squeeze t;
   let s = Record.encode r in
   admit t ~bytes:(String.length s) ~records:1;
-  store t ~cls:(class_of_body r.Record.body) s
+  store t r s
 
 (* Bypasses admission: for records whose space was paid for up front by
    [reserve] (rollback CLRs, Abort/Commit/End, checkpoint records) and
@@ -366,7 +297,7 @@ let append t r =
    pool always equals the sum of live obligations. *)
 let append_reserved t r =
   apply_squeeze t;
-  store t ~cls:(class_of_body r.Record.body) (Record.encode r)
+  store t r (Record.encode r)
 
 let append_with_reserve t ~reserve_bytes ~reserve_records r =
   apply_squeeze t;
@@ -377,7 +308,7 @@ let append_with_reserve t ~reserve_bytes ~reserve_records r =
   t.reserved_bytes <- t.reserved_bytes + reserve_bytes;
   t.reserved_records <- t.reserved_records + reserve_records;
   t.stats.reservations <- t.stats.reservations + 1;
-  store t ~cls:(class_of_body r.Record.body) s
+  store t r s
 
 let flush t ~upto =
   let target = min (Lsn.to_int upto) t.count in
@@ -432,7 +363,7 @@ let crash t =
   | None -> ());
   (* volatile tail dies with the crash — cached decodes of it must too *)
   cache_invalidate_range t t.durable_count (t.count - 1);
-  ctl_drop_from t t.durable_count;
+  Log_index.drop_from t.index t.durable_count;
   for i = t.durable_count to t.count - 1 do
     t.live_bytes <- t.live_bytes - String.length t.enc.(i)
   done;
@@ -490,10 +421,6 @@ let truncate t ~below =
       t.enc.(i) <- ""
     done;
     t.low <- b - 1;
-    let j = ctl_search t t.low in
-    Array.blit t.ctl j t.ctl 0 (t.ctl_n - j);
-    Array.blit t.ctl_cls j t.ctl_cls 0 (t.ctl_n - j);
-    t.ctl_n <- t.ctl_n - j;
     Log_device.set_low t.device t.low
   end;
   reclaimed
@@ -518,19 +445,23 @@ let rewrite t lsn r =
   let s = Record.encode r in
   if String.length s <> String.length t.enc.(idx) then
     invalid_arg "Log_store.rewrite: record size changed";
-  (* surgery re-attributes records, it never changes what they are; an
-     entry of unknown kind takes the kind of its replacement *)
-  let cls = class_of_body r.Record.body in
-  (match ctl_class t idx with
-  | old when old = cls -> ()
-  | old when old = cls_unknown -> ctl_set t idx cls
-  | _ -> invalid_arg "Log_store.rewrite: record kind changed");
+  (* surgery re-attributes records, it never changes what they are or
+     which object they name; an unknown entry takes its replacement's *)
+  let tag = Log_index.tag_of r in
+  let old = Log_index.tag_at t.index idx in
+  if old <> Log_index.unknown then begin
+    if not (Log_index.same_kind old tag) then
+      invalid_arg "Log_store.rewrite: record kind changed";
+    if Log_index.on_object_chain old && old <> tag then
+      invalid_arg "Log_store.rewrite: record object changed"
+  end;
   (* rewriting a durable record is a synchronous in-place I/O: it gets
      its own crash point, fired before the bytes change so an injected
      crash leaves the record intact *)
   if idx < t.durable_count then Fault.on_log_rewrite t.fault;
   t.enc.(idx) <- s;
   cache_invalidate t idx;
+  Log_index.retag t.index idx tag;
   t.stats.rewrites <- t.stats.rewrites + 1;
   if idx < t.durable_count then begin
     Log_device.rewrite t.device ~idx s;
@@ -572,15 +503,16 @@ let iter_valid_forward ?upto t ~from f =
    visited. *)
 let iter_control ?upto ?kind t ~from f =
   let start, stop = forward_range ?upto t ~from in
-  let want = match kind with None -> cls_unknown | Some k -> mask k in
-  let j = ref (ctl_search t (start - 1)) in
-  while !j < t.ctl_n && t.ctl.(!j) < stop do
-    if t.ctl_cls.(!j) land want <> 0 then begin
-      let lsn = Lsn.of_int (t.ctl.(!j) + 1) in
-      f lsn (read t lsn)
-    end;
-    incr j
-  done
+  Log_index.iter_kind t.index kind ~lo:(start - 1) ~hi:stop (fun i ->
+      f (Lsn.of_int (i + 1)) (read t (Lsn.of_int (i + 1))))
+
+let index_floor t = Lsn.of_int (Log_index.floor t.index + 1)
+
+let index_walk t key ~from ~upto =
+  let lo = if Lsn.is_nil from then 0 else Lsn.to_int from - 1 in
+  List.map
+    (fun i -> Lsn.of_int (i + 1))
+    (Log_index.slots t.index key ~lo ~hi:(min (Lsn.to_int upto) t.count))
 
 let iter_backward t ~from f =
   let start = if Lsn.is_nil from then t.count else Lsn.to_int from in
@@ -605,7 +537,7 @@ let recover_tail t =
         t.durable_count <- min t.durable_count t.count;
         t.amputated_total <- t.amputated_total + 1
   done;
-  ctl_drop_from t t.count;
+  Log_index.drop_from t.index t.count;
   t.next_offset <-
     (if t.count = 0 then 0
      else t.offsets.(t.count - 1) + String.length t.enc.(t.count - 1));
@@ -660,7 +592,7 @@ let heal_record t ~idx s =
     invalid_arg "Log_store.heal_record: archived copy length mismatch";
   t.enc.(idx) <- s;
   cache_invalidate t idx;
-  ctl_set t idx (class_of_encoded s);
+  Log_index.retag t.index idx (Log_index.tag_of_encoded s);
   Log_device.rewrite t.device ~idx s
 
 (* Injection primitive: flip bits in one durable record's stored bytes,
@@ -675,6 +607,11 @@ let bitrot_record t ~idx =
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x08));
     t.enc.(idx) <- Bytes.to_string b;
     cache_invalidate t idx;
+    (* the index keeps a known entry (rot in memory does not change what
+       the record is); an unknown one is re-read, in case the flip undid
+       an earlier one *)
+    if Log_index.tag_at t.index idx = Log_index.unknown then
+      Log_index.retag t.index idx (Log_index.tag_of_encoded t.enc.(idx));
     Log_device.rewrite t.device ~idx t.enc.(idx)
   end
 
@@ -705,7 +642,7 @@ let install_archive t ~low ~master frames =
   t.low <- low;
   t.pending_tear <- None;
   Hashtbl.reset t.cache;
-  ctl_rebuild t;
+  index_rebuild t;
   Log_device.install t.device ~low ~master ~frames:(Array.to_list frames)
 
 let sync t = Log_device.sync t.device

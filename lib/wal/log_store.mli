@@ -162,8 +162,8 @@ val read_result : t -> Lsn.t -> (Record.t, Record.decode_error) result
 val rewrite : t -> Lsn.t -> Record.t -> unit
 (** Replace the record at an LSN (history surgery, baselines only).
     Charged as a page fetch + page write when the record is stable.
-    Raises [Invalid_argument] if the encoded size or the control kind
-    (see {!control}) would change. *)
+    Raises [Invalid_argument] if the encoded size, the record's kind or
+    the object it names would change. *)
 
 val set_rewrite_hook : t -> (idx:int -> string -> unit) option -> unit
 (** Observe every in-place {!rewrite} (surgery apply {e and} its
@@ -188,13 +188,18 @@ val iter_valid_forward :
     range decoded. This is how scans treat a corrupt record as
     end-of-log. *)
 
-type control =
+type control = Log_index.control =
   | Delegation  (** [Delegate] *)
   | Surgery  (** [Rewrite_begin], [Rewrite_clr], [Rewrite_end] *)
   | Transfer  (** [Xfer_out], [Xfer_in], [Xfer_end] *)
 (** The control records: the rare records restart's preambles resolve
     before (surgeries, degraded-mode delegations) or after (transfers)
     the forward pass. *)
+
+type key = Log_index.key =
+  | Kind of control
+  | Object of Oid.t
+  | Txn of Xid.t  (** see {!Log_index.key} *)
 
 val iter_control :
   ?upto:Lsn.t ->
@@ -205,14 +210,26 @@ val iter_control :
   unit
 (** {!iter_forward} restricted to the control records (of [kind] only,
     when given), in ascending LSN order, without touching the records
-    between them. The store keeps an index of them, maintained on every
-    append and on every change to the stored records ({!crash},
-    {!recover_tail}, {!truncate}, {!rewrite}, {!heal_record}, a reopen,
+    between them. The walk goes through the store's {!Log_index}, kept
+    on every append and on every change to the stored records
+    ({!crash}, {!recover_tail}, {!rewrite}, {!heal_record}, a reopen,
     {!install_archive}). Each visited record goes through {!read}: same
     decode, checksum, cache and I/O accounting, and a corrupt one raises
     {!Corrupt_record}. A reopened or installed record that does not
     decode has no known kind and is visited by every walk, so it is
     never skipped silently. *)
+
+val index_floor : t -> Lsn.t
+(** The first LSN the index has an entry for. Entries below
+    {!truncated_below} are kept; a reopen or {!install_archive} indexes
+    only the records it loads, so below this LSN a caller must read
+    every record. *)
+
+val index_walk : t -> key -> from:Lsn.t -> upto:Lsn.t -> Lsn.t list
+(** The LSNs in [[from, upto]] (from [Lsn.first] if [from] is nil) that
+    the index files under [key], plus every record of unknown kind
+    there, ascending, from {!index_floor} up. Reads nothing: LSNs below
+    {!truncated_below} are the caller's to read from an archive. *)
 
 val iter_backward : t -> from:Lsn.t -> (Lsn.t -> Record.t -> unit) -> unit
 (** Sequential sweep from [from] (or [head] if nil) down to [Lsn.first]. *)

@@ -464,9 +464,8 @@ let strided ~limit points =
   let stride = if n <= limit then 1 else (n + limit - 1) / limit in
   List.filteri (fun i _ -> i mod stride = 0 || i = n - 1) points
 
-(* The analytic time-travel reader, on one shard (an as_of point is a
-   per-shard LSN; a cross-shard cut is a different instrument), faults
-   gated off so the crash schedule is untouched. Two regimes, decided by
+(* The analytic time-travel reader, faults gated off so the crash
+   schedule is untouched. At one shard, two regimes, decided by
    {!Temporal.coverage}:
    - History intact from the first LSN: at each durable commit LSN l
      that [sample] keeps, [Temporal.snapshot_at] must equal
@@ -478,57 +477,94 @@ let strided ~limit points =
      both sides exclude the entry.
    - History truncated and not bridged by an archive: every read must
      refuse with the typed [History_unavailable], never answer from a
-     silently partial reconstruction. *)
+     silently partial reconstruction.
+   At every sampled point, [Temporal.as_of] of each object — the
+   indexed read of that object's history alone — must equal the full
+   scan's snapshot. With several shards an as_of point is a per-shard
+   LSN (a cross-shard cut is a different instrument), so only that
+   self-check runs there, on each shard's own log. *)
 let time_travel config outcome ~label ~sample ~expected_at fault sh =
-  if config.time_travel && Sharded.shards sh = 1 then begin
+  if config.time_travel then begin
     Fault.set_enabled fault false;
-    let db = Sharded.db sh 0 in
     let failf fmt = Printf.ksprintf (fail outcome) ("%s: " ^^ fmt) label in
     let raised l e =
       failf "as_of lsn %d raised %s" (Lsn.to_int l)
         (Format.asprintf "%a" Errors.pp_exn e)
     in
-    (match Temporal.coverage db with
-    | exception e -> failf "tt coverage raised %s" (Printexc.to_string e)
-    | cov when Lsn.(cov.Temporal.from_ > first) ->
-        List.iter
-          (fun l ->
-            outcome.tt_reads <- outcome.tt_reads + 1;
-            match Temporal.snapshot_at db l with
-            | (_ : int array) ->
-                failf "as_of lsn %d answered despite truncated unbridged \
-                       history"
-                  (Lsn.to_int l)
-            | exception Errors.History_unavailable _ ->
-                outcome.tt_refused <- outcome.tt_refused + 1
-            | exception e -> raised l e)
-          [ Lsn.first; cov.Temporal.upto ]
-    | _ ->
-        let cps = Temporal.commit_points db in
-        let commit_lsn = Xid.Tbl.create 64 in
-        List.iter
-          (fun (l, x) ->
-            if not (Xid.Tbl.mem commit_lsn x) then
-              Xid.Tbl.replace commit_lsn x l)
-          cps;
-        let counts_at l fx =
-          match Xid.Tbl.find_opt commit_lsn fx.Sharded.txn with
-          | Some cl -> Lsn.(cl <= l)
-          | None -> false
-        in
-        List.iter
-          (fun (l, x) ->
-            outcome.tt_reads <- outcome.tt_reads + 1;
-            let want = expected_at (counts_at l) in
-            match Temporal.snapshot_at db l with
-            | got ->
-                if got <> want then
-                  failf "as_of lsn %d (commit of %s): got [%s] want [%s]"
-                    (Lsn.to_int l)
-                    (Format.asprintf "%a" Xid.pp x)
-                    (pp_arr got) (pp_arr want)
-            | exception e -> raised l e)
-          (sample cps));
+    let indexed_agrees db l snap =
+      Array.iteri
+        (fun o v ->
+          match Temporal.as_of db ~lsn:l (Oid.of_int o) with
+          | got when got = v -> ()
+          | got ->
+              failf "as_of lsn %d object %d: indexed read %d, full scan %d"
+                (Lsn.to_int l) o got v
+          | exception e -> raised l e)
+        snap
+    in
+    let intact db =
+      match Temporal.coverage db with
+      | cov -> Lsn.(cov.Temporal.from_ <= first)
+      | exception e ->
+          failf "tt coverage raised %s" (Printexc.to_string e);
+          false
+    in
+    (if Sharded.shards sh = 1 then begin
+       let db = Sharded.db sh 0 in
+       match Temporal.coverage db with
+       | exception e -> failf "tt coverage raised %s" (Printexc.to_string e)
+       | cov when Lsn.(cov.Temporal.from_ > first) ->
+           List.iter
+             (fun l ->
+               outcome.tt_reads <- outcome.tt_reads + 1;
+               match Temporal.snapshot_at db l with
+               | (_ : int array) ->
+                   failf "as_of lsn %d answered despite truncated unbridged \
+                          history"
+                     (Lsn.to_int l)
+               | exception Errors.History_unavailable _ ->
+                   outcome.tt_refused <- outcome.tt_refused + 1
+               | exception e -> raised l e)
+             [ Lsn.first; cov.Temporal.upto ]
+       | _ ->
+           let cps = Temporal.commit_points db in
+           let commit_lsn = Xid.Tbl.create 64 in
+           List.iter
+             (fun (l, x) ->
+               if not (Xid.Tbl.mem commit_lsn x) then
+                 Xid.Tbl.replace commit_lsn x l)
+             cps;
+           let counts_at l fx =
+             match Xid.Tbl.find_opt commit_lsn fx.Sharded.txn with
+             | Some cl -> Lsn.(cl <= l)
+             | None -> false
+           in
+           List.iter
+             (fun (l, x) ->
+               outcome.tt_reads <- outcome.tt_reads + 1;
+               let want = expected_at (counts_at l) in
+               match Temporal.snapshot_at db l with
+               | got ->
+                   if got <> want then
+                     failf "as_of lsn %d (commit of %s): got [%s] want [%s]"
+                       (Lsn.to_int l)
+                       (Format.asprintf "%a" Xid.pp x)
+                       (pp_arr got) (pp_arr want);
+                   indexed_agrees db l got
+               | exception e -> raised l e)
+             (sample cps)
+     end
+     else
+       Array.iter
+         (fun db ->
+           if intact db then
+             List.iter
+               (fun (l, _) ->
+                 match Temporal.snapshot_at db l with
+                 | snap -> indexed_agrees db l snap
+                 | exception e -> raised l e)
+               (sample (Temporal.commit_points db)))
+         (Sharded.dbs sh));
     Fault.set_enabled fault true
   end
 

@@ -482,6 +482,32 @@ let pressure_storm_smoke () =
         (o.storm.recoveries > 0))
     [ Config.Rh; Config.Lazy; Config.Eager ]
 
+(* A group-committed transaction leaves the table before its commit is
+   forced; a crash before the force rolls it back, so truncation must
+   keep its records. This eager run once truncated such a transaction's
+   begin record, and crash #20's restart then raised an untyped
+   [Invalid_argument] reading it. *)
+let eager_group_commit_pins_truncation () =
+  let config =
+    {
+      Pressure_storm.default_config with
+      impl = Config.Eager;
+      load =
+        { Pressure_storm.default_config.load with
+          clients = 6; p_delegate = 0.4 };
+      capacity_bytes = 3000;
+      crash_every = 25;
+      group_commit = 2;
+    }
+  in
+  let o = Pressure_storm.run ~config () in
+  if not (Pressure_storm.ok o) then
+    Alcotest.failf "%a" Pressure_storm.pp_outcome o;
+  Alcotest.(check bool) "crashed past the old failure point" true
+    (o.storm.crashes >= 20);
+  Alcotest.(check bool) "the governor truncated" true
+    (o.governor.Governor.truncations > 0)
+
 let suite =
   [
     Alcotest.test_case "byte capacity enforced" `Quick byte_capacity_enforced;
@@ -517,4 +543,6 @@ let suite =
       squeeze_shrinks_capacity;
     Alcotest.test_case "pressure storm (all engines)" `Slow
       pressure_storm_smoke;
+    Alcotest.test_case "eager group commit pins truncation" `Quick
+      eager_group_commit_pins_truncation;
   ]

@@ -9,6 +9,8 @@ open Ariesrh_workload
 module Temporal = Ariesrh_temporal.Temporal
 module Backend = Ariesrh_storage.Backend
 module Log_store = Ariesrh_wal.Log_store
+module Record = Ariesrh_wal.Record
+module Archive = Ariesrh_storage.Archive
 module Sharded = Ariesrh_shard.Sharded
 
 let n_objects = 32
@@ -613,6 +615,148 @@ let reenact_lazy_spliced () =
     (value e.Temporal.e_as_of_end 0);
   Db.close db
 
+(* {2 What a single-object read needs}
+
+   An [as_of] reads only what the log index files under its object, the
+   surgery records and its holders' outcome records. Rot in any other
+   record is the scrubber's to find, not the query's; rot in a record
+   the query needs still refuses; and a record whose kind was lost at a
+   reopen is read by every query, never skipped as another object's. *)
+
+let coverage_script = Gen.generate (spec 120) ~seed:7L
+
+let body_at db lsn =
+  let ar = Option.get (Db.archive db) in
+  match
+    Option.map Record.decode (Archive.wal_get ar ~idx:(Lsn.to_int lsn - 1))
+  with
+  | Some (Ok r) -> r.Record.body
+  | _ -> Alcotest.failf "archived frame %d unreadable" (Lsn.to_int lsn)
+
+(* the object with the most indexed records at or below [l] *)
+let busiest_object log l =
+  let walk o =
+    Log_store.index_walk log (Log_store.Object (Oid.of_int o)) ~from:Lsn.nil
+      ~upto:l
+  in
+  let best = ref 0 in
+  for o = 1 to n_objects - 1 do
+    if List.length (walk o) > List.length (walk !best) then best := o
+  done;
+  (Oid.of_int !best, walk !best)
+
+let archived_rot_skipped_or_refused () =
+  let db = Driver.fresh_db ~n_objects () in
+  let ar = Db.attach_archive db in
+  Driver.run db coverage_script;
+  let log = Db.log_store db in
+  let cps = Temporal.commit_points db in
+  let l = fst (List.nth cps (List.length cps / 2)) in
+  let o, needed = busiest_object log l in
+  let want = Temporal.as_of db ~lsn:l o in
+  (* clean pages pin nothing: the checkpoint lets truncation reach it *)
+  Db.shutdown db;
+  Db.checkpoint db;
+  ignore (Db.truncate_log db);
+  if Lsn.(Log_store.truncated_below log <= l) then
+    Alcotest.fail "the query point must lie below the truncation horizon";
+  (* a Begin record no single-object walk reads *)
+  let skipped =
+    List.find
+      (fun lsn -> body_at db lsn = Record.Begin)
+      (List.init (Lsn.to_int l) (fun i -> Lsn.of_int (i + 1)))
+  in
+  Archive.bitrot_wal ar ~idx:(Lsn.to_int skipped - 1);
+  Alcotest.(check int) "skipped rot leaves the answer exact" want
+    (Temporal.as_of db ~lsn:l o);
+  (match Temporal.snapshot_at db l with
+  | _ -> Alcotest.fail "a full read over the rot must refuse"
+  | exception Errors.History_unavailable { lsn; _ } ->
+      Alcotest.(check int) "the full read refuses at the rot"
+        (Lsn.to_int skipped) (Lsn.to_int lsn));
+  let scrub = Db.scrub_archive db in
+  Alcotest.(check bool) "the scrubber finds the rot" true
+    (scrub.Db.corrupt > 0
+    && List.mem ("archive-wal", Lsn.to_int skipped - 1) (Db.quarantined db));
+  (* the oldest record of the object's own history *)
+  let hit = List.hd needed in
+  Archive.bitrot_wal ar ~idx:(Lsn.to_int hit - 1);
+  (match Temporal.as_of db ~lsn:l o with
+  | _ -> Alcotest.fail "rot in a record the read needs must refuse"
+  | exception Errors.History_unavailable { lsn; _ } ->
+      Alcotest.(check int) "refused at the needed record" (Lsn.to_int hit)
+        (Lsn.to_int lsn));
+  Db.close db
+
+let unknown_record_read_by_every_walk () =
+  let dir = fresh_dir "unknown" in
+  let backend = Backend.File { dir } in
+  let db = Driver.fresh_db ~backend ~n_objects () in
+  Driver.run db coverage_script;
+  Db.checkpoint db;
+  Db.shutdown db;
+  let log = Db.log_store db in
+  let top = Log_store.durable log in
+  let values db l =
+    List.init n_objects (fun o -> Temporal.as_of db ~lsn:l (Oid.of_int o))
+  in
+  let want = values db top in
+  (* a Begin record below the checkpoint: restart never reads it *)
+  let victim = ref Lsn.nil in
+  Log_store.iter_forward log ~from:Lsn.nil (fun lsn r ->
+      if Lsn.is_nil !victim && r.Record.body = Record.Begin then
+        victim := lsn);
+  let victim = !victim in
+  Log_store.bitrot_record log ~idx:(Lsn.to_int victim - 1);
+  (* in memory the index still knows what the record is *)
+  Alcotest.(check (list int)) "known rot skipped" want (values db top);
+  Db.close db;
+  let re = Driver.fresh_db ~backend ~n_objects () in
+  ignore (Db.recover re);
+  for o = 0 to n_objects - 1 do
+    match Temporal.as_of re ~lsn:top (Oid.of_int o) with
+    | _ -> Alcotest.failf "ob%d: the walk skipped an unknown record" o
+    | exception Log_store.Corrupt_record { lsn; _ } ->
+        Alcotest.(check int) "read at the unknown record" (Lsn.to_int victim)
+          (Lsn.to_int lsn)
+  done;
+  ignore (values re (Lsn.prev victim));
+  Db.close re;
+  Backend.remove_tree dir
+
+(* A cold reopen indexes only the records it loads: below the reopened
+   horizon a query reads every archived frame, and answers as before. *)
+let below_index_floor_reads_archive () =
+  let dir = fresh_dir "floor" in
+  let archive_dir = Filename.concat dir "archive" in
+  let backend = Backend.File { dir = Filename.concat dir "db" } in
+  let db = Driver.fresh_db ~backend ~n_objects () in
+  ignore (Db.attach_archive ~dir:archive_dir db);
+  Driver.run db coverage_script;
+  (* the backup writes the manifest a reopened archive starts from *)
+  ignore (Db.backup_to_archive db);
+  let cps = Temporal.commit_points db in
+  let l = fst (List.nth cps (List.length cps / 2)) in
+  let o, _ = busiest_object (Db.log_store db) l in
+  let want = Temporal.as_of db ~lsn:l o in
+  Db.shutdown db;
+  Db.checkpoint db;
+  ignore (Db.truncate_log db);
+  Db.close db;
+  let re = Driver.fresh_db ~backend ~n_objects () in
+  ignore (Db.recover re);
+  let ar = Db.attach_archive ~dir:archive_dir re in
+  let floor_lsn = Log_store.index_floor (Db.log_store re) in
+  if Lsn.(floor_lsn <= l) then
+    Alcotest.fail "the query point must lie below the reopened index floor";
+  let before = Archive.wal_reads ar in
+  Alcotest.(check int) "same answer below the floor" want
+    (Temporal.as_of re ~lsn:l o);
+  Alcotest.(check int) "every archived record up to L read" (Lsn.to_int l)
+    (Archive.wal_reads ar - before);
+  Db.close re;
+  Backend.remove_tree dir
+
 let explain_unknown_txn () =
   let db = Driver.fresh_db ~n_objects:4 () in
   (match Temporal.explain db (Xid.of_int 999) with
@@ -643,4 +787,10 @@ let suite =
         `Quick reenact_lazy_spliced;
       Alcotest.test_case "explain refuses unknown xid" `Quick
         explain_unknown_txn;
+      Alcotest.test_case "archived rot: skipped is exact, needed refuses"
+        `Quick archived_rot_skipped_or_refused;
+      Alcotest.test_case "an unknown record is read by every object walk"
+        `Quick unknown_record_read_by_every_walk;
+      Alcotest.test_case "below the index floor, the archive is read whole"
+        `Quick below_index_floor_reads_archive;
     ]

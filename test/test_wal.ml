@@ -559,6 +559,46 @@ let walk_control ?kind log ~from ~upto =
   Log_store.iter_control ?kind log ~from ~upto (fun l r -> acc := (l, r) :: !acc);
   List.rev !acc
 
+(* Does the index file [r] under [key]? The reference for its walks. *)
+let filed key (r : Record.t) =
+  match (key, r.Record.body) with
+  | Log_store.Kind k, _ -> kind_of r = Some k
+  | ( Log_store.Object o,
+      ( Record.Update { Record.oid; _ }
+      | Record.Clr { upd = { Record.oid; _ }; _ }
+      | Record.Delegate { oid; _ }
+      | Record.Xfer_in { oid; _ } ) ) ->
+      Oid.equal oid o
+  | Log_store.Txn x, (Record.Commit | Record.Abort) -> r.Record.xid = Some x
+  | _ -> false
+
+(* Few objects and writers, so chains grow long and keys collide. *)
+let narrow (r : Record.t) =
+  let o x = oid (Oid.to_int x mod 5) in
+  let upd (u : Record.update) = { u with Record.oid = o u.Record.oid } in
+  let body =
+    match r.Record.body with
+    | Record.Update u -> Record.Update (upd u)
+    | Record.Clr c -> Record.Clr { c with upd = upd c.upd }
+    | Record.Delegate d -> Record.Delegate { d with oid = o d.oid }
+    | Record.Xfer_in x -> Record.Xfer_in { x with oid = o x.oid }
+    | b -> b
+  in
+  let r = { r with Record.body } in
+  match r.Record.xid with
+  | Some x -> Record.set_writer r (xid (1 + (Xid.to_int x mod 6)))
+  | None -> r
+
+let lsns l =
+  String.concat "," (List.map (fun (l, _) -> string_of_int (Lsn.to_int l)) l)
+
+let index_keys =
+  List.map
+    (fun k -> Log_store.Kind k)
+    Log_store.[ Delegation; Surgery; Transfer ]
+  @ List.init 5 (fun o -> Log_store.Object (oid o))
+  @ List.init 6 (fun x -> Log_store.Txn (xid (x + 1)))
+
 let store_rewrite_keeps_kind () =
   let log = Log_store.create () in
   let upd = List.nth sample_records 1 in
@@ -575,6 +615,29 @@ let store_rewrite_keeps_kind () =
     (Invalid_argument "Log_store.rewrite: record kind changed") (fun () ->
       Log_store.rewrite log l (clr pad));
   Alcotest.(check bool) "record untouched" true (Log_store.read log l = upd)
+
+let store_rewrite_keeps_object () =
+  let log = Log_store.create () in
+  let upd = List.nth sample_records 1 in
+  let l = Log_store.append log upd in
+  let moved =
+    match upd.Record.body with
+    | Record.Update u ->
+        { upd with Record.body = Record.Update { u with Record.oid = oid 4 } }
+    | _ -> assert false
+  in
+  Alcotest.(check int) "same size" (String.length (Record.encode upd))
+    (String.length (Record.encode moved));
+  Alcotest.check_raises "an update cannot move to another object"
+    (Invalid_argument "Log_store.rewrite: record object changed") (fun () ->
+      Log_store.rewrite log l moved);
+  Alcotest.(check bool) "record untouched" true (Log_store.read log l = upd);
+  (* re-attributing it to another writer is what surgery does *)
+  Log_store.rewrite log l (Record.set_writer upd (xid 9));
+  Alcotest.(check (list int)) "still filed under its object" [ 1 ]
+    (List.map Lsn.to_int
+       (Log_store.index_walk log (Log_store.Object (oid 3)) ~from:Lsn.nil
+          ~upto:(Log_store.head log)))
 
 let control_walk_reads_only_control () =
   let log = Log_store.create () in
@@ -593,6 +656,8 @@ type ctl_op =
   | Crash of bool  (* tear the last record of a crashing flush *)
   | Truncate of int
   | Rewrite of int
+  | Heal of int
+  | Bitrot of int
   | Install
   | Reopen
   | Check of int * int
@@ -603,6 +668,8 @@ let pp_ctl_op = function
   | Crash torn -> Printf.sprintf "crash torn=%b" torn
   | Truncate k -> Printf.sprintf "truncate %d" k
   | Rewrite k -> Printf.sprintf "rewrite %d" k
+  | Heal k -> Printf.sprintf "heal %d" k
+  | Bitrot k -> Printf.sprintf "bitrot %d" k
   | Install -> "install_archive"
   | Reopen -> "reopen"
   | Check (a, b) -> Printf.sprintf "check %d %d" a b
@@ -611,11 +678,13 @@ let gen_ctl_op =
   QCheck.Gen.(
     frequency
       [
-        (12, map (fun r -> Append r) gen_record);
+        (12, map (fun r -> Append (narrow r)) gen_record);
         (3, return Flush);
         (2, map (fun torn -> Crash torn) bool);
         (1, map (fun k -> Truncate k) nat);
         (2, map (fun k -> Rewrite k) nat);
+        (1, map (fun k -> Heal k) nat);
+        (1, map (fun k -> Bitrot k) nat);
         (1, return Install);
         (1, return Reopen);
         (3, map2 (fun a b -> Check (a, b)) nat nat);
@@ -634,16 +703,25 @@ let fresh_dir () =
   d
 
 (* Over random histories of every record kind — flushes, crashes with
-   torn tails, their amputation, truncation, in-place rewrites, archive
-   installs and cold reopens of a file-backed log — the control walk
-   yields exactly what a full scan filtered to control records yields,
-   over any range and for every kind filter. Then one durable record is
-   bit-flipped: if it is a control record the walk must raise at it,
-   and after a cold reopen (where its kind is no longer known) every
-   walk must, until the scrubber's heal restores it. *)
+   torn tails, their amputation, truncation, in-place rewrites, heals
+   and bit rot, archive installs and cold reopens of a file-backed log —
+   the control walk yields exactly what a full scan filtered to control
+   records yields, over any range and for every kind filter. And every
+   index walk — by kind, by object, by transaction — yields exactly the
+   indexed LSNs whose record is filed under its key, plus the records
+   of unknown kind: a reference kept beside the store holds what each
+   slot logically contains (rot in memory does not change it; a reopen
+   or an install re-reads it, and bytes that do not decode there are
+   unknown), down to the index floor and below the truncation horizon.
+   Then one durable record is bit-flipped: if it is a control record
+   the walk must raise at it, and after a cold reopen (where its kind is
+   no longer known) every walk must, and every index walk must name
+   it, until the scrubber's heal restores it. *)
 let control_index_matches_scan =
   QCheck.Test.make ~count:80
-    ~name:"control walk = full scan filtered to control records"
+    ~name:
+      "control walk = full scan filtered to control records, index walks = \
+       filtered decode"
     (QCheck.make
        ~print:(fun (ops, _) -> String.concat "; " (List.map pp_ctl_op ops))
        QCheck.Gen.(pair (list_size (int_range 1 60) gen_ctl_op) nat))
@@ -657,6 +735,43 @@ let control_index_matches_scan =
       let fault = Fault.create ~seed:5L () in
       let backend = ref (file_backend ()) in
       let log = ref (Log_store.create ~fault ~backend:!backend ()) in
+      (* slot -> what it holds ([None]: unknown), and its intact bytes *)
+      let truth : (int, Record.t option) Hashtbl.t = Hashtbl.create 64 in
+      let good : (int, string) Hashtbl.t = Hashtbl.create 64 in
+      let forget_from n =
+        Hashtbl.filter_map_inplace
+          (fun i v -> if i >= n then None else Some v)
+          truth
+      in
+      (* a reopen or an install: the index holds the loaded slots only,
+         and knows what they hold by decoding them *)
+      let reload () =
+        let low = Lsn.to_int (Log_store.truncated_below !log) - 1 in
+        Hashtbl.reset truth;
+        for i = low to Log_store.length !log - 1 do
+          Hashtbl.replace truth i
+            (Result.to_option (Record.decode (Log_store.raw_get !log ~idx:i)))
+        done
+      in
+      let check_index ~from ~upto =
+        List.iter
+          (fun key ->
+            let lo = max 1 (Lsn.to_int from) and hi = Lsn.to_int upto in
+            let want =
+              List.sort Lsn.compare
+                (Hashtbl.fold
+                   (fun i r acc ->
+                     let l = i + 1 in
+                     if l >= lo && l <= hi
+                        && (match r with None -> true | Some r -> filed key r)
+                     then lsn l :: acc
+                     else acc)
+                   truth [])
+            in
+            if Log_store.index_walk !log key ~from ~upto <> want then
+              QCheck.Test.fail_reportf "index walk differs over [%d, %d]" lo hi)
+          index_keys
+      in
       let check ~from ~upto =
         List.iter
           (fun kind ->
@@ -666,20 +781,35 @@ let control_index_matches_scan =
               | None -> upto
               | Some (c, _) -> Lsn.of_int (Lsn.to_int c - 1)
             in
-            if walk_control ?kind !log ~from ~upto <> expected then
-              QCheck.Test.fail_reportf "walk differs from scan over [%d, %d]"
-                (Lsn.to_int from) (Lsn.to_int upto))
-          walk_kinds
+            let got = walk_control ?kind !log ~from ~upto in
+            if got <> expected then
+              QCheck.Test.fail_reportf
+                "walk differs from scan over [%d, %d]: walk %s, scan %s"
+                (Lsn.to_int from) (Lsn.to_int upto) (lsns got) (lsns expected))
+          walk_kinds;
+        check_index ~from ~upto
       in
       (* a torn tail is observable until restart amputates it; nothing
          is appended behind it (an untorn crash may be appended to
          directly) *)
       let restart () =
         check ~from:Lsn.nil ~upto:(Log_store.head !log);
-        ignore (Log_store.recover_tail !log)
+        ignore (Log_store.recover_tail !log);
+        forget_from (Log_store.length !log)
+      in
+      (* a durable retained record other than the last: rot there is
+         never amputated, so the master checkpoint survives it *)
+      let durable_slot k =
+        let low = Lsn.to_int (Log_store.truncated_below !log) - 1 in
+        let n = Lsn.to_int (Log_store.durable !log) - 1 - low in
+        if n > 0 then Some (low + (k mod n)) else None
       in
       let apply = function
-        | Append r -> ignore (Log_store.append_reserved !log r)
+        | Append r ->
+            let i = Log_store.length !log in
+            ignore (Log_store.append_reserved !log r);
+            Hashtbl.replace truth i (Some r);
+            Hashtbl.replace good i (Record.encode r)
         | Flush -> Log_store.flush !log ~upto:(Log_store.head !log)
         | Crash torn ->
             if torn && Lsn.(Log_store.durable !log < Log_store.head !log)
@@ -692,6 +822,7 @@ let control_index_matches_scan =
               Fault.disarm_crash fault
             end;
             Log_store.crash !log;
+            forget_from (Log_store.length !log);
             if torn then restart ()
             else check ~from:Lsn.nil ~upto:(Log_store.head !log)
         | Truncate k ->
@@ -707,11 +838,39 @@ let control_index_matches_scan =
             let n = Lsn.to_int (Log_store.head !log) - tb + 1 in
             if n > 0 then
               let l = lsn (tb + (k mod n)) in
-              match Log_store.read_result !log l with
-              | Ok ({ Record.xid = Some _; _ } as r) ->
-                  Log_store.rewrite !log l (Record.set_writer r (xid 7))
-              | Ok r -> Log_store.rewrite !log l r
-              | Error _ -> ())
+              let r' =
+                match Log_store.read_result !log l with
+                | Ok ({ Record.xid = Some _; _ } as r) ->
+                    Some (Record.set_writer r (xid 7))
+                | Ok r -> Some r
+                | Error _ -> None
+              in
+              match r' with
+              | Some r' ->
+                  Log_store.rewrite !log l r';
+                  Hashtbl.replace truth (Lsn.to_int l - 1) (Some r');
+                  Hashtbl.replace good (Lsn.to_int l - 1) (Record.encode r')
+              | None -> ())
+        | Heal k -> (
+            match durable_slot k with
+            | Some i -> (
+                match Hashtbl.find_opt good i with
+                | Some s
+                  when String.length s
+                       = String.length (Log_store.raw_get !log ~idx:i) ->
+                    Log_store.heal_record !log ~idx:i s;
+                    Hashtbl.replace truth i (Result.to_option (Record.decode s))
+                | _ -> ())
+            | None -> ())
+        | Bitrot k ->
+            Option.iter
+              (fun i ->
+                Log_store.bitrot_record !log ~idx:i;
+                if Hashtbl.find truth i = None then
+                  Hashtbl.replace truth i
+                    (Result.to_option
+                       (Record.decode (Log_store.raw_get !log ~idx:i))))
+              (durable_slot k)
         | Install ->
             let old = !log in
             let low = Lsn.to_int (Log_store.truncated_below old) - 1 in
@@ -724,10 +883,12 @@ let control_index_matches_scan =
             Log_store.close old;
             backend := file_backend ();
             log := Log_store.create ~fault ~backend:!backend ();
-            Log_store.install_archive !log ~low ~master frames
+            Log_store.install_archive !log ~low ~master frames;
+            reload ()
         | Reopen ->
             Log_store.close !log;
             log := Log_store.create ~fault ~backend:!backend ();
+            reload ();
             restart ()
         | Check (a, b) ->
             let span = Lsn.to_int (Log_store.head !log) + 2 in
@@ -739,6 +900,17 @@ let control_index_matches_scan =
           List.iter Backend.remove_tree !dirs)
         (fun () ->
           List.iter apply ops;
+          check ~from:Lsn.nil ~upto:(Log_store.head !log);
+          (* the scrubber's pass: heal every rotted durable record, so the
+             flip below is the only rot *)
+          for i = Lsn.to_int (Log_store.truncated_below !log) - 1
+              to Lsn.to_int (Log_store.durable !log) - 1 do
+            if not (Log_store.record_intact !log ~idx:i) then begin
+              Log_store.heal_record !log ~idx:i (Hashtbl.find good i);
+              Hashtbl.replace truth i
+                (Result.to_option (Record.decode (Hashtbl.find good i)))
+            end
+          done;
           check ~from:Lsn.nil ~upto:(Log_store.head !log);
           let tb = Lsn.to_int (Log_store.truncated_below !log) in
           let d = Lsn.to_int (Log_store.durable !log) in
@@ -769,7 +941,8 @@ let control_index_matches_scan =
                   then QCheck.Test.fail_reportf "rot at %a misreported" Lsn.pp l)
                 walk_kinds;
               (* reopened, the rotted record's kind is unknown: every walk
-                 raises at it; healed, it is classified again *)
+                 raises at it, and every index walk names it; healed, it
+                 is classified again *)
               Log_store.close !log;
               log := Log_store.create ~backend:!backend ();
               List.iter
@@ -778,7 +951,18 @@ let control_index_matches_scan =
                     QCheck.Test.fail_reportf "rot at %a not raised after reopen"
                       Lsn.pp l)
                 walk_kinds;
+              List.iter
+                (fun key ->
+                  if not
+                       (List.mem l
+                          (Log_store.index_walk !log key ~from:Lsn.nil
+                             ~upto:(Log_store.head !log)))
+                  then
+                    QCheck.Test.fail_reportf
+                      "unknown record at %a skipped by an index walk" Lsn.pp l)
+                index_keys;
               Log_store.heal_record !log ~idx intact;
+              reload ();
               check ~from:Lsn.nil ~upto:(Log_store.head !log));
           true))
 
@@ -802,6 +986,8 @@ let suite =
     Alcotest.test_case "set_prev_for on delegate records" `Quick set_prev_for_delegate;
     Alcotest.test_case "store rewrite keeps the control kind" `Quick
       store_rewrite_keeps_kind;
+    Alcotest.test_case "store rewrite keeps the object" `Quick
+      store_rewrite_keeps_object;
     Alcotest.test_case "control walk reads only control records" `Quick
       control_walk_reads_only_control;
     QCheck_alcotest.to_alcotest control_index_matches_scan;
