@@ -17,6 +17,8 @@ module Log_stats = Ariesrh_wal.Log_stats
 module Buffer_pool = Ariesrh_storage.Buffer_pool
 module Ob_list = Ariesrh_txn.Ob_list
 module Obs = Ariesrh_obs
+module Sharded = Ariesrh_shard.Sharded
+module Prng = Ariesrh_util.Prng
 
 let header title claim =
   Format.printf "@.=== %s ===@.%s@.@." title claim
@@ -513,18 +515,30 @@ let e10 () =
     "Closed-loop clients colliding on a small object set, with waits-for\n\
      deadlock detection and youngest-victim aborts. Delegation transfers\n\
      locks along with responsibility; the engine state must still equal\n\
-     the sum of committed increments at every delegation rate.";
-  Format.printf "%-6s | %10s %9s %9s %10s %12s %7s@." "rate" "committed"
-    "waits" "deadlock" "victims" "delegations" "ok";
+     the sum of committed increments at every delegation rate. A\n\
+     delegation takes an operation's slot, so accesses (reads and adds\n\
+     tried, retries included) fall as the rate rises; waits/acc is the\n\
+     conflict rate per lock request.";
+  Format.printf "%-6s | %10s %9s %9s %9s %9s %8s %12s %6s@." "rate"
+    "committed" "accesses" "waits" "waits/acc" "deadlock" "aborted"
+    "delegations" "ok";
   List.iter
     (fun rate ->
-      let db = Db.create (Config.make ~n_objects:16 ~buffer_capacity:16 ()) in
-      let o =
-        Sim.run ~clients:8 ~txns_per_client:100 ~n_objects:12
-          ~delegation_rate:rate ~seed:21L db
+      let sh =
+        Sharded.create (Config.make ~n_objects:16 ~buffer_capacity:16 ())
       in
-      Format.printf "%-6.2f | %10d %9d %9d %10d %12d %7b@." rate o.committed
-        o.waits o.deadlocks o.aborted o.delegations o.state_ok)
+      let outcome = Storm.fresh_outcome () in
+      let clients =
+        Storm.Clients.create outcome sh
+          ~load:{ Storm.contended with n_objects = 12; p_delegate = rate }
+          ~rng:(Prng.create 21L)
+      in
+      let ok = Storm.Clients.run clients ~txns:100 in
+      let tl = Storm.Clients.tally clients in
+      Format.printf "%-6.2f | %10d %9d %9d %9.3f %9d %8d %12d %6b@." rate
+        tl.committed tl.accesses outcome.waits
+        (float_of_int outcome.waits /. float_of_int tl.accesses)
+        outcome.deadlocks tl.aborted tl.delegations ok)
     [ 0.0; 0.2; 0.5; 0.8 ]
 
 (* ------------------------------------------------------------------ *)
@@ -694,9 +708,13 @@ let e14 () =
 (* E15: sustained load on a bounded log                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* E15's client mix, which E16's group-commit counters reuse *)
+let e15_load = { Storm.contended with n_objects = 48; p_delegate = 0.25 }
+
 let e15 () =
   header "E15: sustained load on a bounded log (governor + backpressure)"
-    "The closed-loop simulator against a WAL with a hard byte budget: a\n\
+    "The shared client loop (E10's mix: reads, lock waits, op-level\n\
+     delegation) against a WAL with a hard byte budget: a\n\
      governor checkpoints, truncates and applies delegation-aware\n\
      backpressure; refused clients retry with exponential backoff. The\n\
      cost of keeping the log bounded differs per engine: every scope a\n\
@@ -714,14 +732,15 @@ let e15 () =
     (fun capacity ->
       List.iter
         (fun (name, impl) ->
-          let db =
-            Db.create
+          let sh =
+            Sharded.create
               (Config.make ~n_objects:64 ~buffer_capacity:16 ~impl
                  ~locking:true
                  ?log_capacity_bytes:
                    (if capacity = 0 then None else Some capacity)
                  ())
           in
+          let db = Sharded.db sh 0 in
           let gov = Governor.create db in
           let peak = ref 0.0 in
           let tick () =
@@ -729,24 +748,28 @@ let e15 () =
             let p = Db.log_pressure db in
             if p > !peak then peak := p
           in
-          let o, ms =
-            time (fun () ->
-                Sim.run ~clients:8 ~txns_per_client:60 ~n_objects:48
-                  ~delegation_rate:0.25 ~seed:31L ~tick db)
+          let clients =
+            Storm.Clients.create (Storm.fresh_outcome ()) sh ~load:e15_load
+              ~rng:(Prng.create 31L) ~backoff_base:4 ~max_backoff:64
+              ~max_retries:8
           in
+          let ok, ms =
+            time (fun () -> Storm.Clients.run clients ~txns:60 ~tick)
+          in
+          let o = Storm.Clients.tally clients in
           let gs = Governor.stats gov in
           let pinned =
             Lsn.to_int (Log_store.head (Db.log_store db))
             - Lsn.to_int (Db.truncation_horizon db)
           in
-          let tps = float_of_int o.Sim.committed /. (ms /. 1000.) in
-          assert o.Sim.state_ok;
+          let tps = float_of_int o.committed /. (ms /. 1000.) in
           Format.printf
             "%-8d %-6s | %9d %8.0f %9d %9d %9d | %6d %6d %7d | %8d %6.2f@."
-            capacity name o.Sim.committed tps o.Sim.stall_steps
-            o.Sim.overloads o.Sim.abandoned gs.Governor.checkpoints
-            gs.Governor.truncations gs.Governor.victims pinned !peak;
-          rows := (name, capacity, o, tps, gs, pinned, !peak) :: !rows)
+            capacity name o.committed tps o.stall_steps o.overloads
+            o.abandoned gs.Governor.checkpoints gs.Governor.truncations
+            gs.Governor.victims pinned !peak;
+          assert ok;
+          rows := (name, capacity, o, tps, gs, pinned, !peak, ok) :: !rows)
         [ ("rh", Config.Rh); ("lazy", Config.Lazy); ("eager", Config.Eager) ])
     (* 0 = unbounded: the no-governor baseline every bounded row is
        paying against *)
@@ -757,8 +780,8 @@ let e15 () =
       let oc = open_out path in
       let engines =
         List.rev_map
-          (fun (name, capacity, (o : Sim.outcome), tps,
-                (gs : Governor.stats), pinned, peak) ->
+          (fun (name, capacity, (o : Storm.tally), tps,
+                (gs : Governor.stats), pinned, peak, ok) ->
             Printf.sprintf
               {|    { "engine": %S, "capacity_bytes": %d, "committed": %d,
       "throughput_txn_per_s": %.1f, "stall_steps": %d, "backoffs": %d,
@@ -766,11 +789,10 @@ let e15 () =
       "delegations": %d, "checkpoints": %d, "truncations": %d,
       "records_truncated": %d, "governor_victims": %d,
       "pinned_records": %d, "peak_pressure": %.3f, "state_ok": %b }|}
-              name capacity o.Sim.committed tps o.Sim.stall_steps
-              o.Sim.backoffs o.Sim.overloads o.Sim.log_fulls o.Sim.abandoned
-              o.Sim.victimized o.Sim.delegations gs.Governor.checkpoints
-              gs.Governor.truncations gs.Governor.records_truncated
-              gs.Governor.victims pinned peak o.Sim.state_ok)
+              name capacity o.committed tps o.stall_steps o.backoffs
+              o.overloads o.log_fulls o.abandoned o.victimized o.delegations
+              gs.Governor.checkpoints gs.Governor.truncations
+              gs.Governor.records_truncated gs.Governor.victims pinned peak ok)
           !rows
       in
       Printf.fprintf oc
@@ -845,7 +867,6 @@ let e16 () =
      an inline two-shard store, crashed at 90% and restarted once. Each
      shard's forward pass plus the router's transfer resolution. *)
   let restart_reads_2shard impl =
-    let module Sharded = Ariesrh_shard.Sharded in
     let sh = Shard_driver.fresh ~impl ~shards:2 ~n_objects:128 () in
     let homes = Shard_driver.assign_homes restart_script ~shards:2 in
     Shard_driver.run
@@ -916,18 +937,19 @@ let e16 () =
   (* (c) group commit: the same contended simulator run with commits
      forced one by one vs batched 8 at a time. *)
   let sim_flushes impl ~group_commit =
-    let db =
-      Db.create
+    let sh =
+      Sharded.create
         (Config.make ~n_objects:64 ~buffer_capacity:16 ~impl ~locking:true
            ~group_commit ())
     in
-    let o =
-      Sim.run ~clients:8 ~txns_per_client:60 ~n_objects:48
-        ~delegation_rate:0.25 ~seed:31L db
+    let clients =
+      Storm.Clients.create (Storm.fresh_outcome ()) sh ~load:e15_load
+        ~rng:(Prng.create 31L)
     in
-    Db.flush_commits db;
-    assert o.Sim.state_ok;
-    ((Log_store.stats (Db.log_store db)).Log_stats.flushes, o.Sim.committed)
+    assert (Storm.Clients.run clients ~txns:60);
+    Sharded.flush_commits sh;
+    ( (Log_store.stats (Db.log_store (Sharded.db sh 0))).Log_stats.flushes,
+      (Storm.Clients.tally clients).committed )
   in
   (* (d) scope probes: a delegation-heavy script plus one crash/recover,
      so both normal-processing partition (split_out) and recovery
@@ -1105,7 +1127,6 @@ let e18 () =
      clean-sweep baseline.";
   let module Scrubber = Ariesrh_maintenance.Scrubber in
   let module Disk = Ariesrh_storage.Disk in
-  let module Prng = Ariesrh_util.Prng in
   let n_objects = 128 and txns = 8_000 in
   let workload ~batch =
     let db =
@@ -1417,7 +1438,6 @@ let e20 () =
      Committed-transaction throughput should scale with shard count;\n\
      the gate (>= ARIESRH_E20_MIN_SCALE x at 4 shards, default 2.0)\n\
      applies only where the host grants >= 4 domains.";
-  let module Sharded = Ariesrh_shard.Sharded in
   let module Shard_pool = Ariesrh_shard.Shard_pool in
   let txns_per_shard = 3000 in
   let ops_per_txn = 4 in
@@ -1638,7 +1658,6 @@ let e21 () =
     end
     else begin
       let module Shard_pool = Ariesrh_shard.Shard_pool in
-      let module Sharded = Ariesrh_shard.Sharded in
       let shards = 4 in
       let txns = List.nth lengths (List.length lengths - 1) in
       let pool = Shard_pool.create shards in

@@ -615,23 +615,30 @@ let sim_cmd =
   in
   let rate =
     Arg.(value & opt float 0.2
-         & info [ "delegation-rate" ] ~doc:"Probability a txn ends by \
-                                            delegating its work.")
+         & info [ "delegation-rate" ] ~doc:"Chance an operation delegates \
+                                            an object or update it holds.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Seed.") in
   let run obs (_ : backend_sel) clients txns objects rate seed =
-    let db =
-      Db.create (Config.make ~n_objects:(max 32 objects) ~buffer_capacity:32 ())
+    let sh =
+      Ariesrh_shard.Sharded.create
+        (Config.make ~n_objects:(max 32 objects) ~buffer_capacity:32 ())
     in
-    let o =
-      Sim.run ~clients ~txns_per_client:txns ~n_objects:objects
-        ~delegation_rate:rate ~seed:(Int64.of_int seed) db
+    let outcome = Storm.fresh_outcome () in
+    let load =
+      { Storm.contended with clients; n_objects = objects; p_delegate = rate }
     in
+    let cl =
+      Storm.Clients.create outcome sh ~load
+        ~rng:(Ariesrh_util.Prng.create (Int64.of_int seed))
+    in
+    let ok = Storm.Clients.run cl ~txns in
+    let tl = Storm.Clients.tally cl in
     Format.printf
       "committed=%d waits=%d deadlocks=%d victims=%d delegations=%d@."
-      o.committed o.waits o.deadlocks o.aborted o.delegations;
+      tl.committed outcome.waits outcome.deadlocks tl.aborted tl.delegations;
     Format.printf "state %s the committed-increment sums@."
-      (if o.state_ok then "matches" else "DOES NOT MATCH");
+      (if ok then "matches" else "DOES NOT MATCH");
     finish obs
   in
   Cmd.v

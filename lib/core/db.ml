@@ -427,6 +427,11 @@ let record_cost body = Record.encoded_size (Record.mk probe_xid ~prev:Lsn.nil bo
 let base_cost = record_cost Record.Abort + record_cost Record.End
 let anchor_cost = record_cost Record.Anchor
 
+let delegate_cost =
+  record_cost
+    (Record.Delegate
+       { tee = probe_xid; tee_prev = Lsn.nil; oid = Oid.of_int 0; op = None })
+
 let clr_cost (u : Record.update) =
   record_cost
     (Record.Clr
@@ -990,6 +995,25 @@ let xfer_end t ~xfer_id ~oid ~committed =
 
 (* --- delegation --- *)
 
+(* The logical [Delegate] record of an object-granularity delegation,
+   on both chains: admission-checked, or, with [reserved], appended into
+   space reserved up front. *)
+let append_delegate t ~reserved (tor_info : Txn_table.info)
+    (tee_info : Txn_table.info) oid =
+  let r =
+    Record.mk tor_info.Txn_table.xid ~prev:tor_info.last_lsn
+      (Record.Delegate
+         { tee = tee_info.Txn_table.xid; tee_prev = tee_info.last_lsn; oid;
+           op = None })
+  in
+  let lsn =
+    if reserved then Log_store.append_reserved t.log r
+    else Log_store.append t.log r
+  in
+  tor_info.last_lsn <- lsn;
+  tee_info.last_lsn <- lsn;
+  lsn
+
 (* Crash-atomic eager delegation (the §3.2 baseline hardened): plan the
    full chain surgery, secure log space for the whole protocol up front,
    force an intent record plus per-target before/after images, apply the
@@ -1002,8 +1026,8 @@ let xfer_end t ~xfer_id ~oid ~committed =
    runs degraded until a restart heals the log. Returns the LSNs of the
    update records re-attributed to the delegatee ([] on the logical
    paths). *)
-let delegate_eager t (tor_info : Txn_table.info) (tee_info : Txn_table.info)
-    oid =
+let delegate_eager t ~reserved (tor_info : Txn_table.info)
+    (tee_info : Txn_table.info) oid =
   let from_ = tor_info.Txn_table.xid and to_ = tee_info.Txn_table.xid in
   let anchors = 2 * anchor_cost in
   let plan = Rewrite.plan_eager t.env ~tor_info ~tee_info oid in
@@ -1012,19 +1036,32 @@ let delegate_eager t (tor_info : Txn_table.info) (tee_info : Txn_table.info)
       Obs.Ring.emit t.ring
         (Obs.Event.Delegate { from_; to_; oid; lsn; op_lsn = None })
   in
-  if plan.Rewrite.patches = [] then begin
-    (* no live records to move: no surgery, just the durable chain-head
-       anchors; [Log_full] here aborts the delegation cleanly *)
-    Log_store.reserve t.log ~bytes:anchors ~records:2;
-    let anchor_lsn = append_on_chain_reserved t tor_info Record.Anchor in
-    ignore (append_on_chain_reserved t tee_info Record.Anchor);
-    Log_store.unreserve t.log ~bytes:anchors ~records:2;
-    Log_store.flush t.log ~upto:(Log_store.head t.log);
-    emit_delegate anchor_lsn;
-    tor_info.undo_next <- tor_info.last_lsn;
-    tee_info.undo_next <- tee_info.last_lsn;
+  (* degraded-mode fallback: record the delegation logically and let the
+     next restart heal the log via the lazy recovery path *)
+  let fallback () =
+    let lsn = append_delegate t ~reserved tor_info tee_info oid in
+    t.degraded <- true;
+    t.env.Env.rewrite_fallbacks <- t.env.Env.rewrite_fallbacks + 1;
+    if tracing t then
+      Obs.Ring.emit t.ring (Obs.Event.Rewrite_fallback { from_; to_; oid });
+    emit_delegate lsn;
     []
-  end
+  in
+  if plan.Rewrite.patches = [] then
+    (* no live records to move: no surgery, just the durable chain-head
+       anchors; [Log_full] here aborts the delegation cleanly — unless
+       the logical record's space is reserved, which then carries it *)
+    match Log_store.reserve t.log ~bytes:anchors ~records:2 with
+    | exception Log_store.Log_full _ when reserved -> fallback ()
+    | () ->
+        let anchor_lsn = append_on_chain_reserved t tor_info Record.Anchor in
+        ignore (append_on_chain_reserved t tee_info Record.Anchor);
+        Log_store.unreserve t.log ~bytes:anchors ~records:2;
+        Log_store.flush t.log ~upto:(Log_store.head t.log);
+        emit_delegate anchor_lsn;
+        tor_info.undo_next <- tor_info.last_lsn;
+        tee_info.undo_next <- tee_info.last_lsn;
+        []
   else begin
     let sbytes, srecords =
       Rewrite.surgery_cost ~deleg:(from_, to_, oid) plan.Rewrite.patches
@@ -1069,30 +1106,16 @@ let delegate_eager t (tor_info : Txn_table.info) (tee_info : Txn_table.info)
       tee_info.undo_next <- tee_info.last_lsn;
       plan.Rewrite.moved
     end
-    else begin
-      (* degraded-mode fallback: surgery space cannot be found — record
-         the delegation logically (admission-checked; [Log_full]
-         propagates before any state change) and let the next restart
-         heal the log via the lazy recovery path *)
-      let lsn =
-        Log_store.append t.log
-          (Record.mk from_ ~prev:tor_info.last_lsn
-             (Record.Delegate
-                { tee = to_; tee_prev = tee_info.last_lsn; oid; op = None }))
-      in
-      tor_info.last_lsn <- lsn;
-      tee_info.last_lsn <- lsn;
-      t.degraded <- true;
-      t.env.Env.rewrite_fallbacks <- t.env.Env.rewrite_fallbacks + 1;
-      if tracing t then
-        Obs.Ring.emit t.ring (Obs.Event.Rewrite_fallback { from_; to_; oid });
-      emit_delegate lsn;
-      []
-    end
+    else
+      (* surgery space cannot be found: fall back (admission-checked
+         unless reserved; [Log_full] propagates before any state
+         change) *)
+      fallback ()
   end
 
-let delegate t ~from_ ~to_ oid =
-  check_oid t oid;
+(* The checks every object-granularity delegation passes before it
+   changes anything. *)
+let check_delegation t ~from_ ~to_ =
   let tor_info = active_exn t from_ in
   let tee_info = active_exn t to_ in
   if Xid.equal from_ to_ then invalid_arg "Db.delegate: delegator = delegatee";
@@ -1100,26 +1123,26 @@ let delegate t ~from_ ~to_ oid =
     raise
       (Errors.Overloaded
          { xid = Some from_; reason = Errors.Delegation_refused });
-  if not (Ob_list.mem tor_info.ob_list oid) then
-    raise (Errors.Not_responsible { xid = from_; oid });
+  (tor_info, tee_info)
+
+(* Move one object the delegator is responsible for. With [reserved],
+   the space of its logical [Delegate] record was reserved up front:
+   nothing here can refuse, and the reservation is released once the
+   object has moved, whichever record carried it. *)
+let delegate_object t ~reserved (tor_info : Txn_table.info)
+    (tee_info : Txn_table.info) oid =
+  let from_ = tor_info.Txn_table.xid and to_ = tee_info.Txn_table.xid in
   let moved =
     match t.config.Config.impl with
     | Config.Rh | Config.Lazy ->
         (* admission-checked; [Log_full] propagates before any state
            change, so a refused delegation is a clean no-op *)
-        let lsn =
-          Log_store.append t.log
-            (Record.mk from_ ~prev:tor_info.last_lsn
-               (Record.Delegate
-                  { tee = to_; tee_prev = tee_info.last_lsn; oid; op = None }))
-        in
-        tor_info.last_lsn <- lsn;
-        tee_info.last_lsn <- lsn;
+        let lsn = append_delegate t ~reserved tor_info tee_info oid in
         if tracing t then
           Obs.Ring.emit t.ring
             (Obs.Event.Delegate { from_; to_; oid; lsn; op_lsn = None });
         []
-    | Config.Eager -> delegate_eager t tor_info tee_info oid
+    | Config.Eager -> delegate_eager t ~reserved tor_info tee_info oid
   in
   (match Ob_list.take tor_info.ob_list oid with
   | None -> assert false
@@ -1134,6 +1157,7 @@ let delegate t ~from_ ~to_ oid =
   if moved <> [] then
     tee_info.ob_list <- Ob_list.absorb tee_info.ob_list ~owner:to_ ~oid moved;
   move_reserved_object t ~from_ ~to_ oid;
+  if reserved then Log_store.unreserve t.log ~bytes:delegate_cost ~records:1;
   t.stats.delegations <- t.stats.delegations + 1;
   if tracing t then
     Obs.Ring.emit t.ring (Obs.Event.Scope_transfer { from_; to_; oid });
@@ -1142,6 +1166,13 @@ let delegate t ~from_ ~to_ oid =
     if tracing t then
       Obs.Ring.emit t.ring (Obs.Event.Lock_transfer { from_; to_; oid })
   end
+
+let delegate t ~from_ ~to_ oid =
+  check_oid t oid;
+  let tor_info, tee_info = check_delegation t ~from_ ~to_ in
+  if not (Ob_list.mem tor_info.ob_list oid) then
+    raise (Errors.Not_responsible { xid = from_; oid });
+  delegate_object t ~reserved:false tor_info tee_info oid
 
 let delegate_update t ~from_ ~to_ oid op_lsn =
   check_oid t oid;
@@ -1218,11 +1249,18 @@ let delegate_update t ~from_ ~to_ oid op_lsn =
             raise (Errors.Conflict { requester = to_; holders })
       end
 
+(* All or nothing: every refusal is raised before the first object
+   moves. The logical record of each object is reserved up front, so no
+   per-object [Log_full] can strike midway, and eager's per-object
+   fallback draws on that reservation when surgery space runs out. *)
 let delegate_all t ~from_ ~to_ =
-  let tor_info = active_exn t from_ in
-  List.iter
-    (fun oid -> delegate t ~from_ ~to_ oid)
-    (Ob_list.objects tor_info.ob_list)
+  match Ob_list.objects (active_exn t from_).ob_list with
+  | [] -> ()
+  | oids ->
+      let tor_info, tee_info = check_delegation t ~from_ ~to_ in
+      let n = List.length oids in
+      Log_store.reserve t.log ~bytes:(n * delegate_cost) ~records:n;
+      List.iter (delegate_object t ~reserved:true tor_info tee_info) oids
 
 let responsible_objects t xid = Ob_list.objects (info_exn t xid).ob_list
 

@@ -171,7 +171,15 @@ val delegate_update : t -> from_:Xid.t -> to_:Xid.t -> Oid.t -> Lsn.t -> unit
 
 val delegate_all : t -> from_:Xid.t -> to_:Xid.t -> unit
 (** Delegate every object in the delegator's Ob_List (the [delegate
-    (t2, t1)] form used by join and nested commit in §2.2). *)
+    (t2, t1)] form used by join and nested commit in §2.2).
+
+    All or nothing: it either moves every object or raises before moving
+    any. The typed refusals ([Errors.Overloaded], and
+    [Ariesrh_wal.Log_store.Log_full] when the logical [Delegate] records
+    of all the objects do not fit) are raised up front; the space of
+    those records is reserved before the first object moves, so eager's
+    per-object surgery falls back to its reserved logical record instead
+    of refusing midway. A delegator with an empty Ob_List is a no-op. *)
 
 val permit : t -> holder:Xid.t -> grantee:Xid.t -> unit
 (** ASSET's [permit]: the grantee's lock requests ignore locks held by

@@ -54,7 +54,8 @@ type sim_config = {
 
 let default_sim =
   {
-    load = { clients = 4; ops_per_txn = 6; n_objects = 48; p_delegate = 0.25 };
+    load = { clients = 4; ops_per_txn = 6; n_objects = 48; p_delegate = 0.25;
+             p_read = 0.; p_op = 0. };
     steps = 600;
     checkpoint_every = 5;
     crash_every = 11;
@@ -64,10 +65,10 @@ let default_sim =
    several shards, a migration that finds the object locked by another
    shard's client is refused by the router and the client skips that op
    — under the same crash schedule as everything else. *)
-let run_sim ?(config = default_config) ?(sim = default_sim) () =
+let run_sim ?(config = default_config) ?impl ?(sim = default_sim) () =
   let outcome = Storm.fresh_outcome () in
   let n_objects = sim.load.n_objects in
-  Storm.with_engine config ~tag:"sim-storm" ~salt:0x5117 ~n_objects
+  Storm.with_engine config ?impl ~tag:"sim-storm" ~salt:0x5117 ~n_objects
   @@ fun fault sh ->
   let clients =
     Storm.Clients.create outcome sh ~load:sim.load

@@ -45,11 +45,19 @@ type sim_config = {
 
 val default_sim : sim_config
 
-val run_sim : ?config:config -> ?sim:sim_config -> unit -> outcome
-(** Closed-loop simulated storm: the {!Storm.Clients} loop with periodic
-    checkpoints and a crash armed every [crash_every] I/Os. Clients are
-    dealt round-robin onto shards; with several, most touches migrate
-    an object first and contended migrations are refused and skipped.
+val run_sim :
+  ?config:config ->
+  ?impl:Config.delegation_impl ->
+  ?sim:sim_config ->
+  unit ->
+  outcome
+(** Closed-loop simulated storm on [impl] (default [Rh]): the
+    {!Storm.Clients} loop with periodic checkpoints and a crash armed
+    every [crash_every] I/Os. Clients are dealt round-robin onto shards;
+    with several, most touches migrate an object first and contended
+    migrations are refused and skipped. A load with reads adds lock
+    waits and deadlock victims (counted in the outcome's [waits] and
+    [deadlocks]) to the crash schedule.
     State is reconciled after every restart against the clients'
     responsibility ledger filtered by the durable commit set. Failing
     check rounds dump as kind [sim] ([shard-sim] with several shards). *)

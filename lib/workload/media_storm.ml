@@ -31,7 +31,8 @@ type config = {
 let default_config =
   {
     seed = 1L;
-    load = { clients = 4; ops_per_txn = 6; n_objects = 48; p_delegate = 0.2 };
+    load = { clients = 4; ops_per_txn = 6; n_objects = 48; p_delegate = 0.2;
+             p_read = 0.; p_op = 0. };
     rounds = 12;
     steps_per_round = 80;
     crash_every_rounds = 3;

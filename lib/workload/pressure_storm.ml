@@ -34,7 +34,8 @@ let default_config =
   {
     seed = 1L;
     impl = Config.Rh;
-    load = { clients = 4; ops_per_txn = 6; n_objects = 48; p_delegate = 0.25 };
+    load = { clients = 4; ops_per_txn = 6; n_objects = 48; p_delegate = 0.25;
+             p_read = 0.; p_op = 0. };
     steps = 800;
     capacity_bytes = 6144;
     crash_every = 40;

@@ -7,6 +7,8 @@ module Backend = Ariesrh_storage.Backend
 module Sharded = Ariesrh_shard.Sharded
 module Prng = Ariesrh_util.Prng
 module Temporal = Ariesrh_temporal.Temporal
+module Deadlock = Ariesrh_lock.Deadlock
+module Metrics = Ariesrh_obs.Metrics
 
 (* The storm core: one engine handle (a [Sharded.t], one shard being a
    plain [Db] byte for byte), one escalating crash-point sweep, one
@@ -73,6 +75,8 @@ type outcome = {
   mutable degraded_serves : int;
   mutable foreground_repairs : int;
   mutable twin_checks : int;
+  mutable waits : int;
+  mutable deadlocks : int;
   mutable failures : string list;
 }
 
@@ -100,6 +104,8 @@ let fresh_outcome () =
     degraded_serves = 0;
     foreground_repairs = 0;
     twin_checks = 0;
+    waits = 0;
+    deadlocks = 0;
     failures = [];
   }
 
@@ -130,6 +136,8 @@ let merge a b =
     degraded_serves = a.degraded_serves + b.degraded_serves;
     foreground_repairs = a.foreground_repairs + b.foreground_repairs;
     twin_checks = a.twin_checks + b.twin_checks;
+    waits = a.waits + b.waits;
+    deadlocks = a.deadlocks + b.deadlocks;
     failures = b.failures @ a.failures;
   }
 
@@ -184,23 +192,24 @@ let dump ?fault ~forensic_dir ~seed ~kind ?crash_io ?tag ?expected
       gate true
   | _ -> ()
 
-(* The responsibility ledger: holder -> increments it is currently
-   responsible for. Entries move on delegation and never otherwise; the
-   expected state sums the entries of the holders that count (durably
-   committed, or committed at or below some LSN). A commit record's
-   force covers every earlier delegate record, so a durable commit
-   implies its delegated-in entries' transfers are durable too. *)
+(* The responsibility ledger: holder -> the increments it is currently
+   responsible for, each as (object, delta, update LSN). Entries move on
+   delegation and never otherwise — a whole object's entries together,
+   or one update's alone; the expected state sums the entries of the
+   holders that count (durably committed, or committed at or below some
+   LSN). A commit record's force covers every earlier delegate record,
+   so a durable commit implies its delegated-in entries' transfers are
+   durable too. *)
 module Ledger = struct
-  type 'x t = ('x, (int * int) list) Hashtbl.t
+  type 'x t = ('x, (int * int * Lsn.t) list) Hashtbl.t
 
   let create () : 'x t = Hashtbl.create 64
   let entries t x = Option.value ~default:[] (Hashtbl.find_opt t x)
-  let add t x o d = Hashtbl.replace t x ((o, d) :: entries t x)
+  let add t x o d lsn = Hashtbl.replace t x ((o, d, lsn) :: entries t x)
 
-  let move t ~from_ ~to_ o =
-    let moved, kept =
-      List.partition (fun (o', _) -> o' = o) (entries t from_)
-    in
+  (* Move the entries [moves] selects: an object's, or one update's. *)
+  let move t ~from_ ~to_ moves =
+    let moved, kept = List.partition moves (entries t from_) in
     Hashtbl.replace t from_ kept;
     Hashtbl.replace t to_ (moved @ entries t to_)
 
@@ -208,7 +217,7 @@ module Ledger = struct
     let v = Array.make n_objects 0 in
     Hashtbl.iter
       (fun x es ->
-        if counts x then List.iter (fun (o, d) -> v.(o) <- v.(o) + d) es)
+        if counts x then List.iter (fun (o, d, _) -> v.(o) <- v.(o) + d) es)
       t;
     v
 end
@@ -580,51 +589,59 @@ let expect_no_tt_refusals outcome ~label =
 
 (* --- the client loop --- *)
 
-(* The seeded client mix every randomized storm runs. *)
+(* The seeded client mix every randomized client run uses. *)
 type load = {
   clients : int;
   ops_per_txn : int;
   n_objects : int;
   p_delegate : float;
+  p_read : float;
+  p_op : float;
 }
+
+let contended =
+  { clients = 8; ops_per_txn = 6; n_objects = 32; p_delegate = 0.2;
+    p_read = 0.3; p_op = 0.5 }
 
 (* What the clients did, and the typed refusals they absorbed. *)
 type tally = {
   mutable committed : int;
+  mutable accesses : int;
   mutable aborted : int;
   mutable delegations : int;
   mutable overloads : int;
   mutable log_fulls : int;
+  mutable recoverings : int;
   mutable backoffs : int;
+  mutable stall_steps : int;
   mutable abandoned : int;
   mutable victimized : int;
 }
 
-(* Clients are dealt round-robin onto shards and keep beginning their
-   transactions there; objects are picked uniformly, so with several
-   shards most touches hit an object homed elsewhere and go through a
-   live migration first. Every step draws from the PRNG in one fixed
-   order — begin / op count / delegate-or-add / object / delta /
-   commit-or-abort — and a typed refusal consumes no randomness:
-   - [Xfer_refused]: the object is locked on another shard; skip the op;
-   - [Overloaded] or [Log_full] (backpressure on a bounded log): keep
-     the responsibility, back off; a [Log_full] on an add also rolls
-     the transaction back — and a rollback that itself dies of log
-     pressure is a storm failure;
-   - victimization (the governor aborted the transaction): drop it and
-     back off.
-   Backoff is bounded and deterministic: an exponential delay in steps,
-   abandoning the retry after [max_retries]. A refusal a storm cannot
-   produce is simply never raised. The ledger is keyed by façade xid:
-   raw xids collide across shards. *)
+(* The contract is in the interface. A draw whose probability is 0 is
+   never made, so storms' fixed-seed schedules ignore the read and
+   op-level paths; the ledger is keyed by façade xid, since raw xids
+   collide across shards. *)
 module Clients = struct
+  type access = Read of int | Add of int * int
+
   type client = {
     mutable xid : Sharded.xid option;
     mutable ops_left : int;
     mutable touched : int list;  (* objects this txn is responsible for *)
+    mutable parked : access option;  (* the op waiting on a lock *)
     mutable backoff_until : int;
     mutable attempts : int;
+    mutable finished : int;  (* transactions committed or abandoned *)
+    mutable began : int;  (* I/O clock at begin *)
+    mutable cls : int;  (* index into [classes] *)
   }
+
+  (* begin->commit latency per class, in logical I/O-clock ticks (the
+     fault injector's deterministic I/O counter): inclusive bucket
+     bounds, one overflow slot beyond the last *)
+  let latency_bounds = [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512 |]
+  let classes = [| "read_only"; "writer"; "delegating" |]
 
   type t = {
     sh : Sharded.t;
@@ -632,8 +649,11 @@ module Clients = struct
     rng : Prng.t;
     outcome : outcome;
     ledger : Sharded.xid Ledger.t;
+    commits : (Sharded.xid, unit) Hashtbl.t;
+    graphs : Deadlock.t array;  (* waits-for, per shard *)
     tally : tally;
     clients : client array;
+    latency : Metrics.hist array;  (* per class *)
     checkpoint_every : int;
     backoff_base : int;
     max_backoff : int;
@@ -646,13 +666,23 @@ module Clients = struct
       sh; load; rng; outcome; checkpoint_every; backoff_base; max_backoff;
       max_retries;
       ledger = Ledger.create ();
+      commits = Hashtbl.create 64;
+      graphs = Array.init (Sharded.shards sh) (fun _ -> Deadlock.create ());
       tally =
-        { committed = 0; aborted = 0; delegations = 0; overloads = 0;
-          log_fulls = 0; backoffs = 0; abandoned = 0; victimized = 0 };
+        { committed = 0; accesses = 0; aborted = 0; delegations = 0;
+          overloads = 0; log_fulls = 0; recoverings = 0; backoffs = 0;
+          stall_steps = 0; abandoned = 0; victimized = 0 };
       clients =
         Array.init load.clients (fun _ ->
-            { xid = None; ops_left = 0; touched = []; backoff_until = 0;
-              attempts = 0 });
+            { xid = None; ops_left = 0; touched = []; parked = None;
+              backoff_until = 0; attempts = 0; finished = 0; began = 0;
+              cls = 0 });
+      latency =
+        Array.map
+          (fun _ ->
+            { Metrics.bounds = latency_bounds; sum = 0;
+              counts = Array.make (Array.length latency_bounds + 1) 0 })
+          classes;
     }
 
   let tally t = t.tally
@@ -663,15 +693,21 @@ module Clients = struct
   (* Open transactions, in client order. *)
   let active t = List.filter_map (fun c -> c.xid) (Array.to_list t.clients)
 
-  let drop c =
+  let fault t = Db.fault (Sharded.db t.sh 0)
+  let io_clock t = (Fault.stats (fault t)).Fault.ios
+
+  let drop t c =
+    Option.iter
+      (fun (x : Sharded.xid) -> Deadlock.remove_txn t.graphs.(x.shard) x.txn)
+      c.xid;
     c.xid <- None;
-    c.touched <- []
+    c.touched <- [];
+    c.parked <- None
 
   let reset t =
     Array.iter
       (fun c ->
-        drop c;
-        c.ops_left <- 0;
+        drop t c;
         c.backoff_until <- 0;
         c.attempts <- 0)
       t.clients
@@ -682,14 +718,16 @@ module Clients = struct
     c.attempts <- c.attempts + 1;
     if c.attempts > t.max_retries then begin
       t.tally.abandoned <- t.tally.abandoned + 1;
+      c.finished <- c.finished + 1;
       c.attempts <- 0
     end
     else begin
       t.tally.backoffs <- t.tally.backoffs + 1;
-      c.backoff_until <-
-        now
-        + min t.max_backoff
-            (t.backoff_base * (1 lsl min 16 (c.attempts - 1)))
+      let delay =
+        min t.max_backoff (t.backoff_base * (1 lsl min 16 (c.attempts - 1)))
+      in
+      t.tally.stall_steps <- t.tally.stall_steps + delay;
+      c.backoff_until <- now + delay
     end
 
   let abort t ~now x =
@@ -702,10 +740,24 @@ module Clients = struct
     | exception (Errors.No_such_txn _ | Errors.Txn_not_active _) ->
         t.tally.victimized <- t.tally.victimized + 1
 
+  let refused t = function
+    | Errors.Overloaded _ -> t.tally.overloads <- t.tally.overloads + 1
+    | Log_store.Log_full _ -> t.tally.log_fulls <- t.tally.log_fulls + 1
+    | _ -> t.tally.recoverings <- t.tally.recoverings + 1
+
   let victimized t c ~now =
     t.tally.victimized <- t.tally.victimized + 1;
-    drop c;
+    drop t c;
     backoff t c ~now
+
+  let observe_latency t c =
+    let d = io_clock t - c.began and h = t.latency.(c.cls) in
+    let b =
+      Option.value ~default:(Array.length latency_bounds)
+        (Array.find_index (fun bound -> d <= bound) latency_bounds)
+    in
+    h.counts.(b) <- h.counts.(b) + 1;
+    t.latency.(c.cls) <- { h with sum = h.sum + d }
 
   (* Commit, or one time in ten abort; a checkpoint every
      [checkpoint_every] commits. *)
@@ -716,15 +768,69 @@ module Clients = struct
     with
     | `Committed () ->
         t.tally.committed <- t.tally.committed + 1;
+        Hashtbl.replace t.commits x ();
+        observe_latency t c;
         c.attempts <- 0;
-        drop c;
+        c.finished <- c.finished + 1;
+        drop t c;
         if
           t.checkpoint_every > 0
           && t.tally.committed mod t.checkpoint_every = 0
         then Sharded.checkpoint t.sh
-    | `Aborted () -> drop c
+    | `Aborted () -> drop t c
     | exception (Errors.No_such_txn _ | Errors.Txn_not_active _) ->
         victimized t c ~now
+
+  (* A waits-for cycle through [x] aborts its youngest participant. *)
+  let break_deadlock t ~now (x : Sharded.xid) =
+    match Deadlock.cycle_through t.graphs.(x.shard) x.txn with
+    | None -> ()
+    | Some cycle ->
+        t.outcome.deadlocks <- t.outcome.deadlocks + 1;
+        let victim = Xid.Set.(max_elt (of_list cycle)) in
+        Array.iter
+          (fun c ->
+            match c.xid with
+            | Some y when y.shard = x.shard && Xid.equal y.txn victim ->
+                abort t ~now y;
+                drop t c
+            | _ -> ())
+          t.clients
+
+  (* One read or add; on a lock conflict the client parks on it. *)
+  let access t c ~now (x : Sharded.xid) a =
+    t.tally.accesses <- t.tally.accesses + 1;
+    let graph = t.graphs.(x.shard) in
+    match
+      match a with
+      | Read o -> ignore (Sharded.read t.sh x (Oid.of_int o))
+      | Add (o, d) ->
+          Sharded.add t.sh x (Oid.of_int o) d;
+          Ledger.add t.ledger x o d
+            (Db.last_lsn_of (Sharded.db t.sh x.shard) x.txn);
+          if not (List.mem o c.touched) then c.touched <- o :: c.touched;
+          c.cls <- max c.cls 1
+    with
+    | () ->
+        c.parked <- None;
+        Deadlock.clear_waits graph x.txn
+    | exception Errors.Conflict { holders; _ } ->
+        t.outcome.waits <- t.outcome.waits + 1;
+        c.parked <- Some a;
+        Deadlock.clear_waits graph x.txn;
+        List.iter (fun h -> Deadlock.add_wait graph ~waiter:x.txn ~holder:h)
+          holders;
+        break_deadlock t ~now x
+    | exception Errors.Xfer_refused _ -> c.parked <- None
+    | exception (Log_store.Log_full _ | Errors.Recovering _ as e) ->
+        refused t e;
+        abort t ~now x;
+        drop t c;
+        backoff t c ~now
+    | exception (Errors.No_such_txn _ | Errors.Txn_not_active _) ->
+        victimized t c ~now
+
+  let pick t l = List.nth l (Prng.int t.rng (List.length l))
 
   (* Delegation stays same-shard: cross-shard responsibility moves with
      the object, not across live transactions. *)
@@ -737,15 +843,55 @@ module Clients = struct
             cands := (i, x) :: !cands
         | _ -> ())
       t.clients;
-    match !cands with
-    | [] -> None
-    | l -> Some (List.nth l (Prng.int t.rng (List.length l)))
+    if !cands = [] then None else Some (pick t !cands)
+
+  (* Hand [y] one touched object or, with the op-level share, one update;
+     each successful call books its own move. *)
+  let delegate t c ~now x (yi, y) =
+    (* book a move of object [o]'s entries that [moves] selects *)
+    let moved o moves =
+      Ledger.move t.ledger ~from_:x ~to_:y moves;
+      if List.for_all (fun (o', _, _) -> o' <> o) (Ledger.entries t.ledger x)
+      then c.touched <- List.filter (fun o' -> o' <> o) c.touched;
+      t.clients.(yi).touched <- o :: t.clients.(yi).touched;
+      t.tally.delegations <- t.tally.delegations + 1;
+      c.cls <- 2
+    in
+    let whole o =
+      Sharded.delegate t.sh ~from_:x ~to_:y (Oid.of_int o);
+      moved o (fun (o', _, _) -> o' = o)
+    in
+    let one_update () =
+      let o, _, lsn = pick t (Ledger.entries t.ledger x) in
+      match Sharded.delegate_update t.sh ~from_:x ~to_:y (Oid.of_int o) lsn with
+      | () -> moved o (fun (_, _, l) -> Lsn.equal l lsn)
+      | exception Invalid_argument _ ->
+          (* read, then added: the upgraded lock moves only whole *)
+          whole o
+    in
+    match
+      if
+        t.load.p_op > 0.
+        && (Sharded.config t.sh).Config.impl <> Config.Eager
+        && Prng.float t.rng 1.0 < t.load.p_op
+      then one_update ()
+      else whole (pick t c.touched)
+    with
+    | () -> ()
+    | exception (Errors.Overloaded _ | Log_store.Log_full _ as e) ->
+        (* optional work refused under backpressure: keep the
+           responsibility and move on *)
+        refused t e
+    | exception (Errors.No_such_txn _ | Errors.Txn_not_active _) ->
+        (* this txn or the target was victimized *)
+        t.tally.victimized <- t.tally.victimized + 1;
+        if not (Sharded.is_active t.sh x) then drop t c;
+        backoff t c ~now
 
   (* One step of client [self] at scheduler time [now]; with
      [allow_begin] off an idle client stays idle (the drain). *)
   let step ?(allow_begin = true) t ~now self =
     let c = t.clients.(self) in
-    let tl = t.tally in
     if now >= c.backoff_until then
       match c.xid with
       | None when not allow_begin -> ()
@@ -754,55 +900,26 @@ module Clients = struct
           | x ->
               c.xid <- Some x;
               c.ops_left <- 1 + Prng.int t.rng t.load.ops_per_txn;
-              c.touched <- []
-          | exception Errors.Overloaded _ ->
-              tl.overloads <- tl.overloads + 1;
-              backoff t c ~now
-          | exception Log_store.Log_full _ ->
-              tl.log_fulls <- tl.log_fulls + 1;
+              c.touched <- [];
+              c.began <- io_clock t;
+              c.cls <- 0
+          | exception (Errors.Overloaded _ | Log_store.Log_full _ as e) ->
+              refused t e;
               backoff t c ~now)
+      | Some x when c.parked <> None -> access t c ~now x (Option.get c.parked)
       | Some x when c.ops_left > 0 -> (
           c.ops_left <- c.ops_left - 1;
           let delegate_now =
             c.touched <> [] && Prng.float t.rng 1.0 < t.load.p_delegate
           in
-          match (if delegate_now then other_active t self else None) with
-          | Some (yi, y) -> (
-              let o =
-                List.nth c.touched (Prng.int t.rng (List.length c.touched))
-              in
-              match Sharded.delegate t.sh ~from_:x ~to_:y (Oid.of_int o) with
-              | () ->
-                  tl.delegations <- tl.delegations + 1;
-                  Ledger.move t.ledger ~from_:x ~to_:y o;
-                  c.touched <- List.filter (fun o' -> o' <> o) c.touched;
-                  t.clients.(yi).touched <- o :: t.clients.(yi).touched
-              | exception Errors.Overloaded _ ->
-                  (* optional work refused under backpressure: keep the
-                     responsibility and move on *)
-                  tl.overloads <- tl.overloads + 1
-              | exception Log_store.Log_full _ ->
-                  tl.log_fulls <- tl.log_fulls + 1
-              | exception (Errors.No_such_txn _ | Errors.Txn_not_active _) ->
-                  (* this txn or the target was victimized *)
-                  tl.victimized <- tl.victimized + 1;
-                  if not (Sharded.is_active t.sh x) then drop c;
-                  backoff t c ~now)
-          | None -> (
+          match if delegate_now then other_active t self else None with
+          | Some target -> delegate t c ~now x target
+          | None ->
               let o = Prng.int t.rng t.load.n_objects in
-              let d = 1 + Prng.int t.rng 9 in
-              match Sharded.add t.sh x (Oid.of_int o) d with
-              | () ->
-                  Ledger.add t.ledger x o d;
-                  if not (List.mem o c.touched) then c.touched <- o :: c.touched
-              | exception Errors.Xfer_refused _ -> ()
-              | exception Log_store.Log_full _ ->
-                  tl.log_fulls <- tl.log_fulls + 1;
-                  abort t ~now x;
-                  drop c;
-                  backoff t c ~now
-              | exception (Errors.No_such_txn _ | Errors.Txn_not_active _) ->
-                  victimized t c ~now))
+              access t c ~now x
+                (if t.load.p_read > 0. && Prng.float t.rng 1.0 < t.load.p_read
+                 then Read o
+                 else Add (o, 1 + Prng.int t.rng 9)))
       | Some x -> finish t c ~now x
 
   (* For a storm with no governor and no log bound, which cannot refuse
@@ -820,12 +937,63 @@ module Clients = struct
   (* Finish every open transaction, so a check compares committed state
      only: the ledger knows nothing about in-flight adds. *)
   let settle t ~now =
-    Array.iter
-      (fun c ->
-        Option.iter (finish t c ~now) c.xid;
-        drop c;
-        c.ops_left <- 0)
-      t.clients
+    Array.iter (fun c -> Option.iter (finish t c ~now) c.xid) t.clients
+
+  (* Readable through shard 0's registry while the run is in flight;
+     registration replaces any previous run's sources. *)
+  let register_metrics t =
+    let m = Db.metrics (Sharded.db t.sh 0) and tl = t.tally in
+    List.iter
+      (fun (name, help, read) ->
+        Metrics.counter m ~help ("ariesrh_sim_" ^ name ^ "_total") read)
+      [
+        ("committed", "Sim transactions committed", fun () -> tl.committed);
+        ("aborted", "Sim transactions rolled back", fun () -> tl.aborted);
+        ("waits", "Sim lock waits", fun () -> t.outcome.waits);
+        ("deadlocks", "Deadlock cycles broken", fun () -> t.outcome.deadlocks);
+        ("delegations", "Sim delegations", fun () -> tl.delegations);
+        ("overloads", "Overloaded refusals", fun () -> tl.overloads);
+        ("log_fulls", "Log_full refusals", fun () -> tl.log_fulls);
+        ("recovering", "Recovering refusals", fun () -> tl.recoverings);
+        ("backoffs", "Times a sim client backed off", fun () -> tl.backoffs);
+        ("stall_steps", "Scheduler steps in backoff", fun () -> tl.stall_steps);
+        ("abandoned", "Sim transactions abandoned", fun () -> tl.abandoned);
+        ("victimized", "Sim transactions killed", fun () -> tl.victimized);
+      ];
+    Array.iteri
+      (fun i cls ->
+        Metrics.histogram m
+          ~help:"Sim begin->commit latency per txn class (logical I/O ticks)"
+          ~labels:[ ("class", cls) ] "ariesrh_sim_txn_latency_ios" (fun () ->
+            let h = t.latency.(i) in
+            { h with counts = Array.copy h.counts }))
+      classes
+
+  let run ?(tick = fun () -> ()) t ~txns =
+    register_metrics t;
+    let n = t.load.clients in
+    (* live-lock guard: enough steps for every transaction's operations
+       plus, under log pressure, a full complement of refused attempts
+       spent parked in backoff before abandonment *)
+    let budget =
+      n * txns
+      * (((t.load.ops_per_txn + 4) * 50) + (t.max_retries * t.max_backoff))
+    in
+    let now = ref 0 in
+    let busy c = c.finished < txns || c.xid <> None in
+    while Array.exists busy t.clients && !now < budget do
+      incr now;
+      tick ();
+      let i = !now mod n in
+      step ~allow_begin:(t.clients.(i).finished < txns) t ~now:!now i
+    done;
+    if Array.exists busy t.clients then
+      fail t.outcome
+        (Printf.sprintf "live-lock: scheduling budget of %d steps exhausted"
+           budget);
+    check t.outcome ~label:"quota" ~idempotence:false (fault t) t.sh
+      (state t (Hashtbl.mem t.commits));
+    ok t.outcome
 end
 
 (* --- the escalating crash-point sweep --- *)

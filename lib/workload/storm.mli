@@ -114,6 +114,8 @@ type outcome = {
   mutable degraded_serves : int;  (** probes served while draining *)
   mutable foreground_repairs : int;  (** [peek] foreground repairs *)
   mutable twin_checks : int;  (** offline-twin equivalence checks *)
+  mutable waits : int;  (** times a client parked on a lock *)
+  mutable deadlocks : int;  (** waits-for cycles broken *)
   mutable failures : string list;  (** newest first; empty = storm passed *)
 }
 
@@ -276,34 +278,64 @@ val expect_no_tt_refusals : outcome -> label:string -> unit
 
 type load = {
   clients : int;
-  ops_per_txn : int;  (** max adds/delegations per transaction *)
+  ops_per_txn : int;  (** max operations per transaction *)
   n_objects : int;
   p_delegate : float;  (** chance an op delegates a touched object *)
+  p_read : float;  (** chance any other op reads rather than adds *)
+  p_op : float;
+      (** share of delegations that move a single update, on [Rh] and
+          [Lazy] (§2.1.2's operation granularity); [Eager] always moves
+          whole objects *)
 }
-(** The seeded client mix of the randomized storms. *)
+(** The seeded client mix. At [p_read = 0.] and [p_op = 0.] no read or
+    op-level draw is made, so such a load's schedule does not depend on
+    those paths (the storms' defaults, pinned by [test/test_golden.ml]). *)
+
+val contended : load
+(** The lock-contention mix: 8 clients, up to 6 ops, 32 objects, 20%
+    delegation, 30% reads, half of the delegations op-level. *)
 
 type tally = {
   mutable committed : int;
+  mutable accesses : int;  (** reads and adds tried, retries included *)
   mutable aborted : int;
+      (** rollbacks: one finish in ten, deadlock victims, refused
+          accesses *)
   mutable delegations : int;
   mutable overloads : int;  (** typed [Errors.Overloaded] refusals *)
   mutable log_fulls : int;  (** typed [Log_full] refusals *)
+  mutable recoverings : int;
+      (** typed [Errors.Recovering] refusals (an access landed on an
+          object an on-demand restart had not yet drained) *)
   mutable backoffs : int;
+  mutable stall_steps : int;  (** scheduler steps spent in backoff *)
   mutable abandoned : int;  (** retry cycles given up *)
   mutable victimized : int;  (** governor kills observed by clients *)
 }
 
-(** Closed-loop clients issuing commutative increments with random
-    same-shard delegation, recorded in a responsibility ledger keyed by
-    façade xid: holder -> increments it is responsible for. Entries
-    move only on delegation; a durable commit's force covers every
-    earlier delegate record, so summing the entries of durably
-    committed holders is the expected state.
-    Each step draws begin / op count / delegate-or-add / object / delta
-    / commit-or-abort from the PRNG in one fixed order. Typed refusals
-    ([Xfer_refused], [Overloaded], [Log_full], victimization) consume no
-    randomness: the client skips the op or rolls back, and backs off
-    deterministically. [Injected_crash] propagates to the storm. *)
+(** Closed-loop clients on a {!Sharded} engine — the one seeded client
+    loop. Each transaction issues commutative increments and reads, and
+    hands touched objects, or single updates, to other open
+    transactions on its shard. Every move is recorded in a
+    responsibility ledger keyed by façade xid: holder -> the increments
+    (object, delta, update LSN) it is responsible for. Entries move only
+    on delegation, each successful per-object or per-update call booking
+    its own move; a durable commit's force covers every earlier delegate
+    record, so summing the entries of durably committed holders is the
+    expected state — delegated increments count for the committer.
+
+    Each step draws begin / op count / delegate-or-access / object /
+    read-or-add / delta / commit-or-abort from the PRNG in one fixed
+    order. Typed refusals consume no randomness:
+    - a lock [Conflict] parks the client on the op, retried at its next
+      step, with waits-for edges to the holders; a cycle through the
+      waiter aborts its youngest participant, whose client begins
+      afresh (§2.1.2's 2PL, with commuting increment locks);
+    - [Xfer_refused] skips the op;
+    - [Overloaded], [Log_full] and [Recovering] keep the responsibility
+      (a refused access also rolls the transaction back) and back off
+      deterministically, as does victimization by a governor.
+    [Injected_crash] propagates to the storm. *)
 module Clients : sig
   type t
 
@@ -322,11 +354,26 @@ module Clients : sig
       refused client waits [min max_backoff (backoff_base * 2^(k-1))]
       steps on its k-th retry and gives up after [max_retries] (default
       0: refused work is abandoned at once). A rollback that raises
-      [Log_full] fails [outcome]. *)
+      [Log_full] fails [outcome]; lock waits and deadlocks are counted
+      in it. *)
 
   val step : ?allow_begin:bool -> t -> now:int -> int -> unit
   (** One step of a client at scheduler time [now]; without
       [allow_begin] an idle client stays idle (a drain). *)
+
+  val run : ?tick:(unit -> unit) -> t -> txns:int -> bool
+  (** Run to quota: step the clients round-robin, [tick] once per step
+      (the hook a {!Ariesrh_maintenance.Governor} ticks from), until
+      each has finished [txns] transactions — committed, or abandoned
+      after its retries. A voluntary abort, a deadlock victim or a
+      victimization does not count: the client begins again. Then check
+      the engine against the ledger over the clients' commits, and
+      [Sharded.validate]; [true] when nothing failed. A run that
+      exhausts its scheduling budget fails as a live-lock. It registers
+      the [ariesrh_sim_*_total] counters and the per-class
+      [ariesrh_sim_txn_latency_ios] histograms (begin->commit latency
+      in logical I/O-clock ticks, class [read_only], [writer] or
+      [delegating]) in shard 0's metrics registry. *)
 
   val settle : t -> now:int -> unit
   (** Commit (or one time in ten abort) every open transaction. *)

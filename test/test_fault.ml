@@ -236,6 +236,32 @@ let sim_storm_clean () =
   Alcotest.(check bool) "recoveries completed" true
     (outcome.recoveries > 0)
 
+(* The lock-contention mix under crashes: reads whose share locks
+   conflict with increment locks, waits-for deadlock breaking, and
+   op-level delegation on rh and lazy, checked against the ledger after
+   every restart. *)
+let contention_storm () =
+  List.iter
+    (fun (name, impl) ->
+      let waits = ref 0 and deadlocks = ref 0 in
+      for seed = 1 to 3 do
+        let config =
+          { Crash_storm.default_config with seed = Int64.of_int seed }
+        in
+        let sim = { Crash_storm.default_sim with load = Storm.contended } in
+        let o = Crash_storm.run_sim ~config ~impl ~sim () in
+        if not (Storm.ok o) then
+          Alcotest.failf "%s seed %d:@ %a" name seed Crash_storm.pp_outcome o;
+        Alcotest.(check bool) (name ^ ": crashes fired") true (o.crashes > 0);
+        waits := !waits + o.waits;
+        deadlocks := !deadlocks + o.deadlocks
+      done;
+      Alcotest.(check bool) (name ^ ": clients waited on locks") true
+        (!waits > 0);
+      Alcotest.(check bool) (name ^ ": deadlocks were broken") true
+        (!deadlocks > 0))
+    [ ("rh", Config.Rh); ("eager", Config.Eager); ("lazy", Config.Lazy) ]
+
 (* Recovery stays idempotent and oracle-true whatever the seed: a tiny
    scripted storm per seed, every engine. *)
 let storm_any_seed =
@@ -280,6 +306,8 @@ let suite =
       truncate_with_unflushed_tail;
     Alcotest.test_case "scripted crash storm" `Quick scripted_storm_clean;
     Alcotest.test_case "sim crash storm" `Quick sim_storm_clean;
+    Alcotest.test_case "contention crash storm (all engines)" `Quick
+      contention_storm;
     QCheck_alcotest.to_alcotest storm_any_seed;
   ]
   @ per_backend

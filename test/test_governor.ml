@@ -10,6 +10,7 @@ open Ariesrh_core
 open Ariesrh_workload
 module Fault = Ariesrh_fault.Fault
 module Governor = Ariesrh_maintenance.Governor
+module Sharded = Ariesrh_shard.Sharded
 
 let xid = Xid.of_int
 let oid = Oid.of_int
@@ -460,6 +461,106 @@ let squeeze_shrinks_capacity () =
   Alcotest.(check int) "squeeze counted" 1 (Fault.stats fault).Fault.squeezes;
   Alcotest.(check bool) "fires once per arming" false (Fault.squeeze_armed fault)
 
+(* --- delegate_all is all or nothing ------------------------------- *)
+
+let engines =
+  [ ("rh", Config.Rh); ("lazy", Config.Lazy); ("eager", Config.Eager) ]
+
+let delegate_size =
+  String.length
+    (Record.encode
+       (Record.mk (xid 1) ~prev:Lsn.nil
+          (Record.Delegate
+             { tee = xid 2; tee_prev = Lsn.nil; oid = oid 0; op = None })))
+
+(* A join on a log with room for only three of its eight delegate
+   records once left the first three objects with the delegatee: the
+   caller, which books the join only when the call returns, then
+   credited the delegator with increments the engine charged to the
+   delegatee. *)
+let delegate_all_is_all_or_nothing () =
+  List.iter
+    (fun (name, impl) ->
+      let db = mk ~impl () in
+      let tor = Db.begin_txn db in
+      let tee = Db.begin_txn db in
+      for i = 1 to 8 do
+        Db.add db tor (oid i) i
+      done;
+      let held x =
+        List.sort compare (List.map Oid.to_int (Db.responsible_objects db x))
+      in
+      let all = held tor in
+      let log = Db.log_store db in
+      Log_store.set_capacity_bytes log
+        (Some
+           (Log_store.used_bytes log + Log_store.reserved_bytes log
+           + (3 * delegate_size) + (delegate_size / 2)));
+      (match Db.delegate_all db ~from_:tor ~to_:tee with
+      | () -> Alcotest.failf "%s: eight delegations fit in room for three" name
+      | exception Log_store.Log_full _ -> ());
+      Alcotest.(check (list int)) (name ^ ": the delegator holds every object")
+        all (held tor);
+      Alcotest.(check (list int)) (name ^ ": the delegatee holds none") []
+        (held tee);
+      (* with room, the same join moves everything *)
+      Log_store.set_capacity_bytes log None;
+      Db.delegate_all db ~from_:tor ~to_:tee;
+      Alcotest.(check (list int)) (name ^ ": the join moved every object")
+        all (held tee);
+      Db.commit db tee;
+      Db.abort db tor;
+      Alcotest.(check (list int)) (name ^ ": the delegatee's commit keeps them")
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+        (List.init 8 (fun i -> Db.peek db (oid (i + 1)))))
+    engines
+
+(* --- E15 through the shared client loop --------------------------- *)
+
+(* E15's configuration: 8 clients x 60 transactions on 48 objects, 30%
+   reads, 25% delegation (half of it op-level on rh and lazy), the
+   governor ticked every step, on a byte-bounded log. The loop checks
+   the engine against its ledger at the end. *)
+let e15_run impl ~capacity seed =
+  let sh =
+    Sharded.create
+      (Config.make ~n_objects:64 ~buffer_capacity:16 ~impl ~locking:true
+         ~log_capacity_bytes:capacity ())
+  in
+  let gov = Governor.create (Sharded.db sh 0) in
+  let outcome = Storm.fresh_outcome () in
+  let clients =
+    Storm.Clients.create outcome sh
+      ~load:{ Storm.contended with n_objects = 48; p_delegate = 0.25 }
+      ~rng:(Ariesrh_util.Prng.create seed) ~backoff_base:4 ~max_backoff:64
+      ~max_retries:8
+  in
+  let tick () = Governor.tick gov in
+  let ok = Storm.Clients.run clients ~txns:60 ~tick in
+  (ok, outcome, Governor.stats gov)
+
+(* Seed 31 at 12288 bytes once left eager five objects below their
+   committed increments: a join refused midway had already moved some
+   objects, and its caller booked none of them. The sweep adds E15's
+   tightest budget, where rh and lazy victimize too. *)
+let e15_seed_sweep () =
+  List.iter
+    (fun (name, impl) ->
+      let victims = ref 0 in
+      List.iter
+        (fun capacity ->
+          for seed = 1 to 40 do
+            let ok, outcome, gs = e15_run impl ~capacity (Int64.of_int seed) in
+            victims := !victims + gs.Governor.victims;
+            if not ok then
+              Alcotest.failf "%s seed %d at %d bytes: %s" name seed capacity
+                (String.concat "; " (List.rev outcome.Storm.failures))
+          done)
+        [ 12288; 4096 ];
+      Alcotest.(check bool) (name ^ ": the governor victimized") true
+        (!victims > 0))
+    engines
+
 (* --- pressure-storm smoke ------------------------------------------ *)
 
 let pressure_storm_smoke () =
@@ -481,6 +582,30 @@ let pressure_storm_smoke () =
       Alcotest.(check bool) "crashed and recovered" true
         (o.storm.recoveries > 0))
     [ Config.Rh; Config.Lazy; Config.Eager ]
+
+(* The lock-contention mix on a bounded log: lock waits and deadlock
+   victims alongside the governor's victims, backpressure and crashes. *)
+let pressure_contention_storm () =
+  List.iter
+    (fun (name, impl) ->
+      let waits = ref 0 and deadlocks = ref 0 in
+      for seed = 1 to 5 do
+        let config =
+          { Pressure_storm.default_config with
+            seed = Int64.of_int seed; impl; load = Storm.contended }
+        in
+        let o = Pressure_storm.run ~config () in
+        if not (Pressure_storm.ok o) then
+          Alcotest.failf "%s seed %d:@ %a" name seed Pressure_storm.pp_outcome
+            o;
+        waits := !waits + o.storm.waits;
+        deadlocks := !deadlocks + o.storm.deadlocks
+      done;
+      Alcotest.(check bool) (name ^ ": clients waited on locks") true
+        (!waits > 0);
+      Alcotest.(check bool) (name ^ ": deadlocks were broken") true
+        (!deadlocks > 0))
+    engines
 
 (* A group-committed transaction leaves the table before its commit is
    forced; a crash before the force rolls it back, so truncation must
@@ -541,8 +666,14 @@ let suite =
       media_restore_refused_past_truncation;
     Alcotest.test_case "squeeze shrinks capacity" `Quick
       squeeze_shrinks_capacity;
+    Alcotest.test_case "delegate_all is all or nothing" `Quick
+      delegate_all_is_all_or_nothing;
+    Alcotest.test_case "E15 seeds 1-40 (all engines)" `Quick
+      e15_seed_sweep;
     Alcotest.test_case "pressure storm (all engines)" `Slow
       pressure_storm_smoke;
+    Alcotest.test_case "contention pressure storm (all engines)" `Quick
+      pressure_contention_storm;
     Alcotest.test_case "eager group commit pins truncation" `Quick
       eager_group_commit_pins_truncation;
   ]

@@ -1,5 +1,5 @@
 (* Workload machinery: the conflict-free generator, the semantic oracle,
-   and the contention simulator. *)
+   and the shared client loop run to quota under lock contention. *)
 
 open Ariesrh_core
 open Ariesrh_workload
@@ -125,52 +125,65 @@ let oracle_split_responsibility () =
   Alcotest.(check (array int)) "example 2 semantics" [| 100 |]
     (Oracle.expected ~n_objects:1 s)
 
-(* --- simulator --- *)
+(* --- the client loop run to quota --- *)
+
+module Sharded = Ariesrh_shard.Sharded
+
+(* [Storm.contended] clients run to [txns] transactions each on a
+   one-shard engine of [db_objects] objects. *)
+let sim ?fault ?(db_objects = 32) ?(load = Storm.contended) ~txns seed =
+  let sh =
+    Sharded.create ?fault
+      (Config.make ~n_objects:db_objects ~buffer_capacity:16 ())
+  in
+  let outcome = Storm.fresh_outcome () in
+  let clients =
+    Storm.Clients.create outcome sh ~load ~rng:(Ariesrh_util.Prng.create seed)
+  in
+  let ok = Storm.Clients.run clients ~txns in
+  (sh, ok, outcome, clients)
 
 let sim_state_consistent () =
-  let db = Db.create (Config.make ~n_objects:32 ~buffer_capacity:16 ()) in
-  let o = Sim.run ~clients:6 ~txns_per_client:40 ~seed:1L db in
-  Alcotest.(check bool) "state matches committed increments" true o.state_ok;
-  Alcotest.(check int) "all transactions eventually commit" (6 * 40) o.committed
+  let _, ok, _, clients =
+    sim ~load:{ Storm.contended with clients = 6 } ~txns:40 1L
+  in
+  Alcotest.(check bool) "state matches committed increments" true ok;
+  Alcotest.(check int) "all transactions eventually commit" (6 * 40)
+    (Storm.Clients.tally clients).committed
 
 let sim_latency_histograms () =
   (* a live (if never armed) injector: the latency clock is the fault
      layer's logical I/O counter, which a [Fault.none] db keeps at 0 *)
   let fault = Ariesrh_fault.Fault.create ~seed:1L () in
-  let db =
-    Db.create ~fault (Config.make ~n_objects:32 ~buffer_capacity:16 ())
+  let sh, _, _, clients =
+    sim ~fault ~load:{ Storm.contended with clients = 6 } ~txns:40 7L
   in
-  let o = Sim.run ~clients:6 ~txns_per_client:40 ~seed:7L db in
-  (* every commit is observed exactly once, in one of the txn classes *)
-  let measured = List.fold_left (fun a (_, (n, _)) -> a + n) 0 o.latencies in
-  Alcotest.(check int) "one latency sample per commit" o.committed measured;
-  Alcotest.(check bool) "latency ticks accumulated" true
-    (List.exists (fun (_, (_, sum)) -> sum > 0) o.latencies);
-  (* and the full distribution is exported through the metrics registry,
-     one series per class, bucket counts consistent with the outcome *)
-  let series =
-    List.filter
+  let committed = (Storm.Clients.tally clients).committed in
+  (* the distribution is exported through the metrics registry, one
+     series per txn class, every commit observed exactly once *)
+  let hists =
+    List.filter_map
       (fun (s : Ariesrh_obs.Metrics.sample) ->
-        s.name = "ariesrh_sim_txn_latency_ios")
-      (Ariesrh_obs.Metrics.snapshot (Db.metrics db))
-  in
-  Alcotest.(check int) "one histogram per txn class" 3 (List.length series);
-  let total =
-    List.fold_left
-      (fun a (s : Ariesrh_obs.Metrics.sample) ->
         match s.value with
-        | Ariesrh_obs.Metrics.Hist h ->
-            a + Array.fold_left ( + ) 0 h.counts
-        | _ -> Alcotest.fail "latency series is not a histogram")
-      0 series
+        | Ariesrh_obs.Metrics.Hist h when s.name = "ariesrh_sim_txn_latency_ios"
+          ->
+            Some h
+        | _ -> None)
+      (Ariesrh_obs.Metrics.snapshot (Db.metrics (Sharded.db sh 0)))
   in
-  Alcotest.(check int) "histogram counts sum to commits" o.committed total
+  Alcotest.(check int) "one histogram per txn class" 3 (List.length hists);
+  Alcotest.(check int) "one latency sample per commit" committed
+    (List.fold_left (fun a h -> a + Ariesrh_obs.Metrics.hist_count h) 0 hists);
+  Alcotest.(check bool) "latency ticks accumulated" true
+    (List.exists (fun (h : Ariesrh_obs.Metrics.hist) -> h.sum > 0) hists)
 
 let sim_contention_happens () =
-  let db = Db.create (Config.make ~n_objects:4 ~buffer_capacity:16 ()) in
-  let o = Sim.run ~clients:8 ~txns_per_client:30 ~n_objects:4 ~seed:2L db in
-  Alcotest.(check bool) "waits occurred under contention" true (o.waits > 0);
-  Alcotest.(check bool) "state still consistent" true o.state_ok
+  let _, ok, outcome, _ =
+    sim ~db_objects:4 ~load:{ Storm.contended with n_objects = 4 } ~txns:30 2L
+  in
+  Alcotest.(check bool) "waits occurred under contention" true
+    (outcome.waits > 0);
+  Alcotest.(check bool) "state still consistent" true ok
 
 let sim_deadlocks_resolved () =
   (* few objects + many clients + reads mixed with adds: cycles form *)
@@ -178,38 +191,43 @@ let sim_deadlocks_resolved () =
   let seed = ref 0 in
   while (not !found) && !seed < 20 do
     incr seed;
-    let db = Db.create (Config.make ~n_objects:3 ~buffer_capacity:16 ()) in
-    let o =
-      Sim.run ~clients:8 ~txns_per_client:20 ~n_objects:3 ~ops_per_txn:5
-        ~seed:(Int64.of_int !seed) db
+    let _, ok, outcome, clients =
+      sim ~db_objects:3
+        ~load:{ Storm.contended with n_objects = 3; ops_per_txn = 5 }
+        ~txns:20 (Int64.of_int !seed)
     in
-    if o.deadlocks > 0 then begin
+    if outcome.deadlocks > 0 then begin
       found := true;
-      Alcotest.(check bool) "victims aborted" true (o.aborted > 0);
-      Alcotest.(check bool) "state consistent despite deadlocks" true
-        o.state_ok
+      Alcotest.(check bool) "victims aborted" true
+        ((Storm.Clients.tally clients).aborted > 0);
+      Alcotest.(check bool) "state consistent despite deadlocks" true ok
     end
   done;
   Alcotest.(check bool) "deadlocks eventually provoked" true !found
 
 let sim_delegation_under_contention () =
-  let db = Db.create (Config.make ~n_objects:8 ~buffer_capacity:16 ()) in
-  let o =
-    Sim.run ~clients:6 ~txns_per_client:40 ~n_objects:8 ~delegation_rate:0.5
-      ~seed:3L db
+  let _, ok, _, clients =
+    sim ~db_objects:8
+      ~load:
+        { Storm.contended with clients = 6; n_objects = 8; p_delegate = 0.5 }
+      ~txns:40 3L
   in
-  Alcotest.(check bool) "delegations happened" true (o.delegations > 0);
-  Alcotest.(check bool) "state consistent with delegation" true o.state_ok
+  Alcotest.(check bool) "delegations happened" true
+    ((Storm.Clients.tally clients).delegations > 0);
+  Alcotest.(check bool) "state consistent with delegation" true ok
 
 let sim_survives_crash_after () =
-  let db = Db.create (Config.make ~n_objects:16 ~buffer_capacity:16 ()) in
-  let o = Sim.run ~clients:4 ~txns_per_client:25 ~n_objects:16 ~seed:4L db in
-  Alcotest.(check bool) "pre-crash state ok" true o.state_ok;
-  let before = Db.peek_all db in
-  Db.crash db;
-  ignore (Db.recover db);
+  let sh, ok, _, _ =
+    sim ~db_objects:16
+      ~load:{ Storm.contended with clients = 4; n_objects = 16 }
+      ~txns:25 4L
+  in
+  Alcotest.(check bool) "pre-crash state ok" true ok;
+  let before = Sharded.peek_all sh in
+  Sharded.crash sh;
+  ignore (Sharded.recover sh);
   Alcotest.(check bool) "everything was committed: crash changes nothing" true
-    (Db.peek_all db = before)
+    (Sharded.peek_all sh = before)
 
 let suite =
   [
