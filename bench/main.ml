@@ -1,10 +1,12 @@
-(* The experiment harness: one entry per experiment in EXPERIMENTS.md.
+(* The experiments: one entry per experiment in EXPERIMENTS.md.
 
    The paper (an algorithms + correctness paper) reports no measured
    tables; its evaluation artifacts are Figures 1-8 (reproduced by
    `bin/ariesrh.exe figures all`) and the §4.2 efficiency claims, which
    the experiments below turn into measurements against the eager/lazy
-   history-rewriting baselines.
+   history-rewriting baselines. Each returns its table as declared
+   columns and cells; [Harness] prints it, writes the artifact and gates
+   the counters (see harness.ml).
 
    Run everything:     dune exec bench/main.exe
    Run one experiment: dune exec bench/main.exe -- e3 *)
@@ -12,6 +14,7 @@
 open Ariesrh_types
 open Ariesrh_core
 open Ariesrh_workload
+open Harness
 module Log_store = Ariesrh_wal.Log_store
 module Log_stats = Ariesrh_wal.Log_stats
 module Buffer_pool = Ariesrh_storage.Buffer_pool
@@ -19,24 +22,6 @@ module Ob_list = Ariesrh_txn.Ob_list
 module Obs = Ariesrh_obs
 module Sharded = Ariesrh_shard.Sharded
 module Prng = Ariesrh_util.Prng
-
-let header title claim =
-  Format.printf "@.=== %s ===@.%s@.@." title claim
-
-(* Every machine-readable artifact (BENCH_*.json) lands in one
-   directory, set by ARIESRH_BENCH_DIR (default [_bench/], created on
-   first use) — never the repo root. *)
-let bench_dir =
-  lazy
-    (let dir =
-       match Sys.getenv_opt "ARIESRH_BENCH_DIR" with
-       | Some d when d <> "" -> d
-       | _ -> "_bench"
-     in
-     Ariesrh_storage.Backend.mkdir_p dir;
-     dir)
-
-let bench_path name = Filename.concat (Lazy.force bench_dir) name
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -46,14 +31,23 @@ let time f =
 let flush_log db =
   Log_store.flush (Db.log_store db) ~upto:(Log_store.head (Db.log_store db))
 
+(* crash with the whole log durable, then restart: the report, and ms *)
+let crash_recover db =
+  flush_log db;
+  Db.crash db;
+  time (fun () -> Db.recover db)
+
+let engines = [ ("rh", Config.Rh); ("lazy", Config.Lazy); ("eager", Config.Eager) ]
+let table cols rows = { cols; rows }
+
+let experiment ?(notes = []) ?(verdicts = []) title claim tables =
+  { title; claim; tables; notes; verdicts }
+
 (* ------------------------------------------------------------------ *)
 (* E1: no delegation, no overhead                                      *)
 (* ------------------------------------------------------------------ *)
 
 let e1 () =
-  header "E1: no delegation, no overhead (§4.2)"
-    "ARIES/RH against conventional ARIES on a delegation-free workload:\n\
-     normal processing and recovery should cost the same (ratio ~ 1).";
   let spec =
     { Gen.spec_no_delegation with n_objects = 256; n_steps = 2000;
       p_checkpoint = 0.0 }
@@ -86,28 +80,26 @@ let e1 () =
         rec_test "rec/aries" Config.Eager;
       ]
   in
-  let v n = Bench.find n results /. 1e6 in
-  Format.printf "%-24s %12s@." "phase" "ms/run";
-  Format.printf "%-24s %12.3f@." "normal ARIES/RH" (v "np/aries-rh");
-  Format.printf "%-24s %12.3f@." "normal ARIES" (v "np/aries");
-  Format.printf "%-24s %12.2f@." "  ratio (RH/ARIES)"
-    (v "np/aries-rh" /. v "np/aries");
-  Format.printf "%-24s %12.3f@." "recovery ARIES/RH" (v "rec/aries-rh");
-  Format.printf "%-24s %12.3f@." "recovery ARIES" (v "rec/aries");
-  Format.printf "%-24s %12.2f@." "  ratio (RH/ARIES)"
-    (v "rec/aries-rh" /. v "rec/aries")
+  let row phase key =
+    let rh = Bench.find (key ^ "/aries-rh") results /. 1e6
+    and aries = Bench.find (key ^ "/aries") results /. 1e6 in
+    [ S phase; F rh; F aries; F (rh /. aries) ]
+  in
+  experiment "E1: no delegation, no overhead (§4.2)"
+    "ARIES/RH against conventional ARIES on a delegation-free workload:\n\
+     normal processing and recovery should cost the same (ratio ~ 1)."
+    [
+      table
+        [ label "phase" "%-10s"; wall "ARIES/RH(ms)" "| %12.3f";
+          wall "ARIES(ms)" "%12.3f"; wall "ratio" "| %6.2f" ]
+        [ row "normal" "np"; row "recovery" "rec" ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E2: normal-processing delegation cost is linear                     *)
 (* ------------------------------------------------------------------ *)
 
 let e2 () =
-  header "E2: delegation cost during normal processing (§4.2)"
-    "Cost of one delegate() sweep over k objects. ARIES/RH pays one log\n\
-     record + an Ob_List move per object (linear, microseconds); eager\n\
-     rewriting pays a walk over the delegator's whole backward chain\n\
-     with in-place patches (linear in chain length, and each record\n\
-     rewrite is a random log write).";
   let ks = [ 1; 10; 100; 1000 ] in
   let alloc impl k () =
     let db =
@@ -135,130 +127,145 @@ let e2 () =
     Bench.run ~quota:0.5 ~limit:40
       [ test "rh" Config.Rh; test "eager" Config.Eager ]
   in
-  Format.printf "%-6s %14s %14s %16s@." "k" "rh (us)" "eager (us)"
-    "rh us/object";
-  List.iter
-    (fun k ->
-      let rh = Bench.find (Printf.sprintf "rh:%d" k) results /. 1e3 in
-      let eager = Bench.find (Printf.sprintf "eager:%d" k) results /. 1e3 in
-      Format.printf "%-6d %14.2f %14.2f %16.3f@." k rh eager
-        (rh /. float_of_int k))
-    ks
+  experiment "E2: delegation cost during normal processing (§4.2)"
+    "Cost of one delegate() sweep over k objects. ARIES/RH pays one log\n\
+     record + an Ob_List move per object (linear, microseconds); eager\n\
+     rewriting pays a walk over the delegator's whole backward chain\n\
+     with in-place patches (linear in chain length, and each record\n\
+     rewrite is a random log write)."
+    [
+      table
+        [ label "k" "%-6d"; wall "rh (us)" "%14.2f"; wall "eager (us)" "%14.2f";
+          wall "rh us/object" "%16.3f" ]
+        (List.map
+           (fun k ->
+             let us name = Bench.find (Printf.sprintf "%s:%d" name k) results /. 1e3 in
+             [ I k; F (us "rh"); F (us "eager"); F (us "rh" /. float_of_int k) ])
+           ks);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E3: eager vs lazy vs RH across delegation rates                     *)
 (* ------------------------------------------------------------------ *)
 
 let e3 () =
-  header "E3: the three implementations of delegation (§3.1-3.2)"
+  let rows =
+    List.concat_map
+      (fun rate ->
+        let spec =
+          {
+            Gen.default with
+            n_objects = 256;
+            n_steps = 3000;
+            max_concurrent = 16;
+            p_delegate = rate;
+            p_commit = 0.05;
+            p_abort = 0.02;
+            p_checkpoint = 0.0;
+            terminate_all = false;
+          }
+        in
+        let script = Gen.generate spec ~seed:11L in
+        (* crash while transactions are still in flight, so recovery has
+           real undo work *)
+        let crash_at = List.length script * 9 / 10 in
+        List.map
+          (fun (name, impl) ->
+            let db = Driver.fresh_db ~impl ~n_objects:256 () in
+            let stats = Log_store.stats (Db.log_store db) in
+            let (), np_ms = time (fun () -> Driver.run ~upto:crash_at db script) in
+            let np = Log_stats.copy stats in
+            let report, rec_ms = crash_recover db in
+            [ F rate; S name; F np_ms; I np.rewrites; I np.page_fetches; F rec_ms;
+              I report.log_io.rewrites; I report.log_io.page_fetches;
+              I report.undos ])
+          engines)
+      [ 0.0; 0.05; 0.1; 0.2; 0.4 ]
+  in
+  experiment "E3: the three implementations of delegation (§3.1-3.2)"
     "Same workload under eager rewriting, lazy rewriting, and RH, as the\n\
      delegation rate grows. np_* = normal processing, rec_* = recovery\n\
      after a crash. rewrites are in-place log writes (history surgery);\n\
      RH never performs any. Expect: eager normal processing degrades\n\
      with the delegation rate; lazy moves the rewrites into recovery;\n\
-     RH does neither and recovery stays at conventional-ARIES cost.";
-  let rates = [ 0.0; 0.05; 0.1; 0.2; 0.4 ] in
-  Format.printf "%-6s %-6s | %9s %11s %9s | %9s %11s %9s %9s@." "rate"
-    "engine" "np(ms)" "np_rewrite" "np_fetch" "rec(ms)" "rec_rewrite"
-    "rec_fetch" "undos";
-  List.iter
-    (fun rate ->
-      let spec =
-        {
-          Gen.default with
-          n_objects = 256;
-          n_steps = 3000;
-          max_concurrent = 16;
-          p_delegate = rate;
-          p_commit = 0.05;
-          p_abort = 0.02;
-          p_checkpoint = 0.0;
-          terminate_all = false;
-        }
-      in
-      let script = Gen.generate spec ~seed:11L in
-      (* crash while transactions are still in flight, so recovery has
-         real undo work *)
-      let crash_at = List.length script * 9 / 10 in
-      List.iter
-        (fun (name, impl) ->
-          let db = Driver.fresh_db ~impl ~n_objects:256 () in
-          let stats = Log_store.stats (Db.log_store db) in
-          let (), np_ms = time (fun () -> Driver.run ~upto:crash_at db script) in
-          let np = Log_stats.copy stats in
-          flush_log db;
-          Db.crash db;
-          let report, rec_ms = time (fun () -> Db.recover db) in
-          Format.printf
-            "%-6.2f %-6s | %9.2f %11d %9d | %9.2f %11d %9d %9d@." rate name
-            np_ms np.rewrites np.page_fetches rec_ms report.log_io.rewrites
-            report.log_io.page_fetches report.undos)
-        [ ("rh", Config.Rh); ("lazy", Config.Lazy); ("eager", Config.Eager) ])
-    rates
+     RH does neither and recovery stays at conventional-ARIES cost."
+    [
+      table
+        [ label "rate" "%-6.2f"; label "engine" "%-6s"; wall "np(ms)" "| %9.2f";
+          cost "np_rewrite" "%11d"; cost "np_fetch" "%9d";
+          wall "rec(ms)" "| %9.2f"; cost "rec_rewrite" "%11d";
+          cost "rec_fetch" "%9d"; cost "undos" "%9d" ]
+        rows;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E4: the backward pass visits only loser clusters                    *)
 (* ------------------------------------------------------------------ *)
 
 let e4 () =
-  header "E4: backward-pass log visits vs loser-scope density (§3.6.2)"
+  let rows =
+    List.map
+      (fun groups ->
+        let s =
+          Scenario.build ~groups ~losers_per_group:4 ~updates_per_loser:2
+            ~gap:(4096 / groups) ~delegated:true ()
+        in
+        let report = Db.recover s.db in
+        (* the naive alternative scans every record backwards from the
+           end of the log down to the oldest loser update; the clusters
+           start right at the log's beginning here, so that region is the
+           whole log *)
+        [ I groups; I s.total_records; I report.backward_examined;
+          I report.backward_skipped; I report.undos;
+          F (100. *. float_of_int report.backward_examined
+             /. float_of_int s.total_records) ])
+      [ 1; 2; 4; 8; 16; 32 ]
+  in
+  experiment "E4: backward-pass log visits vs loser-scope density (§3.6.2)"
     "Synthetic logs with G clusters of loser scopes separated by winner\n\
      runs. A naive backward scan would examine every record from the\n\
      log's end to the oldest loser scope; ARIES/RH examines only the\n\
-     records inside clusters and skips the gaps (Fig. 7/8).";
-  Format.printf "%-8s %8s | %9s %9s %9s %12s@." "clusters" "records"
-    "examined" "skipped" "undos" "visited";
-  List.iter
-    (fun groups ->
-      let s =
-        Scenario.build ~groups ~losers_per_group:4 ~updates_per_loser:2
-          ~gap:(4096 / groups) ~delegated:true ()
-      in
-      let report = Db.recover s.db in
-      (* the naive alternative scans every record backwards from the end
-         of the log down to the oldest loser update; the clusters start
-         right at the log's beginning here, so that region is the whole
-         log *)
-      Format.printf "%-8d %8d | %9d %9d %9d %11.1f%%@." groups
-        s.total_records report.backward_examined report.backward_skipped
-        report.undos
-        (100.
-        *. float_of_int report.backward_examined
-        /. float_of_int s.total_records))
-    [ 1; 2; 4; 8; 16; 32 ]
+     records inside clusters and skips the gaps (Fig. 7/8)."
+    [
+      table
+        [ label "clusters" "%-8d"; cost "records" "%8d"; cost "examined" "| %9d";
+          work "skipped" "%9d"; cost "undos" "%9d"; cost "visited" "%11.1f%%" ]
+        rows;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E5: recovery scaling with log length                                *)
 (* ------------------------------------------------------------------ *)
 
 let e5 () =
-  header "E5: recovery cost vs log length (§4.2)"
+  let rows =
+    List.map
+      (fun gap ->
+        let s =
+          Scenario.build ~groups:4 ~losers_per_group:4 ~updates_per_loser:2
+            ~gap ~delegated:true ()
+        in
+        let report, ms = time (fun () -> Db.recover s.db) in
+        [ I s.total_records; I report.forward_records;
+          I report.backward_examined; I report.backward_skipped; F ms ])
+      [ 250; 500; 1000; 2000; 4000; 8000 ]
+  in
+  experiment "E5: recovery cost vs log length (§4.2)"
     "Fixed loser population, growing winner history. The forward pass is\n\
      linear in the log (as in ARIES); the backward pass depends only on\n\
-     the loser clusters, not the log length.";
-  Format.printf "%-10s | %10s %10s %10s %10s@." "log recs" "fwd_recs"
-    "bwd_exam" "bwd_skip" "rec(ms)";
-  List.iter
-    (fun gap ->
-      let s =
-        Scenario.build ~groups:4 ~losers_per_group:4 ~updates_per_loser:2
-          ~gap ~delegated:true ()
-      in
-      let report, ms = time (fun () -> Db.recover s.db) in
-      Format.printf "%-10d | %10d %10d %10d %10.2f@." s.total_records
-        report.forward_records report.backward_examined
-        report.backward_skipped ms)
-    [ 250; 500; 1000; 2000; 4000; 8000 ]
+     the loser clusters, not the log length."
+    [
+      table
+        [ label "log recs" "%-10d"; cost "fwd_recs" "| %10d";
+          cost "bwd_exam" "%10d"; work "bwd_skip" "%10d"; wall "rec(ms)" "%10.2f" ]
+        rows;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E6: EOS (NO-UNDO/REDO) with delegation                              *)
 (* ------------------------------------------------------------------ *)
 
 let e6 () =
-  header "E6: delegation under NO-UNDO/REDO (EOS, §3.7)"
-    "The same write-only workload on the EOS-style engine and on\n\
-     ARIES/RH. EOS recovery is a single forward sweep of committed\n\
-     private logs (no undo by construction); final states must agree.";
   let spec =
     {
       Gen.default with
@@ -273,149 +280,134 @@ let e6 () =
   let script = Gen.generate spec ~seed:13L in
   let n = List.length script in
   (* EOS side *)
-  let eos = Ariesrh_eos.Eos_db.create ~n_objects:256 in
+  let module Eos = Ariesrh_eos.Eos_db in
+  let eos = Eos.create ~n_objects:256 in
   let xids = Hashtbl.create 64 in
-  let x t = Hashtbl.find xids t in
+  let x t = Hashtbl.find xids t and ob = Oid.of_int in
   let run_eos () =
     List.iter
-      (fun a ->
-        match a with
-        | Script.Begin t ->
-            Hashtbl.replace xids t (Ariesrh_eos.Eos_db.begin_txn eos)
-        | Script.Read (t, o) ->
-            ignore (Ariesrh_eos.Eos_db.read eos (x t) (Oid.of_int o))
-        | Script.Write (t, o, v) ->
-            Ariesrh_eos.Eos_db.write eos (x t) (Oid.of_int o) v
-        | Script.Add _ -> ()
-        | Script.Delegate (f, g, o) ->
-            Ariesrh_eos.Eos_db.delegate eos ~from_:(x f) ~to_:(x g)
-              (Oid.of_int o)
-        | Script.Savepoint _ | Script.Rollback_to _ -> ()
-        | Script.Commit t -> Ariesrh_eos.Eos_db.commit eos (x t)
-        | Script.Abort t -> Ariesrh_eos.Eos_db.abort eos (x t)
-        | Script.Checkpoint -> ())
+      (function
+        | Script.Begin t -> Hashtbl.replace xids t (Eos.begin_txn eos)
+        | Script.Read (t, o) -> ignore (Eos.read eos (x t) (ob o))
+        | Script.Write (t, o, v) -> Eos.write eos (x t) (ob o) v
+        | Script.Delegate (f, g, o) -> Eos.delegate eos ~from_:(x f) ~to_:(x g) (ob o)
+        | Script.Commit t -> Eos.commit eos (x t)
+        | Script.Abort t -> Eos.abort eos (x t)
+        | Script.Add _ | Script.Savepoint _ | Script.Rollback_to _ | Script.Checkpoint -> ())
       script
   in
   let (), eos_np = time run_eos in
-  Ariesrh_eos.Eos_db.crash eos;
-  let eos_report, eos_rec = time (fun () -> Ariesrh_eos.Eos_db.recover eos) in
+  Eos.crash eos;
+  let eos_report, eos_rec = time (fun () -> Eos.recover eos) in
   (* ARIES/RH side *)
   let rh = Driver.fresh_db ~n_objects:256 () in
   let (), rh_np = time (fun () -> Driver.run rh script) in
-  flush_log rh;
-  Db.crash rh;
-  let rh_report, rh_rec = time (fun () -> Db.recover rh) in
+  let rh_report, rh_rec = crash_recover rh in
   let agree =
-    Ariesrh_eos.Eos_db.peek_all eos = Db.peek_all rh
+    Eos.peek_all eos = Db.peek_all rh
     && Db.peek_all rh = Oracle.expected ~n_objects:256 script
   in
-  Format.printf "%d script actions, %d transactions@.@." n (Script.txns script);
-  Format.printf "%-10s %10s %10s %22s@." "engine" "np(ms)" "rec(ms)"
-    "recovery work";
-  Format.printf "%-10s %10.2f %10.2f %22s@." "eos" eos_np eos_rec
-    (Printf.sprintf "%d entries redone" eos_report.entries_replayed);
-  Format.printf "%-10s %10.2f %10.2f %22s@." "aries/rh" rh_np rh_rec
-    (Printf.sprintf "%d fwd + %d undos" rh_report.forward_records
-       rh_report.undos);
-  Format.printf "@.final states agree with each other and the oracle: %b@."
-    agree
+  experiment "E6: delegation under NO-UNDO/REDO (EOS, §3.7)"
+    "The same write-only workload on the EOS-style engine and on\n\
+     ARIES/RH. EOS recovery is a single forward sweep of committed\n\
+     private logs (no undo by construction); final states must agree.\n\
+     redone = EOS entries replayed, ARIES/RH forward-pass records."
+    ~notes:[ Printf.sprintf "%d script actions, %d transactions" n (Script.txns script) ]
+    ~verdicts:[ ("final states agree with each other and the oracle", agree) ]
+    [
+      table
+        [ label "engine" "%-10s"; wall "np(ms)" "%10.2f"; wall "rec(ms)" "%10.2f";
+          cost "redone" "| %10d"; cost "undos" "%8d" ]
+        [ [ S "eos"; F eos_np; F eos_rec; I eos_report.entries_replayed; I 0 ];
+          [ S "aries/rh"; F rh_np; F rh_rec; I rh_report.forward_records;
+            I rh_report.undos ] ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E7: the cost of synthesizing ETMs on delegation                     *)
 (* ------------------------------------------------------------------ *)
 
 let e7 () =
-  header "E7: synthesizing extended transaction models (§2.2)"
-    "The same batched-update job written as flat transactions, nested\n\
-     transactions, split transactions, and a reporting transaction. The\n\
-     ETMs pay for their extra semantics only the delegation machinery:\n\
-     one delegate record per object handed over.";
   let groups = 200 and per_group = 5 in
   let n_objects = (groups * per_group) + 1 in
   let fresh () =
     Db.create
       (Config.make ~n_objects ~buffer_capacity:256 ~objects_per_page:8 ())
   in
-  let ob g i = Oid.of_int ((g * per_group) + i) in
+  let module Etm = Ariesrh_etm in
+  let group g = List.init per_group (fun i -> Oid.of_int ((g * per_group) + i)) in
+  let each_group f = for g = 0 to groups - 1 do f (group g) done in
+  let on_asset job () =
+    let db = fresh () in
+    job (Etm.Asset.create db);
+    db
+  in
   let flat () =
     let db = fresh () in
-    for g = 0 to groups - 1 do
-      let t = Db.begin_txn db in
-      for i = 0 to per_group - 1 do
-        Db.add db t (ob g i) 1
-      done;
-      Db.commit db t
-    done;
+    each_group (fun obs ->
+        let t = Db.begin_txn db in
+        List.iter (fun o -> Db.add db t o 1) obs;
+        Db.commit db t);
     db
   in
-  let nested () =
-    let db = fresh () in
-    let rt = Ariesrh_etm.Asset.create db in
-    let root = Ariesrh_etm.Nested.start rt in
-    for g = 0 to groups - 1 do
-      ignore
-        (Ariesrh_etm.Nested.run_sub root (fun sub ->
-             for i = 0 to per_group - 1 do
-               Ariesrh_etm.Nested.add sub (ob g i) 1
-             done))
-    done;
-    Ariesrh_etm.Nested.commit_root root;
-    db
+  let nested =
+    on_asset (fun rt ->
+        let root = Etm.Nested.start rt in
+        each_group (fun obs ->
+            ignore
+              (Etm.Nested.run_sub root (fun sub ->
+                   List.iter (fun o -> Etm.Nested.add sub o 1) obs)));
+        Etm.Nested.commit_root root)
   in
-  let split () =
-    let db = fresh () in
-    let rt = Ariesrh_etm.Asset.create db in
-    let session = Ariesrh_etm.Asset.initiate_empty rt ~name:"session" () in
-    for g = 0 to groups - 1 do
-      for i = 0 to per_group - 1 do
-        Ariesrh_etm.Asset.add rt session (ob g i) 1
-      done;
-      let part =
-        Ariesrh_etm.Split.split rt session
-          ~objects:(List.init per_group (fun i -> ob g i))
-      in
-      Ariesrh_etm.Asset.commit rt part
-    done;
-    Ariesrh_etm.Asset.commit rt session;
-    db
+  let split =
+    on_asset (fun rt ->
+        let session = Etm.Asset.initiate_empty rt ~name:"session" () in
+        each_group (fun obs ->
+            List.iter (fun o -> Etm.Asset.add rt session o 1) obs;
+            Etm.Asset.commit rt (Etm.Split.split rt session ~objects:obs));
+        Etm.Asset.commit rt session)
   in
-  let reporting () =
-    let db = fresh () in
-    let rt = Ariesrh_etm.Asset.create db in
-    let r = Ariesrh_etm.Reporting.start rt in
-    for g = 0 to groups - 1 do
-      for i = 0 to per_group - 1 do
-        Ariesrh_etm.Reporting.add r (ob g i) 1
-      done;
-      ignore (Ariesrh_etm.Reporting.report r)
-    done;
-    Ariesrh_etm.Reporting.finish r;
-    db
+  let reporting =
+    on_asset (fun rt ->
+        let r = Etm.Reporting.start rt in
+        each_group (fun obs ->
+            List.iter (fun o -> Etm.Reporting.add r o 1) obs;
+            ignore (Etm.Reporting.report r));
+        Etm.Reporting.finish r)
   in
+  (* every object incremented exactly once, whatever the model *)
   let check db =
-    (* every object incremented exactly once, whatever the model *)
-    let ok = ref true in
-    for g = 0 to groups - 1 do
-      for i = 0 to per_group - 1 do
-        if Db.peek db (ob g i) <> 1 then ok := false
-      done
-    done;
-    !ok
+    List.for_all
+      (fun g -> List.for_all (fun o -> Db.peek db o = 1) (group g))
+      (List.init groups Fun.id)
   in
   let total_ops = groups * per_group in
-  let flat_time = ref 0.0 in
-  Format.printf "%-12s %10s %12s %10s %10s@." "model" "time(ms)" "ops/ms"
-    "overhead" "correct";
-  List.iter
-    (fun (name, f) ->
-      let db, ms = time f in
-      if name = "flat" then flat_time := ms;
-      Format.printf "%-12s %10.2f %12.1f %9.2fx %10b@." name ms
-        (float_of_int total_ops /. ms)
-        (ms /. !flat_time) (check db))
+  let runs =
+    List.map
+      (fun (name, f) ->
+        let db, ms = time f in
+        (name, ms, check db))
+      [ ("flat", flat); ("nested", nested); ("split", split);
+        ("reporting", reporting) ]
+  in
+  let _, flat_ms, _ = List.hd runs in
+  experiment "E7: synthesizing extended transaction models (§2.2)"
+    "The same batched-update job written as flat transactions, nested\n\
+     transactions, split transactions, and a reporting transaction. The\n\
+     ETMs pay for their extra semantics only the delegation machinery:\n\
+     one delegate record per object handed over."
+    ~verdicts:
+      [ ( "every model increments every object exactly once",
+          List.for_all (fun (_, _, ok) -> ok) runs ) ]
     [
-      ("flat", flat); ("nested", nested); ("split", split);
-      ("reporting", reporting);
+      table
+        [ label "model" "%-12s"; wall "time(ms)" "%10.2f"; wall "ops/ms" "%12.1f";
+          wall "overhead" "%9.2fx"; wall "correct" "%10b" ]
+        (List.map
+           (fun (name, ms, ok) ->
+             [ S name; F ms; F (float_of_int total_ops /. ms); F (ms /. flat_ms);
+               B ok ])
+           runs);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -423,13 +415,6 @@ let e7 () =
 (* ------------------------------------------------------------------ *)
 
 let e8 () =
-  header "E8: delegation pins the log (ablation on the recovery horizon)"
-    "Short worker transactions commit and go away; a rotating collector\n\
-     receives (or, in the baseline, does not receive) delegation of one\n\
-     object per worker. Delegated-in scopes reach back to updates whose\n\
-     invokers committed long ago, so the oldest LSN that undo might need\n\
-     - the log truncation horizon - stops advancing. The baseline\n\
-     reclaims almost everything at each checkpoint.";
   let run ~delegated =
     let db =
       Db.create
@@ -437,152 +422,169 @@ let e8 () =
     in
     let collector = ref (Db.begin_txn db) in
     let next_ob = ref 0 in
-    let rows = ref [] in
-    for round = 1 to 6 do
-      for _ = 1 to 200 do
-        let w = Db.begin_txn db in
-        let o = Oid.of_int !next_ob in
-        incr next_ob;
-        Db.add db w o 1;
-        if delegated then Db.delegate db ~from_:w ~to_:!collector o;
-        Db.commit db w
-      done;
-      (* rotate the collector: hand everything to a fresh one, so begin
-         records stay recent and only the scopes can pin *)
-      let fresh = Db.begin_txn db in
-      (if delegated then
-         match Db.responsible_objects db !collector with
-         | [] -> ()
-         | _ -> Db.delegate_all db ~from_:!collector ~to_:fresh);
-      Db.commit db !collector;
-      collector := fresh;
-      Db.shutdown db;
-      Db.checkpoint db;
-      let head = Lsn.to_int (Log_store.head (Db.log_store db)) in
-      let horizon = Lsn.to_int (Db.truncation_horizon db) in
-      let reclaimed = Db.truncate_log db in
-      rows := (round, head, horizon, head - horizon, reclaimed) :: !rows
-    done;
-    List.rev !rows
+    List.init 6 (fun _ ->
+        for _ = 1 to 200 do
+          let w = Db.begin_txn db in
+          let o = Oid.of_int !next_ob in
+          incr next_ob;
+          Db.add db w o 1;
+          if delegated then Db.delegate db ~from_:w ~to_:!collector o;
+          Db.commit db w
+        done;
+        (* rotate the collector: hand everything to a fresh one, so begin
+           records stay recent and only the scopes can pin *)
+        let fresh = Db.begin_txn db in
+        (if delegated then
+           match Db.responsible_objects db !collector with
+           | [] -> ()
+           | _ -> Db.delegate_all db ~from_:!collector ~to_:fresh);
+        Db.commit db !collector;
+        collector := fresh;
+        Db.shutdown db;
+        Db.checkpoint db;
+        let head = Lsn.to_int (Log_store.head (Db.log_store db)) in
+        let horizon = Lsn.to_int (Db.truncation_horizon db) in
+        ignore (Db.truncate_log db);
+        [ I head; I horizon; I (head - horizon) ])
   in
   let with_d = run ~delegated:true in
   let without = run ~delegated:false in
-  Format.printf "%-6s | %28s | %28s@." ""
-    "-- with delegation --" "-- without --";
-  Format.printf "%-6s | %8s %9s %9s | %8s %9s %9s@." "round" "head"
-    "horizon" "pinned" "head" "horizon" "pinned";
-  List.iter2
-    (fun (r, h1, z1, p1, _) (_, h2, z2, p2, _) ->
-      Format.printf "%-6d | %8d %9d %9d | %8d %9d %9d@." r h1 z1 p1 h2 z2 p2)
-    with_d without
+  experiment "E8: delegation pins the log (ablation on the recovery horizon)"
+    "Short worker transactions commit and go away; a rotating collector\n\
+     receives (or, in the baseline, does not receive) delegation of one\n\
+     object per worker. Delegated-in scopes reach back to updates whose\n\
+     invokers committed long ago, so the oldest LSN that undo might need\n\
+     - the log truncation horizon - stops advancing. The baseline\n\
+     (base_* columns) reclaims almost everything at each checkpoint."
+    [
+      table
+        [ label "round" "%-6d"; cost "head" "| %8d"; work "horizon" "%9d";
+          cost "pinned" "%9d"; cost "base_head" "| %9d";
+          work "base_horizon" "%12d"; cost "base_pinned" "%11d" ]
+        (List.mapi (fun i (w, b) -> (I (i + 1) :: w) @ b) (List.combine with_d without));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E9: what cluster skipping buys (ablation)                           *)
 (* ------------------------------------------------------------------ *)
 
 let e9 () =
-  header "E9: cluster sweep vs naive scan (ablation of §3.6.2)"
+  let rows =
+    List.map
+      (fun gap ->
+        let build () =
+          Scenario.build ~groups:8 ~losers_per_group:2 ~updates_per_loser:2
+            ~gap ~delegated:true ()
+        in
+        let s1 = build () in
+        let r1 = Ariesrh_recovery.Aries_rh.recover (Db.env s1.db) in
+        let s2 = build () in
+        let r2 = Ariesrh_recovery.Aries_rh.recover_naive_sweep (Db.env s2.db) in
+        assert (r1.undos = r2.undos);
+        [ I s1.total_records; I r1.backward_examined; I r2.backward_examined;
+          F (float_of_int r2.backward_examined
+             /. float_of_int (max 1 r1.backward_examined));
+          I r1.undos ])
+      [ 125; 250; 500; 1000; 2000 ]
+  in
+  experiment "E9: cluster sweep vs naive scan (ablation of §3.6.2)"
     "Identical crashed logs recovered twice: once with the Fig. 8\n\
      cluster-based backward pass, once with the strawman that examines\n\
      every record between the newest and oldest loser scope. Decisions\n\
-     are identical; only the visits differ.";
-  Format.printf "%-10s | %12s %12s | %12s %10s@." "log recs"
-    "cluster_exam" "naive_exam" "saving" "undos";
-  List.iter
-    (fun gap ->
-      let build () =
-        Scenario.build ~groups:8 ~losers_per_group:2 ~updates_per_loser:2
-          ~gap ~delegated:true ()
-      in
-      let s1 = build () in
-      let r1 = Ariesrh_recovery.Aries_rh.recover (Db.env s1.db) in
-      let s2 = build () in
-      let r2 = Ariesrh_recovery.Aries_rh.recover_naive_sweep (Db.env s2.db) in
-      assert (r1.undos = r2.undos);
-      Format.printf "%-10d | %12d %12d | %11.1fx %10d@." s1.total_records
-        r1.backward_examined r2.backward_examined
-        (float_of_int r2.backward_examined
-        /. float_of_int (max 1 r1.backward_examined))
-        r1.undos)
-    [ 125; 250; 500; 1000; 2000 ]
+     are identical; only the visits differ."
+    [
+      table
+        [ label "log recs" "%-10d"; cost "cluster_exam" "| %12d";
+          cost "naive_exam" "%12d"; work "saving" "| %11.1fx"; cost "undos" "%10d" ]
+        rows;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E10: delegation under contention                                    *)
 (* ------------------------------------------------------------------ *)
 
 let e10 () =
-  header "E10: delegation under lock contention (simulator)"
+  let rows =
+    List.map
+      (fun rate ->
+        let sh =
+          Sharded.create (Config.make ~n_objects:16 ~buffer_capacity:16 ())
+        in
+        let outcome = Storm.fresh_outcome () in
+        let clients =
+          Storm.Clients.create outcome sh
+            ~load:{ Storm.contended with n_objects = 12; p_delegate = rate }
+            ~rng:(Prng.create 21L)
+        in
+        let ok = Storm.Clients.run clients ~txns:100 in
+        let tl = Storm.Clients.tally clients in
+        ( ok,
+          [ F rate; I tl.committed; I tl.accesses; I outcome.waits;
+            F (float_of_int outcome.waits /. float_of_int tl.accesses);
+            I outcome.deadlocks; I tl.aborted; I tl.delegations; B ok ] ))
+      [ 0.0; 0.2; 0.5; 0.8 ]
+  in
+  experiment "E10: delegation under lock contention (simulator)"
     "Closed-loop clients colliding on a small object set, with waits-for\n\
      deadlock detection and youngest-victim aborts. Delegation transfers\n\
      locks along with responsibility; the engine state must still equal\n\
      the sum of committed increments at every delegation rate. A\n\
      delegation takes an operation's slot, so accesses (reads and adds\n\
      tried, retries included) fall as the rate rises; waits/acc is the\n\
-     conflict rate per lock request.";
-  Format.printf "%-6s | %10s %9s %9s %9s %9s %8s %12s %6s@." "rate"
-    "committed" "accesses" "waits" "waits/acc" "deadlock" "aborted"
-    "delegations" "ok";
-  List.iter
-    (fun rate ->
-      let sh =
-        Sharded.create (Config.make ~n_objects:16 ~buffer_capacity:16 ())
-      in
-      let outcome = Storm.fresh_outcome () in
-      let clients =
-        Storm.Clients.create outcome sh
-          ~load:{ Storm.contended with n_objects = 12; p_delegate = rate }
-          ~rng:(Prng.create 21L)
-      in
-      let ok = Storm.Clients.run clients ~txns:100 in
-      let tl = Storm.Clients.tally clients in
-      Format.printf "%-6.2f | %10d %9d %9d %9.3f %9d %8d %12d %6b@." rate
-        tl.committed tl.accesses outcome.waits
-        (float_of_int outcome.waits /. float_of_int tl.accesses)
-        outcome.deadlocks tl.aborted tl.delegations ok)
-    [ 0.0; 0.2; 0.5; 0.8 ]
+     conflict rate per lock request."
+    ~verdicts:
+      [ ( "the state equals the committed increments at every rate",
+          List.for_all fst rows ) ]
+    [
+      table
+        [ label "rate" "%-6.2f"; work "committed" "| %10d"; cost "accesses" "%9d";
+          cost "waits" "%9d"; cost "waits/acc" "%9.3f"; cost "deadlock" "%9d";
+          cost "aborted" "%8d"; work "delegations" "%12d"; wall "ok" "%6b" ]
+        (List.map snd rows);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E11: merged vs separate forward passes                              *)
 (* ------------------------------------------------------------------ *)
 
 let e11 () =
-  header "E11: one forward pass or two (§3.3's remark)"
+  let rows =
+    List.map
+      (fun gap ->
+        let run passes =
+          let s =
+            Scenario.build ~groups:4 ~losers_per_group:4 ~updates_per_loser:2
+              ~gap ~delegated:true ()
+          in
+          let (report : Ariesrh_recovery.Report.t), ms =
+            time (fun () -> Ariesrh_recovery.Aries_rh.recover ~passes (Db.env s.db))
+          in
+          (s.total_records, report.forward_records, ms)
+        in
+        let records, m_recs, m_ms = run Ariesrh_recovery.Forward.Merged in
+        let _, s_recs, s_ms = run Ariesrh_recovery.Forward.Separate in
+        [ I records; I m_recs; I s_recs; F m_ms; F s_ms ])
+      [ 500; 2000; 8000 ]
+  in
+  experiment "E11: one forward pass or two (§3.3's remark)"
     "The paper notes ARIES/RH relies on a single (merged analysis+redo)\n\
      forward pass; classic ARIES runs analysis and redo separately. Both\n\
      organisations handle delegation identically (scopes are built during\n\
      analysis either way) — the difference is purely a second sequential\n\
-     read of the redo region.";
-  Format.printf "%-10s | %12s %12s | %12s %12s@." "log recs" "merged_fwd"
-    "separate_fwd" "merged(ms)" "separate(ms)";
-  List.iter
-    (fun gap ->
-      let run passes =
-        let s =
-          Scenario.build ~groups:4 ~losers_per_group:4 ~updates_per_loser:2
-            ~gap ~delegated:true ()
-        in
-        let (report : Ariesrh_recovery.Report.t), ms =
-          time (fun () -> Ariesrh_recovery.Aries_rh.recover ~passes (Db.env s.db))
-        in
-        (report.forward_records, ms)
-      in
-      let m_recs, m_ms = run Ariesrh_recovery.Forward.Merged in
-      let s_recs, s_ms = run Ariesrh_recovery.Forward.Separate in
-      Format.printf "%-10d | %12d %12d | %12.2f %12.2f@." (m_recs) m_recs
-        s_recs m_ms s_ms)
-    [ 500; 2000; 8000 ]
+     read of the redo region."
+    [
+      table
+        [ label "log recs" "%-10d"; cost "merged_fwd" "| %12d";
+          cost "separate_fwd" "%12d"; wall "merged(ms)" "| %12.2f";
+          wall "separate(ms)" "%12.2f" ]
+        rows;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E12: substrate characterization — buffer pool vs WAL traffic        *)
 (* ------------------------------------------------------------------ *)
 
 let e12 () =
-  header "E12: buffer pool size vs I/O (substrate characterization)"
-    "The STEAL/NO-FORCE pool under a fixed skewed workload: a smaller\n\
-     pool evicts more dirty pages, each eviction forcing the log first\n\
-     (the WAL rule) and writing a data page. Context for every recovery\n\
-     number above: the substrate behaves like the storage manager the\n\
-     paper assumes.";
   let spec =
     {
       Gen.default with
@@ -593,35 +595,42 @@ let e12 () =
     }
   in
   let script = Gen.generate spec ~seed:17L in
-  Format.printf "%-10s | %10s %10s %10s %10s %12s@." "pool" "evictions"
-    "pg_writes" "pg_reads" "hit_rate" "log_flushes";
-  List.iter
-    (fun capacity ->
-      let db =
-        Db.create
-          (Config.make ~n_objects:512 ~objects_per_page:8
-             ~buffer_capacity:capacity ())
-      in
-      Driver.run db script;
-      let hits, misses, evictions = Db.pool_counters db in
-      let d = Db.disk_stats db in
-      let stats = Log_store.stats (Db.log_store db) in
-      Format.printf "%-10d | %10d %10d %10d %9.1f%% %12d@." capacity evictions
-        d.page_writes d.page_reads
-        (100. *. float_of_int hits /. float_of_int (max 1 (hits + misses)))
-        stats.flushes)
-    [ 2; 4; 8; 16; 32; 64 ]
+  let rows =
+    List.map
+      (fun capacity ->
+        let db =
+          Db.create
+            (Config.make ~n_objects:512 ~objects_per_page:8
+               ~buffer_capacity:capacity ())
+        in
+        Driver.run db script;
+        let hits, misses, evictions = Db.pool_counters db in
+        let d = Db.disk_stats db in
+        let stats = Log_store.stats (Db.log_store db) in
+        [ I capacity; I evictions; I d.page_writes; I d.page_reads;
+          F (100. *. float_of_int hits /. float_of_int (max 1 (hits + misses)));
+          I stats.flushes ])
+      [ 2; 4; 8; 16; 32; 64 ]
+  in
+  experiment "E12: buffer pool size vs I/O (substrate characterization)"
+    "The STEAL/NO-FORCE pool under a fixed skewed workload: a smaller\n\
+     pool evicts more dirty pages, each eviction forcing the log first\n\
+     (the WAL rule) and writing a data page. Context for every recovery\n\
+     number above: the substrate behaves like the storage manager the\n\
+     paper assumes."
+    [
+      table
+        [ label "pool" "%-10d"; cost "evictions" "| %10d"; cost "pg_writes" "%10d";
+          cost "pg_reads" "%10d"; work "hit_rate" "%9.1f%%";
+          cost "log_flushes" "%12d" ]
+        rows;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E13: checkpoint interval vs restart time                            *)
 (* ------------------------------------------------------------------ *)
 
 let e13 () =
-  header "E13: checkpoint interval vs restart recovery"
-    "The paper's proofs ignore checkpoints and note the extension is\n\
-     easy; we implemented fuzzy ARIES-style checkpoints carrying the\n\
-     Ob_Lists with scopes. Classic trade-off, delegation included: more\n\
-     frequent checkpoints bound the forward pass.";
   let spec =
     {
       Gen.default with
@@ -634,75 +643,88 @@ let e13 () =
   in
   let script = Gen.generate spec ~seed:23L in
   let n = List.length script in
-  Format.printf "%-10s | %10s %10s %10s %10s@." "ckpt every" "log recs"
-    "fwd_recs" "undos" "rec(ms)";
-  List.iter
-    (fun interval ->
-      let db = Driver.fresh_db ~n_objects:256 () in
-      Driver.run ~upto:(n * 9 / 10)
-        ~on_action:(fun i ->
-          if interval > 0 && i mod interval = interval - 1 then
-            Db.checkpoint db)
-        db script;
-      flush_log db;
-      Db.crash db;
-      let report, ms = time (fun () -> Db.recover db) in
-      Format.printf "%-10s | %10d %10d %10d %10.2f@."
-        (if interval = 0 then "never" else string_of_int interval)
-        (Lsn.to_int (Log_store.head (Db.log_store db)))
-        report.forward_records report.undos ms)
-    [ 0; 2000; 500; 100 ]
+  let rows =
+    List.map
+      (fun interval ->
+        let db = Driver.fresh_db ~n_objects:256 () in
+        Driver.run ~upto:(n * 9 / 10)
+          ~on_action:(fun i ->
+            if interval > 0 && i mod interval = interval - 1 then
+              Db.checkpoint db)
+          db script;
+        let report, ms = crash_recover db in
+        [ S (if interval = 0 then "never" else string_of_int interval);
+          I (Lsn.to_int (Log_store.head (Db.log_store db)));
+          I report.forward_records; I report.undos; F ms ])
+      [ 0; 2000; 500; 100 ]
+  in
+  experiment "E13: checkpoint interval vs restart recovery"
+    "The paper's proofs ignore checkpoints and note the extension is\n\
+     easy; we implemented fuzzy ARIES-style checkpoints carrying the\n\
+     Ob_Lists with scopes. Classic trade-off, delegation included: more\n\
+     frequent checkpoints bound the forward pass."
+    [
+      table
+        [ label "ckpt every" "%-10s"; cost "log recs" "| %10d";
+          cost "fwd_recs" "%10d"; cost "undos" "%10d"; wall "rec(ms)" "%10.2f" ]
+        rows;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E14: delegation bloats checkpoints                                  *)
 (* ------------------------------------------------------------------ *)
 
 let e14 () =
-  header "E14: checkpoint size vs delegation rate"
+  let rows =
+    List.map
+      (fun rate ->
+        let spec =
+          {
+            Gen.default with
+            n_objects = 256;
+            n_steps = 3000;
+            max_concurrent = 12;
+            p_delegate = rate;
+            p_commit = 0.04;
+            p_abort = 0.02;
+            p_checkpoint = 0.0;
+            terminate_all = false;
+          }
+        in
+        let script = Gen.generate spec ~seed:29L in
+        let db = Driver.fresh_db ~n_objects:256 () in
+        Driver.run db script;
+        let before = Lsn.to_int (Log_store.head (Db.log_store db)) in
+        Db.checkpoint db;
+        (* the checkpoint appended ckpt_begin + ckpt_end: measure them *)
+        let bytes = ref 0 in
+        let scopes = ref 0 in
+        Log_store.iter_forward (Db.log_store db)
+          ~from:(Ariesrh_types.Lsn.of_int (before + 1)) (fun _ r ->
+            bytes := !bytes + String.length (Ariesrh_wal.Record.encode r);
+            match r.Ariesrh_wal.Record.body with
+            | Ariesrh_wal.Record.Ckpt_end ck ->
+                scopes :=
+                  List.fold_left
+                    (fun acc (ob : Ariesrh_wal.Record.ckpt_ob) ->
+                      acc + List.length ob.ck_scopes)
+                    0 ck.ck_obs
+            | _ -> ());
+        [ F rate; I !bytes; I !scopes; I (Db.active_count db) ])
+      [ 0.0; 0.1; 0.2; 0.4 ]
+  in
+  experiment "E14: checkpoint size vs delegation rate"
     "ARIES/RH checkpoints must carry the Ob_Lists with scopes (§3.4),\n\
      and delegated-in scopes accumulate on long-lived delegatees: the\n\
      price of restartability is a bigger checkpoint record as delegation\n\
      grows. Measured as the encoded size of a checkpoint taken at the\n\
-     same point of otherwise-identical workloads.";
-  Format.printf "%-8s | %12s %12s %12s@." "rate" "ckpt bytes" "scopes"
-    "live txns";
-  List.iter
-    (fun rate ->
-      let spec =
-        {
-          Gen.default with
-          n_objects = 256;
-          n_steps = 3000;
-          max_concurrent = 12;
-          p_delegate = rate;
-          p_commit = 0.04;
-          p_abort = 0.02;
-          p_checkpoint = 0.0;
-          terminate_all = false;
-        }
-      in
-      let script = Gen.generate spec ~seed:29L in
-      let db = Driver.fresh_db ~n_objects:256 () in
-      Driver.run db script;
-      let before = Lsn.to_int (Log_store.head (Db.log_store db)) in
-      Db.checkpoint db;
-      (* the checkpoint appended ckpt_begin + ckpt_end: measure them *)
-      let bytes = ref 0 in
-      let scopes = ref 0 in
-      Log_store.iter_forward (Db.log_store db)
-        ~from:(Ariesrh_types.Lsn.of_int (before + 1)) (fun _ r ->
-          bytes := !bytes + String.length (Ariesrh_wal.Record.encode r);
-          match r.Ariesrh_wal.Record.body with
-          | Ariesrh_wal.Record.Ckpt_end ck ->
-              scopes :=
-                List.fold_left
-                  (fun acc (ob : Ariesrh_wal.Record.ckpt_ob) ->
-                    acc + List.length ob.ck_scopes)
-                  0 ck.ck_obs
-          | _ -> ());
-      Format.printf "%-8.2f | %12d %12d %12d@." rate !bytes !scopes
-        (Db.active_count db))
-    [ 0.0; 0.1; 0.2; 0.4 ]
+     same point of otherwise-identical workloads."
+    [
+      table
+        [ label "rate" "%-8.2f"; cost "ckpt bytes" "| %12d"; cost "scopes" "%12d";
+          cost "live txns" "%12d" ]
+        rows;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E15: sustained load on a bounded log                                 *)
@@ -712,7 +734,55 @@ let e14 () =
 let e15_load = { Storm.contended with n_objects = 48; p_delegate = 0.25 }
 
 let e15 () =
-  header "E15: sustained load on a bounded log (governor + backpressure)"
+  let module Governor = Ariesrh_maintenance.Governor in
+  let runs =
+    (* 0 = unbounded: the no-governor baseline every bounded row is
+       paying against *)
+    List.concat_map
+      (fun capacity ->
+        List.map
+          (fun (name, impl) ->
+            let sh =
+              Sharded.create
+                (Config.make ~n_objects:64 ~buffer_capacity:16 ~impl
+                   ~locking:true
+                   ?log_capacity_bytes:
+                     (if capacity = 0 then None else Some capacity)
+                   ())
+            in
+            let db = Sharded.db sh 0 in
+            let gov = Governor.create db in
+            let peak = ref 0.0 in
+            let tick () =
+              Governor.tick gov;
+              let p = Db.log_pressure db in
+              if p > !peak then peak := p
+            in
+            let clients =
+              Storm.Clients.create (Storm.fresh_outcome ()) sh ~load:e15_load
+                ~rng:(Prng.create 31L) ~backoff_base:4 ~max_backoff:64
+                ~max_retries:8
+            in
+            let ok, ms =
+              time (fun () -> Storm.Clients.run clients ~txns:60 ~tick)
+            in
+            let o = Storm.Clients.tally clients in
+            let gs = Governor.stats gov in
+            let pinned =
+              Lsn.to_int (Log_store.head (Db.log_store db))
+              - Lsn.to_int (Db.truncation_horizon db)
+            in
+            ( ok,
+              [ I capacity; S name; I o.committed;
+                F (float_of_int o.committed /. (ms /. 1000.)); I o.stall_steps;
+                I o.backoffs; I o.overloads; I o.log_fulls; I o.abandoned;
+                I o.victimized; I o.delegations; I gs.Governor.checkpoints;
+                I gs.Governor.truncations; I gs.Governor.records_truncated;
+                I gs.Governor.victims; I pinned; F !peak ] ))
+          engines)
+      [ 0; 32768; 12288; 4096 ]
+  in
+  experiment "E15: sustained load on a bounded log (governor + backpressure)"
     "The shared client loop (E10's mix: reads, lock waits, op-level\n\
      delegation) against a WAL with a hard byte budget: a\n\
      governor checkpoints, truncates and applies delegation-aware\n\
@@ -720,114 +790,28 @@ let e15 () =
      cost of keeping the log bounded differs per engine: every scope a\n\
      delegatee holds pins the truncation horizon (E8), and eager's\n\
      anchor records eat budget at each delegation. Stall = scheduler\n\
-     steps clients spent parked; pinned = head - truncation horizon at\n\
-     the end of the run.";
-  let module Governor = Ariesrh_maintenance.Governor in
-  let rows = ref [] in
-  Format.printf
-    "%-8s %-6s | %9s %8s %9s %9s %9s | %6s %6s %7s | %8s %6s@." "budget"
-    "engine" "committed" "txn/s" "stall" "overload" "abandon" "ckpts"
-    "trunc" "victims" "pinned" "peak";
-  List.iter
-    (fun capacity ->
-      List.iter
-        (fun (name, impl) ->
-          let sh =
-            Sharded.create
-              (Config.make ~n_objects:64 ~buffer_capacity:16 ~impl
-                 ~locking:true
-                 ?log_capacity_bytes:
-                   (if capacity = 0 then None else Some capacity)
-                 ())
-          in
-          let db = Sharded.db sh 0 in
-          let gov = Governor.create db in
-          let peak = ref 0.0 in
-          let tick () =
-            Governor.tick gov;
-            let p = Db.log_pressure db in
-            if p > !peak then peak := p
-          in
-          let clients =
-            Storm.Clients.create (Storm.fresh_outcome ()) sh ~load:e15_load
-              ~rng:(Prng.create 31L) ~backoff_base:4 ~max_backoff:64
-              ~max_retries:8
-          in
-          let ok, ms =
-            time (fun () -> Storm.Clients.run clients ~txns:60 ~tick)
-          in
-          let o = Storm.Clients.tally clients in
-          let gs = Governor.stats gov in
-          let pinned =
-            Lsn.to_int (Log_store.head (Db.log_store db))
-            - Lsn.to_int (Db.truncation_horizon db)
-          in
-          let tps = float_of_int o.committed /. (ms /. 1000.) in
-          Format.printf
-            "%-8d %-6s | %9d %8.0f %9d %9d %9d | %6d %6d %7d | %8d %6.2f@."
-            capacity name o.committed tps o.stall_steps o.overloads
-            o.abandoned gs.Governor.checkpoints gs.Governor.truncations
-            gs.Governor.victims pinned !peak;
-          assert ok;
-          rows := (name, capacity, o, tps, gs, pinned, !peak, ok) :: !rows)
-        [ ("rh", Config.Rh); ("lazy", Config.Lazy); ("eager", Config.Eager) ])
-    (* 0 = unbounded: the no-governor baseline every bounded row is
-       paying against *)
-    [ 0; 32768; 12288; 4096 ];
-  (* machine-readable artifact for CI trend tracking *)
-  let path = bench_path "BENCH_e15_engines.json" in
-  let () =
-      let oc = open_out path in
-      let engines =
-        List.rev_map
-          (fun (name, capacity, (o : Storm.tally), tps,
-                (gs : Governor.stats), pinned, peak, ok) ->
-            Printf.sprintf
-              {|    { "engine": %S, "capacity_bytes": %d, "committed": %d,
-      "throughput_txn_per_s": %.1f, "stall_steps": %d, "backoffs": %d,
-      "overloads": %d, "log_fulls": %d, "abandoned": %d, "victimized": %d,
-      "delegations": %d, "checkpoints": %d, "truncations": %d,
-      "records_truncated": %d, "governor_victims": %d,
-      "pinned_records": %d, "peak_pressure": %.3f, "state_ok": %b }|}
-              name capacity o.committed tps o.stall_steps o.backoffs
-              o.overloads o.log_fulls o.abandoned o.victimized o.delegations
-              gs.Governor.checkpoints gs.Governor.truncations
-              gs.Governor.records_truncated gs.Governor.victims pinned peak ok)
-          !rows
-      in
-      Printf.fprintf oc
-        "{\n  \"experiment\": \"e15\",\n  \"engines\": [\n%s\n  ]\n}\n"
-        (String.concat ",\n" engines);
-      close_out oc;
-      Format.printf "@.wrote %s@." path
-  in
-  ()
+     steps clients spent parked; victims = the governor's, victimized =\n\
+     every client victimization; pinned = head - truncation horizon at\n\
+     the end of the run."
+    ~verdicts:
+      [ ( "every run ends in the state the client loop's ledger expects",
+          List.for_all fst runs ) ]
+    [
+      table
+        [ label "budget" "%-8d"; label "engine" "%-6s"; work "committed" "| %9d";
+          wall "txn/s" "%8.0f"; cost "stall" "%9d"; cost "backoffs" "%8d";
+          cost "overload" "%8d"; cost "log_full" "%8d"; cost "abandon" "%7d";
+          cost "victimized" "%10d"; work "delegations" "%11d"; cost "ckpts" "| %6d";
+          cost "trunc" "%6d"; cost "rec_trunc" "%9d"; cost "victims" "%7d";
+          cost "pinned" "| %8d"; cost "peak" "%6.2f" ]
+        (List.map snd runs);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E16: hot-path logical counters (perf-regression gate)               *)
 (* ------------------------------------------------------------------ *)
 
-(* An experiment may leave extra top-level fields for its
-   BENCH_<name>.json artifact here; [run_instrumented] drains the list
-   after the run. E16 uses it to publish the gated counters. *)
-let artifact_extra : (string * Obs.Json.t) list ref = ref []
-
 let e16 () =
-  header "E16: hot-path logical counters (perf-regression gate)"
-    "Six hot paths, measured with deterministic logical\n\
-     counters — never wall time, so CI can gate on exact drift:\n\
-     (a) decoded-record cache under a restart-heavy workload\n\
-     (b) O(1) LRU eviction: frames examined per eviction, across pool sizes\n\
-     (c) group commit: log forces under the concurrent simulator\n\
-     (d) invoker-indexed scope lookup under heavy delegation\n\
-     (e) log records restart reads, on a plain and a two-shard store\n\
-     (f) records a fixed batch of as_of queries reads, live and\n\
-     \    archive-bridged.\n\
-     CI regenerates these counters and fails if any regresses >5%\n\
-     against bench/baseline_e16.json.";
-  let engines =
-    [ ("rh", Config.Rh); ("lazy", Config.Lazy); ("eager", Config.Eager) ]
-  in
   (* (a) restart-heavy decode workload: run a delegation-heavy script to
      90%, then crash+recover repeatedly. Every restart re-reads the same
      durable prefix; the cache turns those re-decodes into hits. *)
@@ -897,9 +881,7 @@ let e16 () =
     let reads () = log_reads [| db |] + Archive.wal_reads ar in
     let run () =
       let before = reads () in
-      let answers =
-        List.map (fun (lsn, o) -> Temporal.as_of db ~lsn o) batch
-      in
+      let answers = List.map (fun (lsn, o) -> Temporal.as_of db ~lsn o) batch in
       (reads () - before, answers)
     in
     let live, answers = run () in
@@ -961,80 +943,74 @@ let e16 () =
     let before = Ob_list.scope_probes () in
     let db = Driver.fresh_db ~impl ~n_objects:128 () in
     Driver.run ~upto:(List.length scope_script * 9 / 10) db scope_script;
-    flush_log db;
-    Db.crash db;
-    ignore (Db.recover db);
+    ignore (crash_recover db);
     Ob_list.scope_probes () - before
   in
-  let rows = ref [] in
-  Format.printf
-    "%-6s | %10s %10s %7s | %9s %9s | %9s %9s | %10s | %8s %8s | %8s %8s@."
-    "engine" "dec_cold" "dec_cache" "saved" "scan/ev4" "scan/ev32" "flushes"
-    "flushes_g" "scope_prb" "rd_plain" "rd_2shard" "asof_liv" "asof_brg";
-  List.iter
-    (fun (name, impl) ->
-      let dec_cold, reads_plain, st_cold = restart_heavy impl ~record_cache:0 in
-      let dec_cached, reads_cached, st_cached =
-        restart_heavy impl ~record_cache:Config.default.Config.record_cache
-      in
-      assert (st_cold = st_cached && reads_plain = reads_cached);
-      let reads_2shard = restart_reads_2shard impl in
-      let ev4, scans4 = evictions impl ~capacity:4 in
-      let ev32, scans32 = evictions impl ~capacity:32 in
-      assert (scans4 = ev4 && scans32 = ev32);
-      let fl_eager, committed = sim_flushes impl ~group_commit:0 in
-      let fl_grouped, committed' = sim_flushes impl ~group_commit:8 in
-      assert (committed = committed');
-      assert (fl_grouped < fl_eager);
-      let probes = scope_probes impl in
-      let asof_live, asof_bridged = asof_reads impl in
-      let saved =
-        100. *. (1. -. (float_of_int dec_cached /. float_of_int dec_cold))
-      in
-      assert (2 * dec_cached <= dec_cold);
-      Format.printf
-        "%-6s | %10d %10d %6.1f%% | %4d/%-4d %4d/%-4d | %9d %9d | %10d | %8d %8d | %8d %8d@."
-        name dec_cold dec_cached saved scans4 ev4 scans32 ev32 fl_eager
-        fl_grouped probes reads_plain reads_2shard asof_live asof_bridged;
-      rows :=
-        ( name,
-          Obs.Json.Obj
-            [
-              ("decode_calls_uncached", Obs.Json.Int dec_cold);
-              ("decode_calls_cached", Obs.Json.Int dec_cached);
-              ("evictions_pool4", Obs.Json.Int ev4);
-              ("eviction_scans_pool4", Obs.Json.Int scans4);
-              ("evictions_pool32", Obs.Json.Int ev32);
-              ("eviction_scans_pool32", Obs.Json.Int scans32);
-              ("log_flushes_eager", Obs.Json.Int fl_eager);
-              ("log_flushes_grouped", Obs.Json.Int fl_grouped);
-              ("sim_committed", Obs.Json.Int committed);
-              ("scope_probes", Obs.Json.Int probes);
-              ("restart_log_reads_plain", Obs.Json.Int reads_plain);
-              ("restart_log_reads_2shard", Obs.Json.Int reads_2shard);
-              ("asof_reads_live", Obs.Json.Int asof_live);
-              ("asof_reads_bridged", Obs.Json.Int asof_bridged);
-            ] )
-        :: !rows)
-    engines;
-  artifact_extra := [ ("counters", Obs.Json.Obj (List.rev !rows)) ];
-  Format.printf
-    "@.all engines: cached restarts decode >=2x fewer records, every@.\
-     eviction examines exactly one frame, and group commit forces the@.\
-     log strictly less often at identical committed work.@."
+  let runs =
+    List.map
+      (fun (name, impl) ->
+        let dec_cold, reads_plain, st_cold = restart_heavy impl ~record_cache:0 in
+        let dec_cached, reads_cached, st_cached =
+          restart_heavy impl ~record_cache:Config.default.Config.record_cache
+        in
+        let reads_2shard = restart_reads_2shard impl in
+        let ev4, scans4 = evictions impl ~capacity:4 in
+        let ev32, scans32 = evictions impl ~capacity:32 in
+        let fl_eager, committed = sim_flushes impl ~group_commit:0 in
+        let fl_grouped, committed' = sim_flushes impl ~group_commit:8 in
+        let probes = scope_probes impl in
+        let asof_live, asof_bridged = asof_reads impl in
+        ( [ st_cold = st_cached && reads_plain = reads_cached;
+            2 * dec_cached <= dec_cold; scans4 = ev4 && scans32 = ev32;
+            committed = committed' && fl_grouped < fl_eager ],
+          [ S name; I dec_cold; I dec_cached;
+            F (100. *. (1. -. (float_of_int dec_cached /. float_of_int dec_cold)));
+            I ev4; I scans4; I ev32; I scans32; I fl_eager; I fl_grouped;
+            I committed; I probes; I reads_plain; I reads_2shard; I asof_live;
+            I asof_bridged ] ))
+      engines
+  in
+  let holds i = List.for_all (fun (checks, _) -> List.nth checks i) runs in
+  experiment "E16: hot-path logical counters (perf-regression gate)"
+    "Six hot paths, measured with deterministic logical\n\
+     counters — never wall time, so the gate is exact:\n\
+     (a) decoded-record cache under a restart-heavy workload\n\
+     (b) O(1) LRU eviction: frames examined per eviction, across pool sizes\n\
+     (c) group commit: log forces under the concurrent simulator\n\
+     (d) invoker-indexed scope lookup under heavy delegation\n\
+     (e) log records restart reads, on a plain and a two-shard store\n\
+     (f) records a fixed batch of as_of queries reads, live and\n\
+     \    archive-bridged.\n\
+     The run fails if any counter regresses >5% against\n\
+     bench/baselines/e16.json."
+    ~verdicts:
+      [ ("cached and uncached restarts read the same records and agree", holds 0);
+        ("cached restarts decode >=2x fewer records", holds 1);
+        ("every eviction examines exactly one frame", holds 2);
+        ("group commit forces the log strictly less often at identical \
+          committed work", holds 3) ]
+    [
+      table
+        [ label "engine" "%-6s";
+          cost ~head:"dec_cold" "decode_calls_uncached" "| %10d";
+          cost ~head:"dec_cache" "decode_calls_cached" "%10d";
+          work ~head:"saved" "decode_saved_pct" "%6.1f%%";
+          cost ~head:"ev4" "evictions_pool4" "| %5d";
+          cost ~head:"scan4" "eviction_scans_pool4" "%5d";
+          cost ~head:"ev32" "evictions_pool32" "%5d";
+          cost ~head:"scan32" "eviction_scans_pool32" "%5d";
+          cost ~head:"flushes" "log_flushes_eager" "| %9d";
+          cost ~head:"flushes_g" "log_flushes_grouped" "%9d";
+          work ~head:"committed" "sim_committed" "%9d";
+          cost ~head:"scope_prb" "scope_probes" "| %10d";
+          cost ~head:"rd_plain" "restart_log_reads_plain" "| %8d";
+          cost ~head:"rd_2shard" "restart_log_reads_2shard" "%8d";
+          cost ~head:"asof_liv" "asof_reads_live" "| %8d";
+          cost ~head:"asof_brg" "asof_reads_bridged" "%8d" ]
+        (List.map snd runs);
+    ]
 
 let e17 () =
-  header "E17: file backend — real fsync discipline and its cost"
-    "The same committed work on the simulated and the file backend.\n\
-     The file backend appends checksummed frames to a segmented WAL and\n\
-     fsyncs on every force, so this is the one experiment where wall\n\
-     time is the point: txn/s with a real fsync in the commit path, and\n\
-     how group commit amortises it. Same-seed runs must end in the same\n\
-     state on both backends — the write-through design makes the file\n\
-     layer invisible to the engine.";
-  let engines =
-    [ ("rh", Config.Rh); ("lazy", Config.Lazy); ("eager", Config.Eager) ]
-  in
   let spec =
     { Gen.default with n_objects = 128; n_steps = 3000; p_checkpoint = 0.0 }
   in
@@ -1065,85 +1041,81 @@ let e17 () =
     Db.close db;
     (dt, fsyncs, state)
   in
-  let rows = ref [] in
-  Format.printf "%-6s | %9s %9s %11s | %9s %9s | %9s@." "engine" "sim tx/s"
-    "file tx/s" "file-g tx/s" "fsyncs" "fsyncs/s" "fsyncs-g";
-  List.iter
-    (fun (name, impl) ->
-      let dir tag =
-        let d = Filename.concat root (name ^ "-" ^ tag) in
-        Ariesrh_storage.Backend.remove_tree d;
-        Ariesrh_storage.Backend.File { dir = d }
-      in
-      let dt_sim, fs_sim, st_sim =
-        run_one impl ~backend:Ariesrh_storage.Backend.Sim ~group_commit:0
-      in
-      let dt_file, fs_file, st_file =
-        run_one impl ~backend:(dir "eager") ~group_commit:0
-      in
-      let dt_grp, fs_grp, st_grp =
-        run_one impl ~backend:(dir "grouped") ~group_commit:8
-      in
-      (* backend parity: the file layer must be semantically invisible *)
-      assert (st_sim = st_file && st_sim = st_grp);
-      assert (fs_sim = 0);
-      assert (fs_grp < fs_file);
-      let tps dt = float_of_int commits /. dt in
-      Format.printf "%-6s | %9.0f %9.0f %11.0f | %9d %9.0f | %9d@." name
-        (tps dt_sim) (tps dt_file) (tps dt_grp) fs_file
-        (float_of_int fs_file /. dt_file)
-        fs_grp;
-      rows :=
-        ( name,
-          Obs.Json.Obj
-            [
-              ("committed", Obs.Json.Int commits);
-              ("sim_txn_per_s", Obs.Json.Float (tps dt_sim));
-              ("file_txn_per_s", Obs.Json.Float (tps dt_file));
-              ("file_grouped_txn_per_s", Obs.Json.Float (tps dt_grp));
-              ("file_fsyncs", Obs.Json.Int fs_file);
-              ( "file_fsyncs_per_s",
-                Obs.Json.Float (float_of_int fs_file /. dt_file) );
-              ("file_grouped_fsyncs", Obs.Json.Int fs_grp);
-              ("file_wall_ms", Obs.Json.Float (1000. *. dt_file));
-              ("file_grouped_wall_ms", Obs.Json.Float (1000. *. dt_grp));
-              ("sim_wall_ms", Obs.Json.Float (1000. *. dt_sim));
-            ] )
-        :: !rows)
-    engines;
+  let runs =
+    List.map
+      (fun (name, impl) ->
+        let dir tag =
+          let d = Filename.concat root (name ^ "-" ^ tag) in
+          Ariesrh_storage.Backend.remove_tree d;
+          Ariesrh_storage.Backend.File { dir = d }
+        in
+        let dt_sim, fs_sim, st_sim =
+          run_one impl ~backend:Ariesrh_storage.Backend.Sim ~group_commit:0
+        in
+        let dt_file, fs_file, st_file =
+          run_one impl ~backend:(dir "eager") ~group_commit:0
+        in
+        let dt_grp, fs_grp, st_grp =
+          run_one impl ~backend:(dir "grouped") ~group_commit:8
+        in
+        let tps dt = float_of_int commits /. dt in
+        ( [ st_sim = st_file && st_sim = st_grp; fs_sim = 0; fs_grp < fs_file ],
+          [ S name; F (tps dt_sim); F (tps dt_file); F (tps dt_grp); I fs_file;
+            F (float_of_int fs_file /. dt_file); I fs_grp ] ))
+      engines
+  in
   Ariesrh_storage.Backend.remove_tree root;
-  artifact_extra := [ ("throughput", Obs.Json.Obj (List.rev !rows)) ];
-  Format.printf
-    "@.every engine ends in the same state on both backends, and group@.\
-     commit strictly reduces fsyncs at identical committed work.@."
+  let holds i = List.for_all (fun (checks, _) -> List.nth checks i) runs in
+  experiment "E17: file backend — real fsync discipline and its cost"
+    "The same committed work on the simulated and the file backend.\n\
+     The file backend appends checksummed frames to a segmented WAL and\n\
+     fsyncs on every force, so this is the one experiment where wall\n\
+     time is the point: txn/s with a real fsync in the commit path, and\n\
+     how group commit amortises it. Same-seed runs must end in the same\n\
+     state on both backends — the write-through design makes the file\n\
+     layer invisible to the engine."
+    ~notes:[ Printf.sprintf "%d committed transactions per run" commits ]
+    ~verdicts:
+      [ ("every engine ends in the same state on both backends", holds 0);
+        ("the simulated backend never fsyncs", holds 1);
+        ("group commit strictly reduces fsyncs at identical committed work",
+         holds 2) ]
+    [
+      table
+        [ label "engine" "%-6s"; wall "sim tx/s" "| %9.0f"; wall "file tx/s" "%9.0f";
+          wall "file-g tx/s" "%11.0f"; cost "fsyncs" "| %9d";
+          wall "fsyncs/s" "%9.0f"; cost "fsyncs-g" "| %9d" ]
+        (List.map snd runs);
+    ]
 
 let e18 () =
-  header "E18: media scrubbing — overhead and heal latency"
-    "The silent-corruption defences must be close to free when nothing\n\
-     is corrupt. Part one runs the same committed workload with the\n\
-     incremental scrubber off and riding along (WAL archiving on in\n\
-     both), and reports the overhead. Part two injects one corruption\n\
-     of each class and times the full detect-and-heal sweep against a\n\
-     clean-sweep baseline.";
   let module Scrubber = Ariesrh_maintenance.Scrubber in
   let module Disk = Ariesrh_storage.Disk in
   let n_objects = 128 and txns = 8_000 in
-  let workload ~batch =
+  let archived_db () =
     let db =
       Db.create
         (Config.make ~n_objects ~buffer_capacity:32 ~impl:Config.Rh
            ~locking:true ())
     in
     ignore (Db.attach_archive db);
+    db
+  in
+  (* one committed transaction of four random adds *)
+  let txn db rng =
+    let x = Db.begin_txn db in
+    for _ = 1 to 4 do
+      Db.add db x (Oid.of_int (Prng.int rng n_objects)) (1 + Prng.int rng 9)
+    done;
+    Db.commit db x
+  in
+  let workload ~batch =
+    let db = archived_db () in
     let scrubber = if batch > 0 then Some (Scrubber.create ~batch db) else None in
     let rng = Prng.create 77L in
     let t0 = Unix.gettimeofday () in
     for i = 1 to txns do
-      let x = Db.begin_txn db in
-      for _ = 1 to 4 do
-        Db.add db x (Oid.of_int (Prng.int rng n_objects)) (1 + Prng.int rng 9)
-      done;
-      Db.commit db x;
+      txn db rng;
       match scrubber with
       | Some s when i mod 4 = 0 -> ignore (Scrubber.step s)
       | _ -> ()
@@ -1153,110 +1125,76 @@ let e18 () =
     assert (unhealable = 0);
     (dt, checked, Db.peek_all db)
   in
-  let dt_off, _, st_off = workload ~batch:0 in
+  let dt_off, checked_off, st_off = workload ~batch:0 in
   let dt_on, checked_on, st_on = workload ~batch:16 in
-  (* the scrubber is semantically invisible *)
-  assert (st_off = st_on);
-  let overhead_pct = 100. *. (dt_on -. dt_off) /. dt_off in
-  Format.printf
-    "overhead: %d txns, scrub off %.1f ms, scrub riding %.1f ms\n\
-     (%d images checked) -> %+.1f%%@."
-    txns dt_off dt_on checked_on overhead_pct;
   (* part two: heal latency per corruption class. One fresh db, a
      modest history, then [reps] inject-and-sweep rounds per class,
      against the clean-sweep baseline. *)
-  let db =
-    Db.create
-      (Config.make ~n_objects ~buffer_capacity:32 ~impl:Config.Rh
-       ~locking:true ())
-  in
-  ignore (Db.attach_archive db);
+  let db = archived_db () in
   let rng = Prng.create 78L in
   for _ = 1 to 500 do
-    let x = Db.begin_txn db in
-    for _ = 1 to 4 do
-      Db.add db x (Oid.of_int (Prng.int rng n_objects)) (1 + Prng.int rng 9)
-    done;
-    Db.commit db x
+    txn db rng
   done;
   ignore (Db.archive_catchup db);
   let disk = Ariesrh_storage.Buffer_pool.disk (Db.env db).Ariesrh_recovery.Env.pool in
   let reps = 50 in
-  let sweep_ms () =
-    let (out : Db.scrub_outcome), ms = time (fun () -> Db.scrub db) in
-    (out, ms)
-  in
-  let baseline =
-    let acc = ref 0. in
-    for _ = 1 to reps do
-      let out, ms = sweep_ms () in
-      assert (out.Db.corrupt = 0);
-      acc := !acc +. ms
-    done;
-    !acc /. float_of_int reps
-  in
-  let timed_class ~name inject =
-    let acc = ref 0. and healed = ref 0 in
+  let mean_sweep inject =
+    let acc = ref 0. and healed = ref 0 and corrupt = ref 0 in
     for _ = 1 to reps do
       inject ();
-      let out, ms = sweep_ms () in
+      let (out : Db.scrub_outcome), ms = time (fun () -> Db.scrub db) in
       healed := !healed + out.Db.healed;
+      corrupt := !corrupt + out.Db.corrupt;
       assert (out.Db.unhealable = 0);
       acc := !acc +. ms
     done;
-    let mean = !acc /. float_of_int reps in
-    assert (!healed >= reps);
-    Format.printf "%-12s: sweep %.3f ms (clean %.3f ms), heal +%.3f ms@." name
-      mean baseline (mean -. baseline);
-    (name, mean)
+    (!acc /. float_of_int reps, !healed, !corrupt)
+  in
+  let clean, _, corrupt = mean_sweep ignore in
+  assert (corrupt = 0);
+  let heal_row name inject =
+    let ms, healed, _ = mean_sweep inject in
+    assert (healed >= reps);
+    [ S name; F ms; F clean; F (ms -. clean) ]
   in
   let pages = Disk.page_count disk in
   let page_rot =
-    timed_class ~name:"page-rot" (fun () ->
+    heal_row "page-rot" (fun () ->
         Disk.bitrot_main disk (Page_id.of_int (Prng.int rng pages))
           ~slot:(Prng.int rng 4))
   in
   let log = Db.log_store db in
   let wal_rot =
-    timed_class ~name:"wal-rot" (fun () ->
+    heal_row "wal-rot" (fun () ->
         let low = Lsn.to_int (Log_store.truncated_below log) - 1 in
         let durable = Lsn.to_int (Log_store.durable log) in
         Log_store.bitrot_record log ~idx:(low + Prng.int rng (durable - low)))
   in
-  artifact_extra :=
+  experiment "E18: media scrubbing — overhead and heal latency"
+    "The silent-corruption defences must be close to free when nothing\n\
+     is corrupt. Part one runs the same committed workload with the\n\
+     incremental scrubber off and riding along (WAL archiving on in\n\
+     both), and reports the overhead. Part two injects one corruption\n\
+     of each class and times the full detect-and-heal sweep against a\n\
+     clean-sweep baseline."
+    ~notes:
+      [ Printf.sprintf "scrub overhead: %+.1f%%" (100. *. (dt_on -. dt_off) /. dt_off) ]
+    ~verdicts:
+      [ ("the scrubber is semantically invisible (identical final state)",
+         st_off = st_on) ]
     [
-      ( "scrub",
-        Obs.Json.Obj
-          [
-            ("txns", Obs.Json.Int txns);
-            ("wall_ms_scrub_off", Obs.Json.Float dt_off);
-            ("wall_ms_scrub_on", Obs.Json.Float dt_on);
-            ("images_checked", Obs.Json.Int checked_on);
-            ("overhead_pct", Obs.Json.Float overhead_pct);
-            ("clean_sweep_ms", Obs.Json.Float baseline);
-            ("heal_sweep_ms_page_rot", Obs.Json.Float (snd page_rot));
-            ("heal_sweep_ms_wal_rot", Obs.Json.Float (snd wal_rot));
-            ("heal_reps", Obs.Json.Int reps);
-          ] );
-    ];
-  Format.printf
-    "@.the scrubber is semantically invisible (identical final state),@.\
-     and every injected corruption healed within one sweep.@."
+      table
+        [ label "scrub" "%-8s"; work "txns" "| %6d"; wall "wall(ms)" "%9.1f";
+          cost "checked" "%9d" ]
+        [ [ S "off"; I txns; F dt_off; I checked_off ];
+          [ S "riding"; I txns; F dt_on; I checked_on ] ];
+      table
+        [ label "class" "%-9s"; wall "sweep(ms)" "| %9.3f"; wall "clean(ms)" "%9.3f";
+          wall "heal(ms)" "%9.3f" ]
+        [ page_rot; wal_rot ];
+    ]
 
 let e19 () =
-  header "E19: time-travel read latency vs history depth"
-    "as_of / snapshot_at / history reconstruct state from the durable\n\
-     log alone. snapshot_at reads the covered prefix [1, L], so its cost\n\
-     is linear in history depth; as_of and history read only what the\n\
-     log index files under their object, the surgery records and the\n\
-     holders' outcome records. Part one grows the log and measures the\n\
-     per-query cost and the records one as_of reads. Part two truncates\n\
-     the prefix: with the archive attached the same query is answered\n\
-     by bridging through the archived WAL frames (same answer, measured\n\
-     separately); without it, the reader gets a typed refusal instead\n\
-     of a partial answer. Part three repeats the bridged read at a low\n\
-     L on every engine, after a crash at 3/4 let restart rewrite the\n\
-     log.";
   let module Temporal = Ariesrh_temporal.Temporal in
   let module Archive = Ariesrh_storage.Archive in
   (* live records plus archived frames one call reads *)
@@ -1275,45 +1213,29 @@ let e19 () =
       p_checkpoint = 0.0 }
   in
   let reps = 200 in
-  let bench_queries db =
-    let cps = Temporal.commit_points db in
-    let last = fst (List.nth cps (List.length cps - 1)) in
-    let timed f =
-      let (), ms = time (fun () -> for _ = 1 to reps do f () done) in
-      1000. *. ms /. float_of_int reps (* us/query *)
-    in
-    let query () = ignore (Temporal.as_of db ~lsn:last (Oid.of_int 0)) in
-    let reads = reads_of db query in
-    let as_of = timed query in
-    let snap = timed (fun () -> ignore (Temporal.snapshot_at db last)) in
-    let hist = timed (fun () -> ignore (Temporal.history db (Oid.of_int 0))) in
-    (Lsn.to_int last, List.length cps, reads, as_of, snap, hist)
+  (* us per call *)
+  let timed f =
+    let (), ms = time (fun () -> for _ = 1 to reps do f () done) in
+    1000. *. ms /. float_of_int reps
   in
-  let rows = ref [] in
-  Format.printf "%-8s | %8s %8s | %10s %12s %12s %12s@." "steps" "records"
-    "commits" "as_of rds" "as_of(us)" "snap(us)" "history(us)";
-  List.iter
-    (fun n_steps ->
-      let script = Gen.generate { spec with n_steps } ~seed:47L in
-      let db = Driver.fresh_db ~n_objects () in
-      Driver.run db script;
-      flush_log db;
-      let records, commits, reads, as_of, snap, hist = bench_queries db in
-      Format.printf "%-8d | %8d %8d | %10d %12.1f %12.1f %12.1f@." n_steps
-        records commits reads as_of snap hist;
-      rows :=
-        Obs.Json.Obj
-          [
-            ("steps", Obs.Json.Int n_steps);
-            ("records", Obs.Json.Int records);
-            ("commits", Obs.Json.Int commits);
-            ("as_of_reads", Obs.Json.Int reads);
-            ("as_of_us", Obs.Json.Float as_of);
-            ("snapshot_us", Obs.Json.Float snap);
-            ("history_us", Obs.Json.Float hist);
-          ]
-        :: !rows)
-    [ 500; 1000; 2000; 4000; 8000 ];
+  let depth_rows =
+    List.map
+      (fun n_steps ->
+        let script = Gen.generate { spec with n_steps } ~seed:47L in
+        let db = Driver.fresh_db ~n_objects () in
+        Driver.run db script;
+        flush_log db;
+        let cps = Temporal.commit_points db in
+        let last = fst (List.nth cps (List.length cps - 1)) in
+        let query () = ignore (Temporal.as_of db ~lsn:last (Oid.of_int 0)) in
+        let reads = reads_of db query in
+        let as_of = timed query in
+        let snap = timed (fun () -> ignore (Temporal.snapshot_at db last)) in
+        let hist = timed (fun () -> ignore (Temporal.history db (Oid.of_int 0))) in
+        [ I n_steps; I (Lsn.to_int last); I (List.length cps); I reads; F as_of;
+          F snap; F hist ])
+      [ 500; 1000; 2000; 4000; 8000 ]
+  in
   (* part two: the same mid-history query before truncation, after
      truncation with the archive bridging the gap, and the typed
      refusal without it *)
@@ -1329,10 +1251,6 @@ let e19 () =
   let db = run_one ~with_archive:true in
   let cps = Temporal.commit_points db in
   let mid = fst (List.nth cps (List.length cps / 2)) in
-  let timed f =
-    let (), ms = time (fun () -> for _ = 1 to reps do f () done) in
-    1000. *. ms /. float_of_int reps
-  in
   let live_us = timed (fun () -> ignore (Temporal.snapshot_at db mid)) in
   let live_answer = Temporal.snapshot_at db mid in
   Db.checkpoint db;
@@ -1350,15 +1268,8 @@ let e19 () =
     | exception Errors.History_unavailable _ -> true
   in
   assert refused;
-  Format.printf
-    "@.bridging: same mid-history snapshot, live log %.1f us,@.\
-     archive-bridged after truncation %.1f us (identical answer);@.\
-     without the archive the truncated read is refused, never partial.@."
-    live_us bridged_us;
   (* part three: a low L below an archive-bridged horizon, on a history
      restart rewrote (eager's surgeries, lazy's splices) *)
-  Format.printf "@.%-6s | %6s %8s | %10s %10s | %10s %10s@." "engine" "L"
-    "bridged" "snap(us)" "snap rds" "as_of(us)" "as_of rds";
   let low_rows =
     List.map
       (fun (name, impl) ->
@@ -1395,49 +1306,43 @@ let e19 () =
         let as_of () = ignore (Temporal.as_of db ~lsn:l o) in
         let snap_us = timed snap and as_of_us = timed as_of in
         let snap_reads = reads_of db snap and as_of_reads = reads_of db as_of in
-        Format.printf "%-6s | %6d %8d | %10.1f %10d | %10.1f %10d@." name
-          (Lsn.to_int l) bridged snap_us snap_reads as_of_us as_of_reads;
-        Obs.Json.Obj
-          [
-            ("engine", Obs.Json.String name);
-            ("lsn", Obs.Json.Int (Lsn.to_int l));
-            ("bridged_records", Obs.Json.Int bridged);
-            ("snapshot_us", Obs.Json.Float snap_us);
-            ("snapshot_reads", Obs.Json.Int snap_reads);
-            ("as_of_us", Obs.Json.Float as_of_us);
-            ("as_of_reads", Obs.Json.Int as_of_reads);
-          ])
+        [ S name; I (Lsn.to_int l); I bridged; F snap_us; I snap_reads;
+          F as_of_us; I as_of_reads ])
       [ ("rh", Config.Rh); ("eager", Config.Eager); ("lazy", Config.Lazy) ]
   in
-  artifact_extra :=
+  experiment "E19: time-travel read latency vs history depth"
+    "as_of / snapshot_at / history reconstruct state from the durable\n\
+     log alone. snapshot_at reads the covered prefix [1, L], so its cost\n\
+     is linear in history depth; as_of and history read only what the\n\
+     log index files under their object, the surgery records and the\n\
+     holders' outcome records. Part one grows the log and measures the\n\
+     per-query cost and the records one as_of reads. Part two truncates\n\
+     the prefix: with the archive attached the same query is answered\n\
+     by bridging through the archived WAL frames (same answer, measured\n\
+     separately); without it, the reader gets a typed refusal instead\n\
+     of a partial answer. Part three repeats the bridged read at a low\n\
+     L on every engine, after a crash at 3/4 let restart rewrite the\n\
+     log."
+    ~notes:
+      [ Printf.sprintf
+          "bridging: same mid-history snapshot (L = %d), live log %.1f us,\n\
+           archive-bridged after truncation %.1f us (identical answer);\n\
+           without the archive the truncated read is refused, never partial."
+          (Lsn.to_int mid) live_us bridged_us ]
     [
-      ("depth", Obs.Json.List (List.rev !rows));
-      ("bridged_low", Obs.Json.List low_rows);
-      ( "bridging",
-        Obs.Json.Obj
-          [
-            ("mid_lsn", Obs.Json.Int (Lsn.to_int mid));
-            ("live_snapshot_us", Obs.Json.Float live_us);
-            ("bridged_snapshot_us", Obs.Json.Float bridged_us);
-            ("unbridged_refused", Obs.Json.Bool refused);
-          ] );
+      table
+        [ label "steps" "%-8d"; cost "records" "| %8d"; cost "commits" "%8d";
+          cost "as_of rds" "| %10d"; wall "as_of(us)" "%12.1f";
+          wall "snap(us)" "%12.1f"; wall "history(us)" "%12.1f" ]
+        depth_rows;
+      table
+        [ label "engine" "%-6s"; cost "L" "| %6d"; cost "bridged" "%8d";
+          wall "snap(us)" "| %10.1f"; cost "snap rds" "%10d";
+          wall "as_of(us)" "| %10.1f"; cost "as_of rds" "%10d" ]
+        low_rows;
     ]
 
-(* set by an experiment whose pass/fail gate should fail the process
-   without losing the artifact (run_instrumented writes it after the
-   experiment body returns) *)
-let exit_code = ref 0
-
 let e20 () =
-  header "E20: sharded engine — multicore scaling with cross-shard transfers"
-    "N independent shards (per-shard WAL, buffer pool, lock table), one\n\
-     domain each, objects hash-partitioned. Each domain runs a closed\n\
-     loop of shard-local transactions; ~5% of them also touch one\n\
-     object homed on the neighbouring shard, pulling it over with the\n\
-     crash-atomic transfer protocol (< 10% of ops cross shards).\n\
-     Committed-transaction throughput should scale with shard count;\n\
-     the gate (>= ARIESRH_E20_MIN_SCALE x at 4 shards, default 2.0)\n\
-     applies only where the host grants >= 4 domains.";
   let module Shard_pool = Ariesrh_shard.Shard_pool in
   let txns_per_shard = 3000 in
   let ops_per_txn = 4 in
@@ -1502,73 +1407,44 @@ let e20 () =
     Shard_pool.shutdown pool;
     let committed = shards * txns_per_shard in
     let tps = 1000. *. float_of_int committed /. ms in
-    (ms, committed, tps, Array.fold_left ( + ) 0 cross,
-     Array.fold_left ( + ) 0 skipped, c)
+    ( tps,
+      [ I shards; I committed; F ms; F tps; I c.Sharded.migrations;
+        I (Array.fold_left ( + ) 0 cross); I c.Sharded.migrations_refused;
+        I (Array.fold_left ( + ) 0 skipped) ] )
   in
-  let rows = ref [] in
-  Format.printf "%-7s | %10s %10s %12s | %9s %8s %8s@." "shards" "txns"
-    "wall(ms)" "txn/s" "migrated" "cross" "refused";
-  let results =
-    List.map
-      (fun shards ->
-        let ms, committed, tps, cross, skipped, c = run shards in
-        Format.printf "%-7d | %10d %10.0f %12.0f | %9d %8d %8d@." shards
-          committed ms tps c.Sharded.migrations cross c.Sharded.migrations_refused;
-        rows :=
-          Obs.Json.Obj
-            [
-              ("shards", Obs.Json.Int shards);
-              ("committed_txns", Obs.Json.Int committed);
-              ("wall_ms", Obs.Json.Float ms);
-              ("txns_per_sec", Obs.Json.Float tps);
-              ("migrations", Obs.Json.Int c.Sharded.migrations);
-              ("cross_shard_txns", Obs.Json.Int cross);
-              ("refused", Obs.Json.Int c.Sharded.migrations_refused);
-              ("ops_skipped", Obs.Json.Int skipped);
-            ]
-          :: !rows;
-        (shards, tps))
-      [ 1; 2; 4 ]
-  in
-  let tps_of n = List.assoc n results in
+  let results = List.map (fun shards -> (shards, run shards)) [ 1; 2; 4 ] in
+  let tps_of n = fst (List.assoc n results) in
   let scale = tps_of 4 /. tps_of 1 in
-  let min_scale =
-    match Sys.getenv_opt "ARIESRH_E20_MIN_SCALE" with
-    | Some s -> float_of_string s
-    | None -> 2.0
-  in
+  let min_scale = 2.0 in
   let domains = Domain.recommended_domain_count () in
   let gated = domains >= 4 in
-  let pass = (not gated) || scale >= min_scale in
-  Format.printf "@.scaling 1 -> 4 shards: %.2fx (gate: >= %.1fx, %s)@." scale
-    min_scale
-    (if not gated then
-       Printf.sprintf "SKIPPED — host grants only %d domain(s)" domains
-     else if pass then "PASS"
-     else "FAIL");
-  if not pass then exit_code := 1;
-  artifact_extra :=
+  experiment "E20: sharded engine — multicore scaling with cross-shard transfers"
+    "N independent shards (per-shard WAL, buffer pool, lock table), one\n\
+     domain each, objects hash-partitioned. Each domain runs a closed\n\
+     loop of shard-local transactions; ~5% of them also touch one\n\
+     object homed on the neighbouring shard, pulling it over with the\n\
+     crash-atomic transfer protocol (< 10% of ops cross shards).\n\
+     Committed-transaction throughput should scale with shard count;\n\
+     the gate (>= 2.0x at 4 shards) applies only where the host grants\n\
+     >= 4 domains. migrated/cross/refused/skipped race across domains,\n\
+     so they are reported, not gated."
+    ~notes:
+      [ Printf.sprintf "scaling 1 -> 4 shards: %.2fx (gate: >= %.1fx%s)" scale
+          min_scale
+          (if gated then ""
+           else Printf.sprintf ", SKIPPED — host grants only %d domain(s)" domains) ]
+    ~verdicts:
+      (if gated then [ (Printf.sprintf "4 shards scale >= %.1fx" min_scale, scale >= min_scale) ]
+       else [])
     [
-      ("scaling", Obs.Json.List (List.rev !rows));
-      ("scale_4_over_1", Obs.Json.Float scale);
-      ("min_scale", Obs.Json.Float min_scale);
-      ("recommended_domains", Obs.Json.Int domains);
-      ("gate_enforced", Obs.Json.Bool gated);
-      ("gate_pass", Obs.Json.Bool pass);
+      table
+        [ label "shards" "%-7d"; work "txns" "| %10d"; wall "wall(ms)" "%10.0f";
+          wall "txn/s" "%12.0f"; wall "migrated" "| %9d"; wall "cross" "%8d";
+          wall "refused" "%8d"; wall "skipped" "%8d" ]
+        (List.map (fun (_, (_, row)) -> row) results);
     ]
 
 let e21 () =
-  header "E21: instant restart — time-to-first-commit vs. log length"
-    "A long-lived loser keeps updating one object across an ever-growing\n\
-     committed history with periodic checkpoints. Offline restart must\n\
-     finish redo and walk the loser's whole update chain before serving\n\
-     anything, so its logical time-to-first-commit (forward records +\n\
-     backward records examined/skipped + undos) grows with the log.\n\
-     On-demand restart runs analysis only — bounded by the checkpoint\n\
-     interval — opens immediately, and drains the same backlog in the\n\
-     background; the partitioned variant (4 shards, one domain each)\n\
-     additionally runs every shard's analysis in parallel. The gates are\n\
-     deterministic logical counters; wall times are informative.";
   let module Report = Ariesrh_recovery.Report in
   let n_objects = 128 in
   let ckpt_every = 50 in
@@ -1594,9 +1470,6 @@ let e21 () =
      its last checkpoint, so the analysis tail is comparable across
      lengths (a multiple of ckpt_every would leave it degenerately 0) *)
   let lengths = [ 425; 825; 1625 ] in
-  let rows = ref [] in
-  Format.printf "%-6s | %9s %8s | %11s %11s %10s %6s@." "txns" "off_ttfc"
-    "od_ttfc" "off_rec(ms)" "od_open(ms)" "drain(ms)" "steps";
   let results =
     List.map
       (fun txns ->
@@ -1621,41 +1494,19 @@ let e21 () =
            one did, and both must carry every committed increment *)
         assert (Db.peek_all od = off_state);
         assert (Array.fold_left ( + ) 0 off_state = txns);
-        let redo_ms =
-          Obs.Profiler.wall_ms od_report.Report.profile "restart.ondemand.redo"
-        and undo_ms =
-          Obs.Profiler.wall_ms od_report.Report.profile "restart.ondemand.undo"
-        in
         Db.close od;
-        Format.printf "%-6d | %9d %8d | %11.3f %11.3f %10.3f %6d@." txns
-          off_ttfc od_ttfc off_ms od_ms drain_ms !steps;
-        rows :=
-          Obs.Json.Obj
-            [
-              ("txns", Obs.Json.Int txns);
-              ("offline_ttfc_records", Obs.Json.Int off_ttfc);
-              ("on_demand_ttfc_records", Obs.Json.Int od_ttfc);
-              ("offline_recover_ms", Obs.Json.Float off_ms);
-              ("on_demand_open_ms", Obs.Json.Float od_ms);
-              ("on_demand_drain_ms", Obs.Json.Float drain_ms);
-              ("on_demand_drain_steps", Obs.Json.Int !steps);
-              ("on_demand_redo_ms", Obs.Json.Float redo_ms);
-              ("on_demand_undo_ms", Obs.Json.Float undo_ms);
-            ]
-          :: !rows;
-        (txns, off_ttfc, od_ttfc))
+        ( (txns, off_ttfc, od_ttfc),
+          [ I txns; I off_ttfc; I od_ttfc; F off_ms; F od_ms; F drain_ms;
+            I !steps ] ))
       lengths
   in
   (* partitioned variant: the same total history dealt across 4 shards,
      analysis per shard in parallel; self-skips below 4 domains *)
   let domains = Domain.recommended_domain_count () in
-  let part_rows =
-    if domains < 4 then begin
-      Format.printf
-        "@.partitioned variant skipped — host grants only %d domain(s)@."
-        domains;
-      []
-    end
+  let partitioned =
+    if domains < 4 then
+      Printf.sprintf "partitioned variant skipped — host grants only %d domain(s)"
+        domains
     else begin
       let module Shard_pool = Ariesrh_shard.Shard_pool in
       let shards = 4 in
@@ -1704,56 +1555,48 @@ let e21 () =
       assert (Array.fold_left ( + ) 0 (Sharded.peek_all sh) = txns);
       Sharded.close sh;
       Shard_pool.shutdown pool;
-      Format.printf
-        "@.partitioned (4 shards, %d txns): max per-shard ttfc %d records, \
-         open %.3f ms, drain %.3f ms (%d steps)@."
-        txns part_ttfc open_ms drain_ms !steps;
-      [
-        ("partitioned_shards", Obs.Json.Int shards);
-        ("partitioned_txns", Obs.Json.Int txns);
-        ("partitioned_ttfc_records", Obs.Json.Int part_ttfc);
-        ("partitioned_open_ms", Obs.Json.Float open_ms);
-        ("partitioned_drain_ms", Obs.Json.Float drain_ms);
-        ("partitioned_drain_steps", Obs.Json.Int !steps);
-      ]
+      Printf.sprintf
+        "partitioned (4 shards, %d txns): max per-shard ttfc %d records, \
+         open %.3f ms, drain %.3f ms (%d steps)"
+        txns part_ttfc open_ms drain_ms !steps
     end
   in
   (* deterministic gates: time-to-first-commit stays bounded on-demand
      (it must not track the log length) and grows offline *)
-  let _, off_min, od_min = List.hd results in
-  let _, off_max, od_max = List.nth results (List.length results - 1) in
-  let min_ratio =
-    match Sys.getenv_opt "ARIESRH_E21_MIN_RATIO" with
-    | Some s -> float_of_string s
-    | None -> 3.0
-  in
+  let first, off_min, od_min = fst (List.hd results) in
+  let last, off_max, od_max = fst (List.nth results (List.length results - 1)) in
+  let min_ratio = 3.0 in
   let ratio = float_of_int off_max /. float_of_int (max 1 od_max) in
-  let bounded = od_max <= 2 * od_min in
-  let grows = off_max > off_min in
-  let pass = bounded && grows && ratio >= min_ratio in
-  Format.printf
-    "@.ttfc at %.1fx the log: on-demand %d -> %d records (bounded: %s), \
-     offline %d -> %d; offline/on-demand at max %.1fx (gate: >= %.1fx, %s)@."
-    (let a, _, _ = List.hd results
-     and b, _, _ = List.nth results (List.length results - 1) in
-     float_of_int b /. float_of_int a)
-    od_min od_max
-    (if bounded then "yes" else "NO")
-    off_min off_max ratio min_ratio
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit_code := 1;
-  artifact_extra :=
+  experiment "E21: instant restart — time-to-first-commit vs. log length"
+    "A long-lived loser keeps updating one object across an ever-growing\n\
+     committed history with periodic checkpoints. Offline restart must\n\
+     finish redo and walk the loser's whole update chain before serving\n\
+     anything, so its logical time-to-first-commit (forward records +\n\
+     backward records examined/skipped + undos) grows with the log.\n\
+     On-demand restart runs analysis only — bounded by the checkpoint\n\
+     interval — opens immediately, and drains the same backlog in the\n\
+     background; the partitioned variant (4 shards, one domain each)\n\
+     additionally runs every shard's analysis in parallel. The gates are\n\
+     deterministic logical counters; wall times are informative."
+    ~notes:
+      [ partitioned;
+        Printf.sprintf
+          "ttfc at %.1fx the log: on-demand %d -> %d records, offline %d -> %d; \
+           offline/on-demand at max %.1fx"
+          (float_of_int last /. float_of_int first)
+          od_min od_max off_min off_max ratio ]
+    ~verdicts:
+      [ ("on-demand ttfc stays bounded (max <= 2x min)", od_max <= 2 * od_min);
+        ("offline ttfc grows with the log", off_max > off_min);
+        (Printf.sprintf "offline/on-demand ttfc at max >= %.1fx" min_ratio,
+         ratio >= min_ratio) ]
     [
-      ("lengths", Obs.Json.List (List.rev !rows));
-      ("offline_ttfc_max", Obs.Json.Int off_max);
-      ("on_demand_ttfc_max", Obs.Json.Int od_max);
-      ("ttfc_ratio", Obs.Json.Float ratio);
-      ("min_ratio", Obs.Json.Float min_ratio);
-      ("on_demand_bounded", Obs.Json.Bool bounded);
-      ("recommended_domains", Obs.Json.Int domains);
-      ("gate_pass", Obs.Json.Bool pass);
+      table
+        [ label "txns" "%-6d"; cost "off_ttfc" "| %9d"; cost "od_ttfc" "%8d";
+          wall "off_rec(ms)" "| %11.3f"; wall "od_open(ms)" "%11.3f";
+          wall "drain(ms)" "%10.3f"; cost "steps" "%6d" ]
+        (List.map snd results);
     ]
-    @ part_rows
 
 let experiments =
   [
@@ -1762,55 +1605,6 @@ let experiments =
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
     ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21);
   ]
-
-(* Every experiment unconditionally leaves a machine-readable artifact
-   behind: BENCH_e<N>.json with the wall time and a metrics snapshot
-   merged across every database the experiment created (counters and
-   histograms sum; the Db create hook collects the registries). Unlike
-   the forensic/trace artifacts, wall time is fine here — bench output
-   is a measurement, not a committed repro. *)
-
-let run_instrumented name f =
-  (* Retaining every database's registry would pin each db's log and
-     pool alive for the whole experiment (the registry holds read
-     closures over them), distorting GC behaviour under bechamel's
-     db-per-run allocation. Instead pin only the most recent database
-     and fold its snapshot into the accumulator when the next one
-     appears — experiments drive their databases sequentially. *)
-  let snaps = ref [] and live = ref None and dbs = ref 0 in
-  let roll () =
-    match !live with
-    | Some db ->
-        snaps := Obs.Metrics.snapshot (Db.metrics db) :: !snaps;
-        live := None
-    | None -> ()
-  in
-  Db.set_create_hook
-    (Some
-       (fun db ->
-         roll ();
-         live := Some db;
-         incr dbs));
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> Db.set_create_hook None) f;
-  let ms = 1000. *. (Unix.gettimeofday () -. t0) in
-  roll ();
-  let path = bench_path (Printf.sprintf "BENCH_%s.json" name) in
-  let extra = !artifact_extra in
-  artifact_extra := [];
-  Obs.Json.to_file path
-    (Obs.Json.Obj
-       ([
-          ("experiment", Obs.Json.String name);
-          ("wall_ms", Obs.Json.Float ms);
-          ("databases", Obs.Json.Int !dbs);
-        ]
-       @ extra
-       @ [
-           ( "metrics",
-             Obs.Metrics.to_json (Obs.Metrics.merge (List.rev !snaps)) );
-         ]));
-  Format.printf "@.[%s: %.0f ms; metrics -> %s]@." name ms path
 
 let () =
   let requested =
@@ -1821,10 +1615,14 @@ let () =
   Format.printf
     "ARIES/RH experiment harness — figures are reproduced separately by@.\
      `dune exec bin/ariesrh.exe -- figures all`@.";
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> run_instrumented name f
-      | None -> Format.eprintf "unknown experiment %S@." name)
-    requested;
-  exit !exit_code
+  let ok =
+    List.fold_left
+      (fun ok name ->
+        match List.assoc_opt name experiments with
+        | Some f -> Harness.run name f && ok
+        | None ->
+            Format.eprintf "unknown experiment %S@." name;
+            ok)
+      true requested
+  in
+  exit (if ok then 0 else 1)

@@ -860,7 +860,7 @@ let storm_cmd =
         else
           [ ( "simulated storm",
               fun () ->
-                Crash_storm.run_sim
+                Crash_storm.run_sim ~impl
                   ~config:{ base with seed = Int64.of_int f.seed0 }
                   ~sim:
                     { Crash_storm.default_sim with

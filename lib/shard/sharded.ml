@@ -482,24 +482,39 @@ let await_recovery t =
   | Some p -> ignore (Shard_pool.map p (fun i -> Db.await_recovery t.dbs.(i)))
   | None -> Array.iter Db.await_recovery t.dbs
 
+(* The checks below read the log; a record that no longer decodes is a
+   failed check, not an exception out of the checker. *)
+let totally f ~corrupt =
+  try f ()
+  with Log_store.Corrupt_record _ as e ->
+    corrupt (Format.asprintf "%a" Errors.pp_exn e)
+
+let check_transfers t =
+  locked t (fun () ->
+      totally (fun () -> Audit.check_transfers (envs t)) ~corrupt:(fun m -> [ m ]))
+
 let audit t =
   let per_shard =
     List.concat (Array.to_list (Array.mapi
       (fun i db -> List.map (Printf.sprintf "shard %d: %s" i)
-                     (exec t i (fun () -> Db.audit db)))
+                     (exec t i (fun () ->
+                          totally (fun () -> Db.audit db) ~corrupt:(fun m -> [ m ]))))
       t.dbs))
   in
-  per_shard @ locked t (fun () -> Audit.check_transfers (envs t))
+  per_shard @ check_transfers t
 
 let validate t =
   let errs = ref [] in
   Array.iteri
     (fun i db ->
-      match exec t i (fun () -> Db.validate db) with
+      match
+        exec t i (fun () ->
+            totally (fun () -> Db.validate db) ~corrupt:Result.error)
+      with
       | Ok () -> ()
       | Error m -> errs := Printf.sprintf "shard %d: %s" i m :: !errs)
     t.dbs;
-  (match locked t (fun () -> Audit.check_transfers (envs t)) with
+  (match check_transfers t with
   | [] -> ()
   | vs -> errs := vs @ !errs);
   (* every shard job above ran after the closes posted before it *)

@@ -359,28 +359,29 @@ let recover_until_stable config outcome ~restart fault sh =
   go 0
 
 (* On a mismatch, the first diverging object's log history (updates,
-   delegations, compensations) is the fastest route to the bug. *)
+   delegations, compensations) is the fastest route to the bug. A record
+   that no longer decodes is reported in place of the history: the
+   diagnosis must not raise out of the check it explains. *)
 let describe_object db i =
-  let b = Buffer.create 128 in
   let xid = Format.asprintf "%a" Xid.pp in
-  List.iter
-    (fun e ->
-      Buffer.add_string b
-        (match e with
-        | Db.Updated { lsn; invoker; op } ->
-            Printf.sprintf " %d:upd(%s,%s)" (Lsn.to_int lsn) (xid invoker)
-              (match op with
-              | Record.Set { before; after } ->
-                  Printf.sprintf "set %d->%d" before after
-              | Record.Add d -> Printf.sprintf "%+d" d)
-        | Db.Delegated { lsn; from_; to_; _ } ->
-            Printf.sprintf " %d:del(%s->%s)" (Lsn.to_int lsn) (xid from_)
-              (xid to_)
-        | Db.Compensated { lsn; by; undone } ->
-            Printf.sprintf " %d:clr(%s,undid %d)" (Lsn.to_int lsn) (xid by)
-              (Lsn.to_int undone)))
-    (Db.object_history db (Oid.of_int i));
-  Buffer.contents b
+  let event = function
+    | Db.Updated { lsn; invoker; op } ->
+        Printf.sprintf " %d:upd(%s,%s)" (Lsn.to_int lsn) (xid invoker)
+          (match op with
+          | Record.Set { before; after } ->
+              Printf.sprintf "set %d->%d" before after
+          | Record.Add d -> Printf.sprintf "%+d" d)
+    | Db.Delegated { lsn; from_; to_; _ } ->
+        Printf.sprintf " %d:del(%s->%s)" (Lsn.to_int lsn) (xid from_)
+          (xid to_)
+    | Db.Compensated { lsn; by; undone } ->
+        Printf.sprintf " %d:clr(%s,undid %d)" (Lsn.to_int lsn) (xid by)
+          (Lsn.to_int undone)
+  in
+  match Db.object_history db (Oid.of_int i) with
+  | history -> String.concat "" (List.map event history)
+  | exception (Log_store.Corrupt_record _ as e) ->
+      Format.asprintf " <%a>" Errors.pp_exn e
 
 (* The check battery, faults gated off so it is deterministic: state
    against the oracle, structural invariants, optionally the self-audit,

@@ -27,4 +27,5 @@ let () =
       ("shard", Test_shard.suite);
       ("on-demand", Test_on_demand.suite);
       ("golden", Test_golden.suite);
+      ("bench", Test_bench.suite);
     ]

@@ -435,6 +435,25 @@ let storm_smoke impl () =
     > 0);
   Alcotest.(check int) "cold restore ran" 1 out.Media_storm.cold_restores
 
+(* [media-storm --engine eager --clients 8 --objects 32 --seed 8 --seeds 1]
+   (its one storm runs seed 9) rots both the live copy of record 880 and
+   its archived frame, so the full scrub cannot heal it. The checks that
+   then read the log must report the corrupt record as a failure, not
+   raise it. *)
+let storm_reports_corrupt_record () =
+  let d = Media_storm.default_config in
+  let config =
+    { d with
+      Media_storm.seed = 9L;
+      load = { d.load with clients = 8; n_objects = 32 } }
+  in
+  let out = Media_storm.run ~config ~impl:Config.Eager () in
+  Alcotest.(check bool) "the storm fails" false (Media_storm.ok out);
+  Alcotest.(check bool) "a failure names record 880" true
+    (List.exists
+       (fun m -> Test_known_bugs.contains m "corrupt log record at 880")
+       out.Media_storm.storm.Storm.failures)
+
 let storm_smoke_file () =
   let config =
     {
@@ -480,4 +499,6 @@ let suite =
       (storm_smoke Config.Lazy);
     Alcotest.test_case "media-storm smoke (file backend)" `Quick
       storm_smoke_file;
+    Alcotest.test_case "media-storm reports a corrupt record" `Quick
+      storm_reports_corrupt_record;
   ]
