@@ -1128,8 +1128,9 @@ let e18 () =
   let dt_off, checked_off, st_off = workload ~batch:0 in
   let dt_on, checked_on, st_on = workload ~batch:16 in
   (* part two: heal latency per corruption class. One fresh db, a
-     modest history, then [reps] inject-and-sweep rounds per class,
-     against the clean-sweep baseline. *)
+     modest history, then [reps] rounds per class, each pairing a clean
+     sweep with an inject-and-sweep (alternating which runs first), so
+     both sweeps of a pair see the same cache. *)
   let db = archived_db () in
   let rng = Prng.create 78L in
   for _ = 1 to 500 do
@@ -1138,24 +1139,29 @@ let e18 () =
   ignore (Db.archive_catchup db);
   let disk = Ariesrh_storage.Buffer_pool.disk (Db.env db).Ariesrh_recovery.Env.pool in
   let reps = 50 in
-  let mean_sweep inject =
-    let acc = ref 0. and healed = ref 0 and corrupt = ref 0 in
-    for _ = 1 to reps do
-      inject ();
-      let (out : Db.scrub_outcome), ms = time (fun () -> Db.scrub db) in
-      healed := !healed + out.Db.healed;
-      corrupt := !corrupt + out.Db.corrupt;
-      assert (out.Db.unhealable = 0);
-      acc := !acc +. ms
-    done;
-    (!acc /. float_of_int reps, !healed, !corrupt)
+  let sweep () =
+    let (out : Db.scrub_outcome), ms = time (fun () -> Db.scrub db) in
+    assert (out.Db.unhealable = 0);
+    (out, ms)
   in
-  let clean, _, corrupt = mean_sweep ignore in
-  assert (corrupt = 0);
   let heal_row name inject =
-    let ms, healed, _ = mean_sweep inject in
-    assert (healed >= reps);
-    [ S name; F ms; F clean; F (ms -. clean) ]
+    let dirty = ref 0. and clean = ref 0. and healed = ref 0 in
+    for rep = 1 to reps do
+      let clean_sweep () =
+        let out, ms = sweep () in
+        assert (out.Db.corrupt = 0);
+        clean := !clean +. ms
+      in
+      if rep mod 2 = 0 then clean_sweep ();
+      inject ();
+      let out, ms = sweep () in
+      healed := !healed + out.Db.healed;
+      dirty := !dirty +. ms;
+      if rep mod 2 = 1 then clean_sweep ()
+    done;
+    assert (!healed >= reps);
+    let mean x = x /. float_of_int reps in
+    [ S name; F (mean !dirty); F (mean !clean); F (mean (!dirty -. !clean)) ]
   in
   let pages = Disk.page_count disk in
   let page_rot =
@@ -1176,7 +1182,7 @@ let e18 () =
      incremental scrubber off and riding along (WAL archiving on in\n\
      both), and reports the overhead. Part two injects one corruption\n\
      of each class and times the full detect-and-heal sweep against a\n\
-     clean-sweep baseline."
+     clean sweep paired with it in the same rep."
     ~notes:
       [ Printf.sprintf "scrub overhead: %+.1f%%" (100. *. (dt_on -. dt_off) /. dt_off) ]
     ~verdicts:

@@ -98,6 +98,17 @@ let grow a n fill =
   Array.blit a 0 b 0 len;
   b
 
+(* Object heads: an oid -> slot table in one int array, each key (-1:
+   empty) in an even cell and its head after it, linear probing, at most
+   half full; a probe allocates nothing. A dense array by oid would cost
+   a cell per object of the store, not per object the log names. *)
+let cell cells k =
+  let mask = Array.length cells - 2 in
+  let rec probe i =
+    if cells.(i) = k || cells.(i) < 0 then i else probe ((i + 2) land mask)
+  in
+  probe (((k * 0x2545F4914F6CDD1D) lsr 23) land mask)
+
 (* An append only stores the record's tag. The object and transaction
    chains are linked lazily: a chain walk first links the slots appended
    since the last one, so that work lands on queries, not on commits. *)
@@ -109,7 +120,8 @@ type t = {
   mutable floor : int;
   mutable n : int;
   mutable linked : int;
-  objects : (int, int) Hashtbl.t;  (* oid -> highest linked slot *)
+  mutable objects : int array;  (* oid -> highest linked slot, -1 *)
+  mutable n_objects : int;
   mutable txns : int array;  (* xid -> highest linked slot, -1 *)
   ctl : vec;  (* slots whose tag has a control bit, unknown ones included *)
   unknowns : vec;
@@ -122,7 +134,8 @@ let create () =
     floor = 0;
     n = 0;
     linked = 0;
-    objects = Hashtbl.create 64;
+    objects = Array.make 128 (-1);
+    n_objects = 0;
     txns = [||];
     ctl = vec ();
     unknowns = vec ();
@@ -140,14 +153,39 @@ let chain_of tag =
   else if tag land (c_commit lor c_abort) <> 0 then Some Txns
   else None
 
+(* The cell of [k], claimed if new. A new key that would fill the table
+   past half first grows it, in one rehash that drops emptied chains, to
+   fit [room] (at least one) more keys. *)
+let rec object_cell t k ~room =
+  let i = cell t.objects k in
+  if t.objects.(i) >= 0 then i
+  else if 4 * (t.n_objects + 1) > Array.length t.objects then (
+    reserve t room;
+    object_cell t k ~room)
+  else (
+    t.objects.(i) <- k;
+    t.n_objects <- t.n_objects + 1;
+    i)
+
+and reserve t room =
+  let len = ref (Array.length t.objects) in
+  while 4 * (t.n_objects + room) > !len do len := 2 * !len done;
+  let old = t.objects in
+  t.objects <- Array.make !len (-1);
+  t.n_objects <- 0;
+  for i = 0 to (Array.length old / 2) - 1 do
+    if old.((2 * i) + 1) >= 0 then
+      t.objects.(object_cell t old.(2 * i) ~room + 1) <- old.((2 * i) + 1)
+  done
+
 let head t c k =
   match c with
-  | Objects -> Option.value (Hashtbl.find_opt t.objects k) ~default:(-1)
+  | Objects -> t.objects.(cell t.objects k + 1)
   | Txns -> if k < Array.length t.txns then t.txns.(k) else -1
 
 let set_head t c k s =
   match c with
-  | Objects -> Hashtbl.replace t.objects k s
+  | Objects -> t.objects.(object_cell t k ~room:1 + 1) <- s
   | Txns ->
       if k >= Array.length t.txns then t.txns <- grow t.txns (k + 1) (-1);
       t.txns.(k) <- s
@@ -161,13 +199,27 @@ let push t tag =
   t.n <- s + 1
 
 (* Link every slot appended since the last chain walk, ascending, so
-   each becomes its chain's head. *)
+   each becomes its chain's head. The object records left, and the span
+   of the batch's oids, bound the keys it can still add, so the heads
+   grow at most once a batch, and only when full. *)
 let link_new t =
   if t.linked < t.n then begin
     if t.n > Array.length t.links then t.links <- grow t.links t.n 0;
+    let left = ref 0 and lo = ref max_int and hi = ref 0 in
+    for s = t.linked to t.n - 1 do
+      let k = key_of t.tags.(s) in
+      if on_object_chain t.tags.(s) then (
+        incr left; lo := Int.min !lo k; hi := Int.max !hi k)
+    done;
     for s = t.linked to t.n - 1 do
       let tag = t.tags.(s) in
       match chain_of tag with
+      | Some Objects ->
+          let room = Int.min !left (!hi - !lo + 1) in
+          let i = object_cell t (key_of tag) ~room + 1 in
+          decr left;
+          t.links.(s) <- t.objects.(i);
+          t.objects.(i) <- s
       | Some c ->
           let k = key_of tag in
           t.links.(s) <- head t c k;
@@ -194,7 +246,8 @@ let drop_from t s =
   end
 
 let rebuild t ~floor ~length tag_at =
-  Hashtbl.reset t.objects;
+  Array.fill t.objects 0 (Array.length t.objects) (-1);
+  t.n_objects <- 0;
   Array.fill t.txns 0 (Array.length t.txns) (-1);
   t.ctl.len <- 0;
   t.unknowns.len <- 0;

@@ -13,7 +13,11 @@
     An entry is filled from the record in hand when it is appended, so
     appending decodes nothing; it only stores the record's tag. The
     per-object and per-transaction chains are linked lazily, by the
-    first walk along them after new appends. A reopen or an archive
+    first walk along them after new appends. The object chains' heads
+    sit in a flat open-addressing table keyed by oid, sized by the
+    objects the log names rather than by the store's (a dense array of
+    heads would cost a cell per stored object), so linking costs one
+    probe and no allocation per record. A reopen or an archive
     install rebuilds the entries by decoding the loaded bytes; a record
     that does not decode gets the {e unknown} entry, which every walk
     visits, so a rotted record is never skipped as "another object's".

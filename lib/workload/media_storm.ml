@@ -207,14 +207,26 @@ let run_into o ~(config : config) ~impl =
        Storm.Clients.settle clients ~now:config.steps_per_round
      with Fault.Injected_crash _ -> handle_crash ~label);
     (* rot the archive's own media: one archived frame still covered by
-       the retained live log (so a heal source exists) *)
-    let low = Lsn.to_int (Log_store.truncated_below (Db.log_store db)) - 1 in
-    let durable = Lsn.to_int (Log_store.durable (Db.log_store db)) in
+       the retained live log, whose live copy is intact (so a heal source
+       exists). A frame whose live copy an armed bitrot already rotted is
+       drawn again; a round without that collision draws exactly once. *)
+    let live = Db.log_store db in
+    let low = Lsn.to_int (Log_store.truncated_below live) - 1 in
+    let durable = Lsn.to_int (Log_store.durable live) in
     let hi = min (Db.archived_upto db) durable in
-    if round mod 2 = 0 && hi > low then begin
-      Archive.bitrot_wal archive ~idx:(low + Prng.int rng (hi - low));
-      o.injected_archive_rot <- o.injected_archive_rot + 1
-    end;
+    let intact idx = Log_store.record_intact live ~idx in
+    let rec draw () =
+      let idx = low + Prng.int rng (hi - low) in
+      if intact idx then Some idx
+      else if List.exists intact (List.init (hi - low) (( + ) low)) then draw ()
+      else None
+    in
+    if round mod 2 = 0 && hi > low then
+      Option.iter
+        (fun idx ->
+          Archive.bitrot_wal archive ~idx;
+          o.injected_archive_rot <- o.injected_archive_rot + 1)
+        (draw ());
     (* full sweep: everything injected so far must come back healed *)
     full_scrub ~label;
     Storm.check outcome ~label ~idempotence:false fault sh (expected ());

@@ -436,11 +436,11 @@ let storm_smoke impl () =
   Alcotest.(check int) "cold restore ran" 1 out.Media_storm.cold_restores
 
 (* [media-storm --engine eager --clients 8 --objects 32 --seed 8 --seeds 1]
-   (its one storm runs seed 9) rots both the live copy of record 880 and
-   its archived frame, so the full scrub cannot heal it. The checks that
-   then read the log must report the corrupt record as a failure, not
-   raise it. *)
-let storm_reports_corrupt_record () =
+   (its one storm runs seed 9): an armed bitrot rots the live copy of
+   record 880 before round 8 draws its archive rot, and the first draw
+   lands on the same record. Drawn again, the archive rot leaves one
+   intact copy, so the full scrub heals both and the run passes. *)
+let storm_keeps_one_intact_copy () =
   let d = Media_storm.default_config in
   let config =
     { d with
@@ -448,11 +448,31 @@ let storm_reports_corrupt_record () =
       load = { d.load with clients = 8; n_objects = 32 } }
   in
   let out = Media_storm.run ~config ~impl:Config.Eager () in
-  Alcotest.(check bool) "the storm fails" false (Media_storm.ok out);
-  Alcotest.(check bool) "a failure names record 880" true
+  if not (Media_storm.ok out) then
+    Alcotest.failf "media-storm failed:@ %a" Media_storm.pp_outcome out;
+  Alcotest.(check int) "nothing unhealable" 0 out.Media_storm.unhealable
+
+(* A record rotted beyond healing: the storm's checks that read the log
+   report it as a failure, never raise it. The expected state is off on
+   object 1, so the check also describes that object's history. *)
+let storm_reports_corrupt_record () =
+  let module Sharded = Ariesrh_shard.Sharded in
+  let fault = Fault.create ~seed:1L () in
+  let sh = Sharded.create ~fault (Config.make ~n_objects:4 ()) in
+  let x = Sharded.begin_txn sh ~shard:0 in
+  Sharded.write sh x (oid 1) 5;
+  Sharded.commit sh x;
+  let log = Db.log_store (Sharded.db sh 0) in
+  Log_store.flush log ~upto:(Log_store.head log);
+  (* slot 1: the update after its Begin *)
+  Log_store.bitrot_record log ~idx:1;
+  let out = Storm.fresh_outcome () in
+  Storm.check out ~label:"rot" ~idempotence:false fault sh [| 0; 6; 0; 0 |];
+  Alcotest.(check bool) "the storm fails" false (Storm.ok out);
+  Alcotest.(check bool) "a failure names record 2" true
     (List.exists
-       (fun m -> Test_known_bugs.contains m "corrupt log record at 880")
-       out.Media_storm.storm.Storm.failures)
+       (fun m -> Test_known_bugs.contains m "corrupt log record at 2")
+       out.Storm.failures)
 
 let storm_smoke_file () =
   let config =
@@ -501,4 +521,6 @@ let suite =
       storm_smoke_file;
     Alcotest.test_case "media-storm reports a corrupt record" `Quick
       storm_reports_corrupt_record;
+    Alcotest.test_case "media-storm keeps one intact copy of each record"
+      `Quick storm_keeps_one_intact_copy;
   ]

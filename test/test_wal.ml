@@ -572,9 +572,9 @@ let filed key (r : Record.t) =
   | Log_store.Txn x, (Record.Commit | Record.Abort) -> r.Record.xid = Some x
   | _ -> false
 
-(* Few objects and writers, so chains grow long and keys collide. *)
-let narrow (r : Record.t) =
-  let o x = oid (Oid.to_int x mod 5) in
+(* [r] with its object mapped by [f] and its writer folded to 1..6 *)
+let remap f (r : Record.t) =
+  let o x = oid (f (Oid.to_int x)) in
   let upd (u : Record.update) = { u with Record.oid = o u.Record.oid } in
   let body =
     match r.Record.body with
@@ -588,6 +588,9 @@ let narrow (r : Record.t) =
   match r.Record.xid with
   | Some x -> Record.set_writer r (xid (1 + (Xid.to_int x mod 6)))
   | None -> r
+
+(* Few objects and writers, so chains grow long and keys collide. *)
+let narrow = remap (fun x -> x mod 5)
 
 let lsns l =
   String.concat "," (List.map (fun (l, _) -> string_of_int (Lsn.to_int l)) l)
@@ -966,6 +969,130 @@ let control_index_matches_scan =
               check ~from:Lsn.nil ~upto:(Log_store.head !log));
           true))
 
+type index_op =
+  | Push of Record.t option  (* [None]: bytes that do not decode *)
+  | Walk of int * int
+  | Drop of int
+  | Retag of int * Record.t option
+  | Rebuild of int
+
+let pp_slot = function
+  | Some r -> Format.asprintf "%a" Record.pp r
+  | None -> "unknown"
+
+let pp_index_op = function
+  | Push r -> "push " ^ pp_slot r
+  | Walk (a, b) -> Printf.sprintf "walk %d %d" a b
+  | Drop k -> Printf.sprintf "drop %d" k
+  | Retag (k, r) -> Printf.sprintf "retag %d %s" k (pp_slot r)
+  | Rebuild k -> Printf.sprintf "rebuild %d" k
+
+(* Sparse objects up to 2^18, a few of them hot, so the object heads
+   outgrow their first table and each key's chain still grows. *)
+let gen_slot =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return None);
+        ( 19,
+          map2
+            (fun o r -> Some (remap (fun _ -> o) r))
+            (oneof [ int_bound (1 lsl 18); map (fun i -> i * 4099) (int_bound 40) ])
+            gen_record );
+      ])
+
+(* Walks from every few pushes down to none before the final one, so
+   link batches run from one record to the whole log. *)
+let gen_index_ops =
+  QCheck.Gen.(
+    let* walks = int_bound 4 in
+    list_size (int_range 1 600)
+      (frequency
+         [
+           (40, map (fun r -> Push r) gen_slot);
+           (walks, map2 (fun a b -> Walk (a, b)) nat nat);
+           (1, map (fun k -> Drop k) nat);
+           (2, map2 (fun k r -> Retag (k, r)) nat gen_slot);
+           (1, map (fun k -> Rebuild k) nat);
+         ]))
+
+(* The log index alone, on many sparse objects: after any mix of
+   appends, chain walks, crashes that drop a linked tail, retags of
+   linked and unlinked slots (a heal, a rewrite) and rebuilds from a
+   floor, every object, transaction and kind walk over any range yields
+   exactly the slots a brute-force filter of the reference files under
+   its key, plus the unknown ones. *)
+let index_matches_filter =
+  QCheck.Test.make ~count:150
+    ~name:"index walks on sparse objects = filtered reference"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_index_op ops))
+       gen_index_ops)
+    (fun ops ->
+      let idx = Log_index.create () in
+      let slots : (int, Record.t option) Hashtbl.t = Hashtbl.create 64 in
+      let floor = ref 0 and n = ref 0 in
+      let tag = function Some r -> Log_index.tag_of r | None -> Log_index.unknown in
+      let walk lo hi =
+        let lo = max lo !floor and hi = min hi !n in
+        let filed_in key =
+          List.filter
+            (fun i ->
+              match Hashtbl.find slots i with
+              | None -> true
+              | Some r -> filed key r)
+            (List.init (max 0 (hi - lo)) (fun i -> lo + i))
+        in
+        let objects =
+          Hashtbl.fold
+            (fun _ r acc ->
+              match r with
+              | Some { Record.body = Record.Update { Record.oid; _ }
+                       | Record.Clr { upd = { Record.oid; _ }; _ }
+                       | Record.Delegate { oid; _ }
+                       | Record.Xfer_in { oid; _ }; _ } ->
+                  Log_store.Object oid :: acc
+              | _ -> acc)
+            slots
+            [ Log_store.Object (oid ((1 lsl 18) + 1)) ]
+        in
+        List.iter
+          (fun key ->
+            if Log_index.slots idx key ~lo ~hi <> filed_in key then
+              QCheck.Test.fail_reportf "walk differs over [%d, %d)" lo hi)
+          (index_keys @ List.sort_uniq compare objects)
+      in
+      let apply = function
+        | Push r ->
+            Log_index.push idx (tag r);
+            Hashtbl.replace slots !n r;
+            incr n
+        | Walk (a, b) -> walk (a mod (!n + 2)) (b mod (!n + 2))
+        | Drop k ->
+            let s = max !floor (!n - (k mod 16)) in
+            Log_index.drop_from idx s;
+            for i = s to !n - 1 do
+              Hashtbl.remove slots i
+            done;
+            n := s
+        | Retag (k, r) ->
+            if !n > !floor then begin
+              let s = !floor + (k mod (!n - !floor)) in
+              Log_index.retag idx s (tag r);
+              Hashtbl.replace slots s r
+            end
+        | Rebuild k ->
+            floor := !floor + (k mod (1 + ((!n - !floor) / 4)));
+            for i = 0 to !floor - 1 do
+              Hashtbl.remove slots i
+            done;
+            Log_index.rebuild idx ~floor:!floor ~length:!n (fun i ->
+                tag (Hashtbl.find slots i))
+      in
+      List.iter apply ops;
+      walk 0 !n;
+      true)
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip (samples)" `Quick roundtrip;
@@ -991,4 +1118,5 @@ let suite =
     Alcotest.test_case "control walk reads only control records" `Quick
       control_walk_reads_only_control;
     QCheck_alcotest.to_alcotest control_index_matches_scan;
+    QCheck_alcotest.to_alcotest index_matches_filter;
   ]
