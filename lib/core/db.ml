@@ -628,79 +628,46 @@ let commit t xid =
     Obs.Ring.emit t.ring (Obs.Event.Commit { xid; lsn = commit_lsn });
   finish t info
 
-(* rollback over the transaction's scopes (§3.5 abort), shared by [Rh]
-   and [Lazy]; [Eager] has no scopes and follows its chain instead.
-   [floor] restricts the undo to records above a savepoint. *)
-let rollback_scopes ?floor t (info : Txn_table.info) =
-  let scopes =
-    List.map (fun s -> (info.xid, s)) (Ob_list.all_scopes info.ob_list)
-  in
-  let on_undo ~owner:_ ~invoker ~undone ~undo_next upd =
-    release_clr t info.xid ~undone;
-    let lsn =
-      append_on_chain_reserved t info
-        (Record.Clr { upd; undone; invoker; undo_next })
-    in
-    if tracing t then
-      Obs.Ring.emit t.ring
-        (Obs.Event.Clr
-           { xid = info.xid; invoker; oid = upd.Record.oid; lsn; undone });
-    info.undo_next <- undo_next;
-    lsn
-  in
-  ignore (Scope_sweep.sweep ?floor t.env ~scopes ~on_undo)
+(* A degraded run may have left logical delegate records in the durable
+   log; a chain walk cannot interpret them, so detect them and heal
+   through the splicing scope walk. After it, the log is purely
+   physical again and the engine leaves degraded mode. Amputation has
+   not run yet, so a corrupt tail record ends the search, as end-of-log. *)
+let has_delegate t =
+  let exception Found in
+  try
+    Log_store.iter_control t.log ~kind:Log_store.Delegation
+      ~from:(Log_store.truncated_below t.log) (fun _ r ->
+        match r.Record.body with Record.Delegate _ -> raise Found | _ -> ());
+    false
+  with
+  | Found -> true
+  | Log_store.Corrupt_record _ -> false
 
-(* Chain-based rollback for [Eager]: after surgery the chain itself is
-   the authority on responsibility, so start at its head — [undo_next]
-   may point at a record that was delegated away. The chain is kept
-   LSN-sorted by the splice, so a partial rollback just stops at the
-   savepoint [floor]. *)
-let rollback_chain ?(floor = Lsn.nil) t (info : Txn_table.info) =
-  (* Never dereference a CLR's undo_next: after chain surgery it may
-     point at a record that moved to another chain. Walking prev-for and
-     skipping updates whose LSN a CLR higher up declared compensated is
-     always sound. A begin record does not end the walk either — surgery
-     may splice delegated-in records below it. *)
-  let compensated = Hashtbl.create 8 in
-  let k = ref info.last_lsn in
-  while Lsn.(!k > floor) do
-    let record = Log_store.read t.log !k in
-    (match record.Record.body with
-    | Record.Update u when not (Hashtbl.mem compensated (Lsn.to_int !k)) ->
-        let inv = { u with op = Apply.inverse u.op } in
-        release_clr t info.xid ~undone:!k;
-        let clr_lsn =
-          append_on_chain_reserved t info
-            (Record.Clr
-               {
-                 upd = inv;
-                 undone = !k;
-                 invoker = info.xid;
-                 undo_next = record.Record.prev;
-               })
-        in
-        if tracing t then
-          Obs.Ring.emit t.ring
-            (Obs.Event.Clr
-               {
-                 xid = info.xid;
-                 invoker = info.xid;
-                 oid = u.Record.oid;
-                 lsn = clr_lsn;
-                 undone = !k;
-               });
-        info.undo_next <- record.Record.prev;
-        Apply.force t.env clr_lsn inv
-    | Record.Clr { undone; _ } ->
-        Hashtbl.replace compensated (Lsn.to_int undone) ()
-    | Record.Update _ | Record.Begin | Record.Abort | Record.Commit
-    | Record.End | Record.Delegate _ | Record.Anchor | Record.Ckpt_begin
-    | Record.Ckpt_end _ | Record.Rewrite_begin _ | Record.Rewrite_clr _
-    | Record.Rewrite_end _ | Record.Xfer_out _ | Record.Xfer_in _
-    | Record.Xfer_end _ ->
-        ());
-    k := Record.prev_for record info.xid
-  done
+(* The one choice of undo walk, shared by runtime rollback, offline
+   restart and the on-demand drain. Eager surgery keeps each chain the
+   authority on responsibility, so eager undoes by chain until a
+   degraded run leaves logical delegate records behind; then, as on rh
+   and lazy, it undoes over scopes. At restart, degraded means the
+   durable log holds delegate records, and the splice — the rewrite lazy
+   rewriting defers to restart — makes them physical again. *)
+let undo_walk t ~restart =
+  let scopes = Undo.Scopes { splice = restart } in
+  match t.config.Config.impl with
+  | Config.Rh -> Undo.Scopes { splice = false }
+  | Config.Lazy -> scopes
+  | Config.Eager ->
+      if (if restart then has_delegate t else t.degraded) then scopes
+      else Undo.Chains
+
+(* Runtime rollback of one transaction with the engine's undo walk;
+   each CLR discharges the reserved space its update set aside. [floor]
+   restricts the undo to records above a savepoint. *)
+let rollback ?floor t (info : Txn_table.info) =
+  let on_undo (owner : Txn_table.info) ~undone _ =
+    release_clr t owner.xid ~undone
+  in
+  ignore (Undo.run ?floor (undo_walk t ~restart:false) t.env ~on_undo [ info ])
 
 (* A savepoint is a global point in history (the current log head), not
    the transaction's own last record: responsibility acquired afterwards
@@ -713,14 +680,7 @@ let savepoint t xid =
 
 let rollback_to t xid sp =
   let info = active_exn t xid in
-  (match t.config.Config.impl with
-  | Config.Rh | Config.Lazy -> rollback_scopes ~floor:sp t info
-  | Config.Eager ->
-      (* degraded: logical delegate records exist, so chains are no
-         longer the full authority on responsibility — undo over scopes,
-         which [Ob_list.absorb] keeps aligned with spliced history *)
-      if t.degraded then rollback_scopes ~floor:sp t info
-      else rollback_chain ~floor:sp t info);
+  rollback ~floor:sp t info;
   (* trimmed open scopes must not be extended again: new updates open
      fresh scopes, or they would stretch back across the compensated
      range *)
@@ -732,10 +692,7 @@ let abort t xid =
   info.status <- Txn_table.Rolling_back;
   (* the whole rollback path draws on the reservation ledger: it must
      never be refused for log space, or a full log would be fatal *)
-  (match t.config.Config.impl with
-  | Config.Rh | Config.Lazy -> rollback_scopes t info
-  | Config.Eager ->
-      if t.degraded then rollback_scopes t info else rollback_chain t info);
+  rollback t info;
   let abort_lsn = append_on_chain_reserved t info Record.Abort in
   Log_store.flush t.log ~upto:info.last_lsn;
   ignore (append_on_chain_reserved t info Record.End);
@@ -1401,23 +1358,6 @@ let run_audit t =
   Audit.run t.env;
   Obs.Ring.emit t.ring (Obs.Event.Restart_leave Obs.Event.Audit)
 
-(* A degraded run may have left logical delegate records in the durable
-   log; conventional ARIES cannot interpret them, so detect them and
-   heal through the lazy recovery path, which splices them physically.
-   After it, the log is purely physical again and the engine leaves
-   degraded mode. Amputation has not run yet, so a corrupt tail record
-   ends the search, as end-of-log. *)
-let has_delegate t =
-  let exception Found in
-  try
-    Log_store.iter_control t.log ~kind:Log_store.Delegation
-      ~from:(Log_store.truncated_below t.log) (fun _ r ->
-        match r.Record.body with Record.Delegate _ -> raise Found | _ -> ());
-    false
-  with
-  | Found -> true
-  | Log_store.Corrupt_record _ -> false
-
 let recover t =
   (* re-entering restart subsumes any prior interrupted drain *)
   t.od.live <- None;
@@ -1426,47 +1366,25 @@ let recover t =
     | Config.Merged -> Forward.Merged
     | Config.Separate -> Forward.Separate
   in
-  match t.config.Config.recovery_mode with
-  | Config.Offline ->
-      let report =
-        match t.config.Config.impl with
-        | Config.Rh -> Aries_rh.recover ~passes t.env
-        | Config.Eager ->
-            if has_delegate t then Aries_rh.recover_physical t.env
-            else Aries.recover ~passes t.env
-        | Config.Lazy -> Aries_rh.recover_physical t.env
-      in
-      t.degraded <- false;
-      t.tt <- Txn_table.create ();
-      t.locks <- Lock_table.create ();
-      t.permits <- [];
-      t.stats.recoveries <- t.stats.recoveries + 1;
-      if t.config.Config.audit then run_audit t;
-      report
-  | Config.On_demand ->
-      (* analysis only (bounded by the checkpoint interval), then open.
-         The scope-sweep undo the drain uses works on every engine; the
-         lazy splice ([physical]) is needed exactly where the offline
-         path would have used [recover_physical]. *)
-      let physical =
-        match t.config.Config.impl with
-        | Config.Rh -> false
-        | Config.Eager -> has_delegate t
-        | Config.Lazy -> true
-      in
-      let o, report = On_demand.start ~passes ~physical t.env in
-      t.degraded <- false;
-      t.tt <- Txn_table.create ();
-      t.locks <- Lock_table.create ();
-      t.permits <- [];
-      t.stats.recoveries <- t.stats.recoveries + 1;
-      if On_demand.backlog o = 0 then begin
-        (* converged at once (e.g. clean shutdown): indistinguishable
-           from an offline restart, audit now *)
-        if t.config.Config.audit then run_audit t
-      end
-      else t.od.live <- Some o;
-      report
+  let walk = undo_walk t ~restart:true in
+  let report, live =
+    match t.config.Config.recovery_mode with
+    | Config.Offline -> (Aries_rh.recover ~passes ~walk t.env, None)
+    | Config.On_demand ->
+        (* analysis only (bounded by the checkpoint interval), then open *)
+        let report, o = On_demand.start ~passes ~walk t.env in
+        (report, if On_demand.backlog o = 0 then None else Some o)
+  in
+  t.degraded <- false;
+  t.tt <- Txn_table.create ();
+  t.locks <- Lock_table.create ();
+  t.permits <- [];
+  t.stats.recoveries <- t.stats.recoveries + 1;
+  t.od.live <- live;
+  (* an on-demand restart that converged at once (e.g. after a clean
+     shutdown) is indistinguishable from an offline one: audit now *)
+  if Option.is_none live && t.config.Config.audit then run_audit t;
+  report
 
 (* Convergence: once the backlog is empty the store is exactly what the
    offline restart would have produced — drop the drain state, flush,

@@ -92,7 +92,7 @@ let pp_exn ppf = function
         holders
   | Recovering { oid; backlog } ->
       Format.fprintf ppf
-        "still recovering %a: a loser transaction's scope covers it \
+        "still recovering %a: an undrained loser transaction covers it \
          (restart backlog %d); retry after the sweep"
         Oid.pp oid backlog
   | Recovery_incomplete { backlog } ->

@@ -40,9 +40,10 @@ exception Xfer_refused of { oid : Oid.t; holders : Xid.t list }
     (or route the work to the object's current home shard). *)
 
 exception Recovering of { oid : Oid.t; backlog : int }
-(** On-demand restart ([Config.On_demand]): the object is still covered
-    by an unresolved loser transaction's scope, so serving it now would
-    expose uncommitted state. Retryable backpressure — [backlog] is the
+(** On-demand restart ([Config.On_demand]): an unresolved loser
+    transaction still covers the object (by its scopes, or on eager by
+    its uncompensated chain updates), so serving it now would expose
+    uncommitted state. Retryable backpressure — [backlog] is the
     remaining restart work ([Db.recovery_backlog]) and shrinks with
     every sweeper step; the refusal clears once the covering losers are
     undone (first foreground touch via [Db.peek], a [Db.recovery_step],

@@ -4,178 +4,60 @@ open Ariesrh_txn
 module Trace = Ariesrh_obs.Trace
 module Obs = Ariesrh_obs
 
-(* Restart appends bypass admission ([append_reserved]): a bounded log
-   must never refuse the records that make it recoverable. *)
-let append_on_chain env (info : Txn_table.info) body =
-  let record = Record.mk info.xid ~prev:info.last_lsn body in
-  let lsn = Log_store.append_reserved env.Env.log record in
-  info.last_lsn <- lsn;
-  lsn
-
-let finish_losers env tt =
-  let infos = Txn_table.fold tt ~init:[] ~f:(fun acc info -> info :: acc) in
-  List.iter
-    (fun (info : Txn_table.info) ->
-      (match info.status with
-      | Txn_table.Committed -> ignore (append_on_chain env info Record.End)
-      | Txn_table.Active ->
-          ignore (append_on_chain env info Record.Abort);
-          ignore (append_on_chain env info Record.End)
-      | Txn_table.Rolling_back -> ignore (append_on_chain env info Record.End));
-      Txn_table.remove tt info.xid)
-    infos
-
 exception Interrupted
 
-let recover_gen ?(naive_sweep = false) ?(passes = Forward.Merged) ~physical
-    ?fuel (env : Env.t) =
-  env.prof <- Obs.Profiler.create ();
-  let io_before = Log_stats.copy (Log_store.stats env.log) in
-  let repairs_before = env.repairs in
-  let srb_before = env.surgery_rolled_back in
-  let srf_before = env.surgery_rolled_forward in
-  Trace.Log.debug (fun m ->
-      m "restart: forward pass from master=%a head=%a" Lsn.pp
-        (Log_store.master env.log) Lsn.pp (Log_store.head env.log));
-  let mode = if physical then Forward.Rh_rewritten else Forward.Rh in
-  let fwd = Forward.run ~passes env ~mode in
-  let tt = fwd.tt in
+let run ?(naive_sweep = false) ?(passes = Forward.Merged) ?fuel
+    ?(walk = Undo.Scopes { splice = false }) (env : Env.t) =
+  fst
+  @@ Report.measure env
+  @@ fun () ->
+  let fwd = Forward.run ~passes env ~mode:(Undo.mode walk) in
   let losers = Forward.losers fwd in
   Trace.Log.debug (fun m ->
       m "analysis done: %d records, %d redone, %d winners, %d losers"
         fwd.forward_records fwd.redo_applied
         (Xid.Set.cardinal fwd.winners)
         (List.length losers));
-  let loser_set =
-    List.fold_left (fun s i -> Xid.Set.add i.Txn_table.xid s) Xid.Set.empty losers
-  in
-  let scopes =
-    List.concat_map
-      (fun (info : Txn_table.info) ->
-        List.map (fun s -> (info.xid, s)) (Ob_list.all_scopes info.ob_list))
-      losers
-  in
-  let undos_done = ref 0 in
-  (* Deferred lazy splices: the rewrite the lazy algorithm does at
-     restart — attribute each delegated-in record to its responsible
-     transaction, and flip the matching CLR's invoker to agree (or a
-     later restart's trim misses and the update is undone twice). The
-     rewrites are NOT applied inline: they are collected here and
-     installed as one rewrite system transaction after the sweep, so a
-     crash anywhere leaves the log either all-logical (delegate records
-     + original invokers, which mode [Rh_rewritten] replays fine) or
-     all-physical — never a half-spliced mix where record and CLR
-     disagree. *)
-  let splices = ref [] in
-  let on_undo ~owner ~invoker ~undone ~undo_next upd =
+  let undos = ref 0 in
+  let on_undo _ ~undone:_ _ =
     (match fuel with
-    | Some n when !undos_done >= n ->
+    | Some n when !undos >= n ->
         (* simulate a crash in the middle of the backward pass: the CLRs
            written so far are made durable, then the machine dies *)
         Log_store.flush env.log ~upto:(Log_store.head env.log);
         raise Interrupted
     | _ -> ());
-    incr undos_done;
-    let splice = physical && not (Xid.equal owner invoker) in
-    if splice then Obs.Profiler.count env.prof "restart.backward" "rewrites" 1;
-    let info = Txn_table.find_exn tt owner in
-    let clr = Record.mk info.xid ~prev:info.last_lsn
-        (Record.Clr { upd; undone; invoker; undo_next })
-    in
-    let lsn = Log_store.append_reserved env.log clr in
-    info.last_lsn <- lsn;
-    if splice then begin
-      let original = Log_store.read env.log undone in
-      let clr' =
-        { clr with
-          Record.body = Record.Clr { upd; undone; invoker = owner; undo_next }
-        }
-      in
-      splices :=
-        ({ Rewrite.target = undone;
-           before = original;
-           after = Record.set_writer original owner;
-         },
-         { Rewrite.target = lsn; before = clr; after = clr' })
-        :: !splices
-    end;
-    Obs.Ring.emit env.ring
-      (Obs.Event.Clr
-         { xid = owner; invoker; oid = upd.Record.oid; lsn; undone });
-    info.undo_next <- undo_next;
-    lsn
+    incr undos
   in
   Obs.Ring.emit env.ring (Obs.Event.Restart_enter Obs.Event.Backward);
-  let sweep =
+  let undo =
     Obs.Profiler.time env.prof "restart.backward" (fun () ->
-        if naive_sweep then Scope_sweep.sweep_naive env ~scopes ~on_undo
-        else Scope_sweep.sweep env ~scopes ~on_undo)
+        Undo.run ~naive:naive_sweep walk env ~on_undo losers)
   in
-  Obs.Profiler.count env.prof "restart.backward" "clusters"
-    sweep.Scope_sweep.clusters;
-  Obs.Profiler.count env.prof "restart.backward" "examined"
-    sweep.Scope_sweep.examined;
-  Obs.Profiler.count env.prof "restart.backward" "skipped"
-    sweep.Scope_sweep.skipped;
-  Obs.Profiler.count env.prof "restart.backward" "undos"
-    sweep.Scope_sweep.undone;
+  List.iter
+    (fun (key, n) -> Obs.Profiler.count env.prof "restart.backward" key n)
+    [
+      ("clusters", undo.clusters);
+      ("examined", undo.examined);
+      ("skipped", undo.skipped);
+      ("undos", undo.undone);
+    ];
   Obs.Ring.emit env.ring (Obs.Event.Restart_leave Obs.Event.Backward);
-  Trace.Log.debug (fun m ->
-      m
-        "backward pass done: %d clusters, %d examined, %d skipped, %d          undone"
-        sweep.Scope_sweep.clusters sweep.Scope_sweep.examined
-        sweep.Scope_sweep.skipped sweep.Scope_sweep.undone);
-  (* install the deferred lazy splices as one rewrite system transaction:
-     intent + before/after images forced, then the in-place rewrites,
-     then the end record. A crash before the closing force rolls the
-     whole batch back at the next restart (all-logical history); after
-     it, roll-forward re-installs it (all-physical). *)
-  (match !splices with
-  | [] -> ()
-  | sp ->
-      let patches =
-        List.concat_map (fun (a, b) -> [ a; b ]) (List.rev sp)
-        |> List.sort (fun a b ->
-               Lsn.compare a.Rewrite.target b.Rewrite.target)
-      in
-      Obs.Ring.emit env.ring (Obs.Event.Restart_enter Obs.Event.Surgery);
-      Obs.Profiler.time env.prof "restart.splice" (fun () ->
-          let begin_lsn = Rewrite.surgery_begin env patches in
-          ignore (Rewrite.apply_plan env patches);
-          Rewrite.surgery_end env ~begin_lsn ~committed:true);
-      Obs.Profiler.count env.prof "restart.splice" "patches"
-        (List.length patches);
-      Obs.Ring.emit env.ring (Obs.Event.Restart_leave Obs.Event.Surgery));
   Obs.Ring.emit env.ring (Obs.Event.Restart_enter Obs.Event.Finish);
   Obs.Profiler.time env.prof "restart.finish" (fun () ->
-      finish_losers env tt;
+      List.iter (Undo.finish env fwd.tt)
+        (Txn_table.fold fwd.tt ~init:[] ~f:(fun acc info -> info :: acc));
       Log_store.flush env.log ~upto:(Log_store.head env.log));
   Obs.Ring.emit env.ring (Obs.Event.Restart_leave Obs.Event.Finish);
   Obs.Ring.emit env.ring
     (Obs.Event.Recovered
        {
          winners = Xid.Set.cardinal fwd.winners;
-         losers = Xid.Set.cardinal loser_set;
-         undos = sweep.Scope_sweep.undone;
+         losers = List.length losers;
+         undos = undo.undone;
        });
-  let io_after = Log_store.stats env.log in
-  {
-    Report.winners = fwd.winners;
-    losers = loser_set;
-    forward_records = fwd.forward_records;
-    redo_applied = fwd.redo_applied;
-    backward_examined = sweep.Scope_sweep.examined;
-    backward_skipped = sweep.Scope_sweep.skipped;
-    clusters = sweep.Scope_sweep.clusters;
-    undos = sweep.Scope_sweep.undone;
-    amputated = fwd.amputated;
-    repaired_pages = env.repairs - repairs_before;
-    surgery_rolled_back = env.surgery_rolled_back - srb_before;
-    surgery_rolled_forward = env.surgery_rolled_forward - srf_before;
-    log_io = Log_stats.diff io_after io_before;
-    profile = env.prof;
-  }
+  (fwd, losers, undo, ())
 
-let recover ?passes ?fuel env = recover_gen ?passes ~physical:false ?fuel env
-let recover_naive_sweep env = recover_gen ~naive_sweep:true ~physical:false env
-let recover_physical env = recover_gen ~physical:true env
+let recover ?passes ?fuel ?walk env = run ?passes ?fuel ?walk env
+let recover_naive_sweep env = run ~naive_sweep:true env
+let recover_physical env = run ~walk:(Undo.Scopes { splice = true }) env

@@ -1,18 +1,25 @@
-(** ARIES/RH restart recovery (§3.6): forward pass rebuilding scopes,
-    then the cluster-based backward pass undoing exactly the updates that
-    were ultimately delegated to loser transactions. The log is never
-    rewritten; history is {e interpreted} according to the logged
-    delegations. *)
+(** Offline restart recovery: the forward pass (analysis + redo of every
+    page), then every loser undone in one {!Undo} walk and terminated.
+
+    With the default walk this is ARIES/RH (§3.6): the forward pass
+    rebuilds scopes and the cluster-based backward pass undoes exactly
+    the updates that were ultimately delegated to loser transactions.
+    The log is never rewritten; history is {e interpreted} according to
+    the logged delegations. With [~walk:Undo.Chains] it is conventional
+    ARIES (§3.3) over the chains eager rewriting keeps authoritative. *)
 
 exception Interrupted
 (** Raised by {!recover} when its [fuel] runs out. *)
 
-val recover : ?passes:Forward.passes -> ?fuel:int -> Env.t -> Report.t
+val recover :
+  ?passes:Forward.passes -> ?fuel:int -> ?walk:Undo.walk -> Env.t -> Report.t
 (** Run full restart recovery and terminate every loser (CLRs,
     abort/end records, flushed). Afterwards the system state reflects
     every winner update and no loser update, per the paper's undo/redo
     properties (§4.1).
 
+    [walk] (default [Undo.Scopes { splice = false }]) picks the undo
+    walk and, through {!Undo.mode}, the analysis mode.
     [passes] selects the forward-pass organisation (default
     {!Forward.Merged}).
 

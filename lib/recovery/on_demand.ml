@@ -8,23 +8,23 @@ module Obs = Ariesrh_obs
    traffic, and do the rest lazily.
 
    The analysis pass (Forward.run ~apply_redo:false) rebuilds the
-   transaction table, the loser scopes, and the dirty-page table — but
-   touches no page. Afterwards:
+   transaction table, the loser scopes (unless the walk is by chain),
+   and the dirty-page table — but touches no page. Afterwards:
 
    - every dirty page's missing redo is exactly the log slice
      [recLSN .. horizon] filtered to that page, page-LSN conditioned, so
      it can be replayed the first time anything touches the page
      ([ensure_page]) — or by the background sweeper;
 
-   - every loser transaction's undo is scoped to the objects its
-     Ob_List covers, so losers can be undone one at a time
-     ([drain_loser]), each drain an ordinary cluster sweep + CLRs +
+   - every loser can be undone on its own ([drain_loser]): the engine's
+     undo walk ({!Undo}) restricted to that loser, CLRs, then
      abort/end, flushed as a unit. Draining per loser is sound: X locks
      mean at most one loser holds uncommitted Sets on any object, and
      concurrent Adds commute, so no cross-loser undo ordering exists to
      violate;
 
-   - an object covered by a live loser scope is NOT servable to
+   - an object a live loser still covers — by its scopes, or on a chain
+     walk by its uncompensated chain updates — is NOT servable to
      transactions (its committed value is not yet separable from the
      loser's uncommitted writes); the engine refuses such accesses with
      the retryable [Errors.Recovering] until the loser drains.
@@ -36,30 +36,21 @@ module Obs = Ariesrh_obs
 
 type t = {
   env : Env.t;
-  physical : bool;
-      (* lazy engine: splice delegated-in records physically while
-         undoing, exactly as the offline backward pass would *)
+  walk : Undo.walk;  (* the engine's undo walk: the drain's and the guard's *)
   tt : Txn_table.t;  (* losers only; entries leave as they drain *)
   pending : Lsn.t Page_id.Tbl.t;  (* page -> recLSN, removed once redone *)
   horizon : Lsn.t;  (* durable head at analysis time: redo replays to here *)
+  chain_objects : Oid.Set.t Xid.Tbl.t;
+      (* chain walk: each loser's uncompensated objects, read once *)
   mutable lazy_redo : int;  (* updates applied by slice redo *)
   mutable undos : int;  (* CLRs written by lazy drains *)
 }
 
-let append_on_chain env (info : Txn_table.info) body =
-  let record = Record.mk info.xid ~prev:info.last_lsn body in
-  let lsn = Log_store.append_reserved env.Env.log record in
-  info.last_lsn <- lsn;
-  lsn
-
-let start ?passes ~physical (env : Env.t) =
-  env.prof <- Obs.Profiler.create ();
-  let io_before = Log_stats.copy (Log_store.stats env.log) in
-  let repairs_before = env.repairs in
-  let srb_before = env.surgery_rolled_back in
-  let srf_before = env.surgery_rolled_forward in
-  let mode = if physical then Forward.Rh_rewritten else Forward.Rh in
-  let fwd = Forward.run ?passes ~apply_redo:false env ~mode in
+let start ?passes ~walk (env : Env.t) =
+  Report.measure env @@ fun () ->
+  let fwd =
+    Forward.run ?passes ~apply_redo:false env ~mode:(Undo.mode walk)
+  in
   (* everything lazily replayed stops at the durable head as analysis
      saw it; records appended from here on are applied at append time,
      to pages whose slice redo has already run *)
@@ -67,52 +58,24 @@ let start ?passes ~physical (env : Env.t) =
   (* committed-but-not-ended transactions need no undo and no page
      work: end them now (bounded, one record each) so only real losers
      survive into the lazy phase *)
-  let committed =
-    Txn_table.fold fwd.tt ~init:[] ~f:(fun acc info ->
-        match info.status with
-        | Txn_table.Committed -> info :: acc
-        | Txn_table.Active | Txn_table.Rolling_back -> acc)
-  in
-  List.iter
-    (fun (info : Txn_table.info) ->
-      ignore (append_on_chain env info Record.End);
-      Txn_table.remove fwd.tt info.xid)
-    committed;
+  Txn_table.fold fwd.tt ~init:[] ~f:(fun acc info ->
+      if info.Txn_table.status = Txn_table.Committed then info :: acc
+      else acc)
+  |> List.iter (Undo.finish env fwd.tt);
   Log_store.flush env.log ~upto:(Log_store.head env.log);
-  let losers =
-    Txn_table.fold fwd.tt ~init:Xid.Set.empty ~f:(fun s i ->
-        Xid.Set.add i.Txn_table.xid s)
-  in
-  let t =
+  ( fwd,
+    Forward.losers fwd,
+    Scope_sweep.zero (),
     {
       env;
-      physical;
+      walk;
       tt = fwd.tt;
       pending = fwd.dpt;
       horizon;
+      chain_objects = Xid.Tbl.create 8;
       lazy_redo = 0;
       undos = 0;
-    }
-  in
-  let report =
-    {
-      Report.winners = fwd.winners;
-      losers;
-      forward_records = fwd.forward_records;
-      redo_applied = fwd.redo_applied;
-      backward_examined = 0;
-      backward_skipped = 0;
-      clusters = 0;
-      undos = 0;
-      amputated = fwd.amputated;
-      repaired_pages = env.repairs - repairs_before;
-      surgery_rolled_back = env.surgery_rolled_back - srb_before;
-      surgery_rolled_forward = env.surgery_rolled_forward - srf_before;
-      log_io = Log_stats.diff (Log_store.stats env.log) io_before;
-      profile = env.prof;
-    }
-  in
-  (t, report)
+    } )
 
 let backlog t = Page_id.Tbl.length t.pending + Txn_table.count t.tt
 let pending_pages t = Page_id.Tbl.length t.pending
@@ -120,9 +83,27 @@ let loser_count t = Txn_table.count t.tt
 let lazy_redo t = t.lazy_redo
 let lazy_undos t = t.undos
 
+(* Does the loser still hold uncommitted work on the object? The guard
+   reads the same authority the drain undoes from: the scopes analysis
+   rebuilt, or — on a chain walk — the loser's uncompensated chain
+   updates, which are the only record of what eager surgery spliced
+   onto it. *)
+let covers t (info : Txn_table.info) oid =
+  match t.walk with
+  | Undo.Scopes _ -> Ob_list.mem info.ob_list oid
+  | Undo.Chains ->
+      let objects =
+        match Xid.Tbl.find_opt t.chain_objects info.xid with
+        | Some s -> s
+        | None ->
+            let s = Undo.chain_objects t.env info in
+            Xid.Tbl.replace t.chain_objects info.xid s;
+            s
+      in
+      Oid.Set.mem oid objects
+
 let covered t oid =
-  Txn_table.fold t.tt ~init:false ~f:(fun acc info ->
-      acc || Ob_list.mem info.Txn_table.ob_list oid)
+  Txn_table.fold t.tt ~init:false ~f:(fun acc info -> acc || covers t info oid)
 
 (* Replay the page's missing redo slice: every update/CLR/transfer-in
    for this page in [recLSN .. horizon], page-LSN conditioned (so
@@ -163,77 +144,26 @@ let ensure_page t page =
 
 let ensure_object t oid = ensure_page t (fst (t.env.place oid))
 
-(* Undo one loser completely: cluster sweep over its scopes, CLR per
-   undone update, the lazy engine's physical splice batched as one
-   rewrite system transaction, then abort/end — flushed as a unit.
-   This is the offline backward pass restricted to a single loser. *)
+(* Undo one loser completely with the engine's walk, then abort/end it,
+   flushed as a unit: the offline restart's undo restricted to a single
+   loser. A splicing walk installs this loser's rewrites as their own
+   surgery, so a crash between losers leaves each delegation either
+   fully logical or fully physical. *)
 let drain_loser t (info : Txn_table.info) =
-  let scopes =
-    List.map (fun s -> (info.xid, s)) (Ob_list.all_scopes info.ob_list)
-  in
-  let splices = ref [] in
-  let on_undo ~owner ~invoker ~undone ~undo_next upd =
-    (* the sweep will force the inverse stamped with the CLR's (high)
+  let on_undo _ ~undone:_ (upd : Record.update) =
+    (* the walk will force the inverse stamped with the CLR's (high)
        LSN; the page's pending redo must land first or the stamp would
        make it silently skip — the redo-before-undo rule *)
-    ensure_page t upd.Record.page;
-    t.undos <- t.undos + 1;
-    let inf = Txn_table.find_exn t.tt owner in
-    let clr =
-      Record.mk inf.xid ~prev:inf.last_lsn
-        (Record.Clr { upd; undone; invoker; undo_next })
-    in
-    let lsn = Log_store.append_reserved t.env.log clr in
-    inf.last_lsn <- lsn;
-    if t.physical && not (Xid.equal owner invoker) then begin
-      Obs.Profiler.count t.env.prof "restart.ondemand.undo" "rewrites" 1;
-      let original = Log_store.read t.env.log undone in
-      let clr' =
-        { clr with
-          Record.body = Record.Clr { upd; undone; invoker = owner; undo_next }
-        }
-      in
-      splices :=
-        ( { Rewrite.target = undone;
-            before = original;
-            after = Record.set_writer original owner;
-          },
-          { Rewrite.target = lsn; before = clr; after = clr' } )
-        :: !splices
-    end;
-    Obs.Ring.emit t.env.ring
-      (Obs.Event.Clr
-         { xid = owner; invoker; oid = upd.Record.oid; lsn; undone });
-    inf.undo_next <- undo_next;
-    lsn
+    ensure_page t upd.page;
+    t.undos <- t.undos + 1
   in
-  let sweep =
+  let undo =
     Obs.Profiler.time t.env.prof "restart.ondemand.undo" (fun () ->
-        Scope_sweep.sweep t.env ~scopes ~on_undo)
+        Undo.run t.walk t.env ~on_undo [ info ])
   in
-  Obs.Profiler.count t.env.prof "restart.ondemand.undo" "undos"
-    sweep.Scope_sweep.undone;
-  (* per-loser splice surgery: a crash between losers leaves each
-     delegation either fully logical or fully physical, which the
-     Rh_rewritten analysis replays per delegation — never a mix where a
-     record and its CLR disagree *)
-  (match !splices with
-  | [] -> ()
-  | sp ->
-      let patches =
-        List.concat_map (fun (a, b) -> [ a; b ]) (List.rev sp)
-        |> List.sort (fun a b -> Lsn.compare a.Rewrite.target b.Rewrite.target)
-      in
-      let begin_lsn = Rewrite.surgery_begin t.env patches in
-      ignore (Rewrite.apply_plan t.env patches);
-      Rewrite.surgery_end t.env ~begin_lsn ~committed:true);
-  (match info.status with
-  | Txn_table.Active ->
-      ignore (append_on_chain t.env info Record.Abort);
-      ignore (append_on_chain t.env info Record.End)
-  | Txn_table.Rolling_back | Txn_table.Committed ->
-      ignore (append_on_chain t.env info Record.End));
-  Txn_table.remove t.tt info.xid;
+  Obs.Profiler.count t.env.prof "restart.ondemand.undo" "undos" undo.undone;
+  Undo.finish t.env t.tt info;
+  Xid.Tbl.remove t.chain_objects info.xid;
   Log_store.flush t.env.log ~upto:(Log_store.head t.env.log)
 
 (* smallest-xid first: deterministic regardless of hash-table iteration
@@ -262,9 +192,7 @@ let drain_object t oid =
       Txn_table.fold t.tt ~init:None ~f:(fun acc info ->
           match acc with
           | Some _ -> acc
-          | None ->
-              if Ob_list.mem info.Txn_table.ob_list oid then Some info
-              else None)
+          | None -> if covers t info oid then Some info else None)
     with
     | Some info ->
         drain_loser t info;

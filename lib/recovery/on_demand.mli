@@ -10,12 +10,13 @@
       the log slice from its recLSN to the durable horizon, page-LSN
       conditioned, replayed the first time anything touches the page
       ([ensure_page]/[ensure_object]) or by the sweeper;
-    - {b undo} is per loser: one cluster sweep over that loser's scopes
-      with CLRs, the lazy engine's physical splice, then abort/end,
-      flushed as a unit ([drain_loser] via [step]/[drain_object]).
+    - {b undo} is per loser: the engine's {!Undo} walk over that one
+      loser (its chain on eager, its scopes otherwise, with the lazy
+      engine's physical splice), then abort/end, flushed as a unit
+      ([drain_loser] via [step]/[drain_object]).
       Per-loser draining is sound because X locks leave at most one
       loser with uncommitted [Set]s on any object and [Add]s commute;
-    - an object still covered by a loser scope is {b not servable} to
+    - an object a loser still covers is {b not servable} to
       transactions (the engine refuses with [Errors.Recovering]); the
       cover clears when the loser drains — the early-lock-release rule:
       post-restart transactions never wait on loser locks, they wait on
@@ -31,13 +32,12 @@ open Ariesrh_txn
 
 type t
 
-val start : ?passes:Forward.passes -> physical:bool -> Env.t -> t * Report.t
-(** Analysis-only restart. [physical] selects the lazy engine's
-    splice-while-undoing behaviour (and the [Rh_rewritten] scan mode
-    that tolerates already-spliced history). Committed-but-unended
-    transactions are ended immediately (bounded work); the returned
-    report covers the analysis pass only — [undos]/[backward_*] are 0
-    and accrue lazily afterwards. *)
+val start : ?passes:Forward.passes -> walk:Undo.walk -> Env.t -> Report.t * t
+(** Analysis-only restart, in the mode the undo [walk] needs
+    ({!Undo.mode}); the drain and the servability guard use the same
+    walk. Committed-but-unended transactions are ended immediately
+    (bounded work); the returned report covers the analysis pass only —
+    [undos]/[backward_*] are 0 and accrue lazily afterwards. *)
 
 val backlog : t -> int
 (** Remaining restart work: pages awaiting slice redo + losers awaiting
@@ -53,8 +53,10 @@ val lazy_undos : t -> int
 (** CLRs written by lazy drains since [start]. *)
 
 val covered : t -> Oid.t -> bool
-(** Is the object still covered by an undrained loser's scope (i.e. not
-    servable to transactions)? *)
+(** Does an undrained loser still cover the object (i.e. it is not
+    servable to transactions)? On a scope walk, a loser covers what its
+    scopes cover; on a chain walk, the objects of its uncompensated
+    chain updates ({!Undo.chain_objects}, read once per loser). *)
 
 val ensure_page : t -> Page_id.t -> unit
 (** Replay the page's missing redo slice if it is still pending.

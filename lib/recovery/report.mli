@@ -24,3 +24,13 @@ type t = {
 }
 
 val pp : Format.formatter -> t -> unit
+
+val measure :
+  Env.t ->
+  (unit ->
+  Forward.result * Ariesrh_txn.Txn_table.info list * Scope_sweep.stats * 'a) ->
+  t * 'a
+(** Run one restart and report it: the thunk returns the forward pass's
+    result, the losers it found and what the undo done up front cost.
+    The profile starts fresh; log I/O, torn-page repairs and surgery
+    resolutions are the deltas across the run. *)

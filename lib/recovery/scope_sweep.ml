@@ -10,15 +10,17 @@ type stats = {
   mutable undone : int;
 }
 
-type tagged = { owner : Xid.t; scope : Scope.t }
+let zero () = { examined = 0; skipped = 0; clusters = 0; undone = 0 }
+
+type 'a tagged = { owner : 'a; scope : Scope.t }
 
 (* Cluster: the scopes overlapping the region currently being examined.
    A list suffices: clusters are small (the set of concurrently
    delegated-and-lost scopes overlapping one log region). *)
-type cluster = { mutable members : tagged list; mutable beg : Lsn.t }
+type 'a cluster = { mutable members : 'a tagged list; mutable beg : Lsn.t }
 
 let sweep_naive (env : Env.t) ~scopes ~on_undo =
-  let stats = { examined = 0; skipped = 0; clusters = 0; undone = 0 } in
+  let stats = zero () in
   let live = List.filter (fun (_, s) -> not (Scope.is_empty s)) scopes in
   (match live with
   | [] -> ()
@@ -62,7 +64,7 @@ let sweep_naive (env : Env.t) ~scopes ~on_undo =
   stats
 
 let sweep ?(floor = Lsn.nil) (env : Env.t) ~scopes ~on_undo =
-  let stats = { examined = 0; skipped = 0; clusters = 0; undone = 0 } in
+  let stats = zero () in
   let live =
     List.filter
       (fun (_, s) -> (not (Scope.is_empty s)) && Lsn.(s.Scope.last > floor))

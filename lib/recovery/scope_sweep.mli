@@ -1,7 +1,7 @@
 (** The cluster-based backward sweep of Fig. 8.
 
-    Given the loser scopes (each tagged with the {e owner}: the loser
-    transaction responsible for it), the sweep visits the log strictly
+    Given the loser scopes (each tagged with its {e owner}: whatever the
+    caller names the responsible loser by), the sweep visits the log strictly
     backwards, examining records only inside {e clusters} — maximal sets
     of overlapping loser scopes — and jumping over the gaps between
     clusters. Every update covered by a live scope of a matching invoker
@@ -22,12 +22,15 @@ type stats = {
   mutable undone : int;
 }
 
+val zero : unit -> stats
+(** Fresh counters, all 0. *)
+
 val sweep :
   ?floor:Lsn.t ->
   Env.t ->
-  scopes:(Xid.t * Ariesrh_txn.Scope.t) list ->
+  scopes:('a * Ariesrh_txn.Scope.t) list ->
   on_undo:
-    (owner:Xid.t ->
+    (owner:'a ->
     invoker:Xid.t ->
     undone:Lsn.t ->
     undo_next:Lsn.t ->
@@ -47,9 +50,9 @@ val sweep :
 
 val sweep_naive :
   Env.t ->
-  scopes:(Xid.t * Ariesrh_txn.Scope.t) list ->
+  scopes:('a * Ariesrh_txn.Scope.t) list ->
   on_undo:
-    (owner:Xid.t ->
+    (owner:'a ->
     invoker:Xid.t ->
     undone:Lsn.t ->
     undo_next:Lsn.t ->

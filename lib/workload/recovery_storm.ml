@@ -87,7 +87,7 @@ let offline_twin config ~impl ~crash_io ~n_objects ~homes script =
   Fault.set_enabled fault false;
   match Sharded.recover sh with
   | _ -> Ok (Sharded.peek_all sh)
-  | exception e -> Error (Printexc.to_string e)
+  | exception e -> Error (Format.asprintf "%a" Errors.pp_exn e)
 
 let run_script ?(config = default_config) ?(impl = Config.Rh) spec =
   let n_objects = spec.Gen.n_objects in

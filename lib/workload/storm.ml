@@ -354,7 +354,7 @@ let recover_until_stable config outcome ~restart fault sh =
         outcome.nested_crashes <- outcome.nested_crashes + 1;
         Sharded.crash sh;
         go (depth + 1)
-    | exception e -> Error (Printexc.to_string e)
+    | exception e -> Error (Format.asprintf "%a" Errors.pp_exn e)
   in
   go 0
 

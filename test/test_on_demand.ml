@@ -9,6 +9,7 @@
 open Ariesrh_types
 open Ariesrh_core
 open Ariesrh_workload
+open Ariesrh_wal
 module Governor = Ariesrh_maintenance.Governor
 module Metrics = Ariesrh_obs.Metrics
 
@@ -169,6 +170,109 @@ let storm_crashes_in_drain () =
     (outcome.Storm.refusals + outcome.Storm.degraded_serves
     > 0)
 
+(* --- eager on-demand restart undoes by chain ------------------------ *)
+
+(* Two crash points of [recovery-storm --engine eager --seed 2] (CLI
+   defaults otherwise) that failed while the eager drain swept the
+   scopes Rh analysis rebuilt: at crash_io 34 it undid ob20's +5 a
+   second time (the first CLR lay below a checkpoint that persisted the
+   untrimmed scope); at 42 t11's uncommitted [set 769->107] on ob19
+   survived (the scopes missed a record eager surgery had spliced onto
+   its chain). The sweep starts at its step, so each point runs first. *)
+let eager_seed2_pin crash_io () =
+  let config =
+    { Storm.default_config with
+      Storm.seed = 2L; crash_step = crash_io; time_travel = false }
+  in
+  let spec =
+    { Gen.default with Gen.n_objects = 24; n_steps = 120; p_delegate = 0.2 }
+  in
+  let outcome = Recovery_storm.run_script ~config ~impl:Config.Eager spec in
+  if not (Storm.ok outcome) then
+    Alcotest.failf "recovery storm failed:@ %a" Recovery_storm.pp_outcome
+      outcome
+
+(* The objects of the losers' uncompensated updates, read off the
+   durable log. On eager every record sits on its writer's chain, so
+   these are exactly the objects the chain drain will undo. *)
+let loser_objects db losers =
+  let log = Db.log_store db in
+  let compensated = Hashtbl.create 16 in
+  let writes = ref [] in
+  Log_store.iter_forward log ~from:(Log_store.truncated_below log)
+    (fun lsn r ->
+      match r.Record.body with
+      | Record.Update u when Xid.Set.mem (Record.writer_exn r) losers ->
+          writes := (lsn, u.Record.oid) :: !writes
+      | Record.Clr { undone; _ } -> Hashtbl.replace compensated undone ()
+      | _ -> ());
+  List.filter_map
+    (fun (lsn, oid) -> if Hashtbl.mem compensated lsn then None else Some oid)
+    !writes
+  |> List.sort_uniq Oid.compare
+
+(* The eager guard reads the chain the drain undoes: every object a
+   loser still holds an uncompensated write on is refused until that
+   loser drains, and once served it stays served. Every crash point of
+   a few delegation-heavy scripts; the scopes Rh analysis rebuilds miss
+   spliced records here and served some of these objects. *)
+let eager_guard_follows_chain () =
+  let n_objects = 16 in
+  let held_total = ref 0 in
+  for seed = 0 to 40 do
+    let script =
+      Gen.generate
+        { Gen.default with Gen.n_objects; n_steps = 60; p_delegate = 0.2 }
+        ~seed:(Int64.of_int seed)
+    in
+    for at = 1 to List.length script do
+      let db =
+        Driver.fresh_db ~impl:Config.Eager ~recovery_mode:Config.On_demand
+          ~n_objects ()
+      in
+      let report = Driver.run_to_crash db script ~crash_at:at in
+      let held = loser_objects db report.Ariesrh_recovery.Report.losers in
+      held_total := !held_total + List.length held;
+      let refused oid =
+        let x = Db.begin_txn db in
+        let refused =
+          match Db.read db x oid with
+          | _ -> false
+          | exception Errors.Recovering _ -> true
+        in
+        Db.abort db x;
+        refused
+      in
+      let served = ref [] in
+      let check () =
+        List.iter
+          (fun oid ->
+            match (List.mem oid !served, refused oid) with
+            | true, true ->
+                Alcotest.failf "seed %d, crash at %d: ob%d refused again"
+                  seed at (Oid.to_int oid)
+            | false, false -> served := oid :: !served
+            | _ -> ())
+          held
+      in
+      if Db.recovering db then begin
+        List.iter
+          (fun oid ->
+            if not (refused oid) then
+              Alcotest.failf
+                "seed %d, crash at %d: ob%d served while a loser holds it"
+                seed at (Oid.to_int oid))
+          held;
+        while Db.recovery_step db do
+          check ()
+        done
+      end
+    done
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "losers held objects (%d)" !held_total)
+    true (!held_total > 0)
+
 let impl_name = function
   | Config.Rh -> "rh"
   | Config.Eager -> "eager"
@@ -208,4 +312,10 @@ let suite =
   @ [
       Alcotest.test_case "recovery storm [rh, 4 shards]" `Quick
         (storm ~shards:4 ~crash_step:3 ~n_steps:28 Config.Rh);
+      Alcotest.test_case "eager seed 2 pinned at crash_io 34" `Quick
+        (eager_seed2_pin 34);
+      Alcotest.test_case "eager seed 2 pinned at crash_io 42" `Quick
+        (eager_seed2_pin 42);
+      Alcotest.test_case "eager guard follows the loser chain" `Quick
+        eager_guard_follows_chain;
     ]

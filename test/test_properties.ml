@@ -49,13 +49,20 @@ let check_state ~msg db expected =
       (String.concat "," (Array.to_list (Array.map string_of_int expected)))
       (String.concat "," (Array.to_list (Array.map string_of_int got)))
 
-let recovery_matches_oracle impl name =
+(* Crash after [at] actions and restart in [mode]; an on-demand restart
+   is then drained to convergence. *)
+let recovered ~impl ~mode script ~at =
+  let db = Driver.fresh_db ~impl ~recovery_mode:mode ~n_objects () in
+  ignore (Driver.run_to_crash db script ~crash_at:at);
+  Db.await_recovery db;
+  db
+
+let recovery_matches_oracle ?(mode = Config.Offline) impl name =
   QCheck.Test.make ~count:250 ~name (arb ~delegation:true) (fun p ->
       let script = script_of p in
       let at = crash_point p script in
-      let db = Driver.fresh_db ~impl ~n_objects () in
-      ignore (Driver.run_to_crash db script ~crash_at:at);
-      check_state ~msg:"post-recovery state" db
+      check_state ~msg:"post-recovery state"
+        (recovered ~impl ~mode script ~at)
         (Oracle.expected ~n_objects ~crash_at:at script);
       true)
 
@@ -68,16 +75,46 @@ let no_crash_matches_oracle =
       check_state ~msg:"end state" db (Oracle.expected ~n_objects script);
       true)
 
+(* The independent oracle for restart: one script, crashed at the same
+   action on every engine (I/O points differ per engine, script actions
+   do not), restarted offline and on demand. All six end states must
+   equal each other and the semantic oracle — eager's chains, rh's
+   scopes and lazy's splices reach them by different walks. *)
 let engines_agree =
-  QCheck.Test.make ~count:150 ~name:"rh and eager agree after recovery"
+  QCheck.Test.make ~count:150 ~name:"all engines agree, both restarts"
     (arb ~delegation:true) (fun p ->
       let script = script_of p in
       let at = crash_point p script in
-      let rh = Driver.fresh_db ~impl:Config.Rh ~n_objects () in
-      let eager = Driver.fresh_db ~impl:Config.Eager ~n_objects () in
-      ignore (Driver.run_to_crash rh script ~crash_at:at);
-      ignore (Driver.run_to_crash eager script ~crash_at:at);
-      Db.peek_all rh = Db.peek_all eager)
+      let expected = Oracle.expected ~n_objects ~crash_at:at script in
+      List.iter
+        (fun impl ->
+          List.iter
+            (fun mode ->
+              check_state
+                ~msg:
+                  (Printf.sprintf "%s, %s restart"
+                     (Forensics.engine_name impl)
+                     (match mode with
+                     | Config.Offline -> "offline"
+                     | Config.On_demand -> "on-demand"))
+                (recovered ~impl ~mode script ~at)
+                expected)
+            [ Config.Offline; Config.On_demand ])
+        [ Config.Rh; Config.Eager; Config.Lazy ];
+      true)
+
+(* The smallest script the eager on-demand drain used to get wrong
+   while it swept Rh-analysis scopes instead of the loser chains. *)
+let eager_on_demand_pin () =
+  let script = Gen.generate (spec 24 ~delegation:true) ~seed:604L in
+  Alcotest.(check int) "script length" 23 (List.length script);
+  let at = 20 in
+  let got =
+    Db.peek_all (recovered ~impl:Config.Eager ~mode:Config.On_demand script ~at)
+  in
+  Alcotest.(check (array int))
+    "eager on-demand state" (Oracle.expected ~n_objects ~crash_at:at script)
+    got
 
 let interrupted_recovery_idempotent =
   QCheck.Test.make ~count:150 ~name:"crash during recovery, recover again"
@@ -172,6 +209,12 @@ let suite =
       recovery_matches_oracle Config.Rh "rh recovery matches oracle";
       recovery_matches_oracle Config.Eager "eager recovery matches oracle";
       recovery_matches_oracle Config.Lazy "lazy recovery matches oracle";
+      recovery_matches_oracle ~mode:Config.On_demand Config.Rh
+        "rh on-demand matches oracle";
+      recovery_matches_oracle ~mode:Config.On_demand Config.Eager
+        "eager on-demand matches oracle";
+      recovery_matches_oracle ~mode:Config.On_demand Config.Lazy
+        "lazy on-demand matches oracle";
       no_crash_matches_oracle;
       engines_agree;
       interrupted_recovery_idempotent;
@@ -179,4 +222,8 @@ let suite =
       invariants_hold_mid_flight;
       separate_passes_agree;
       repeated_recovery_stable;
+    ]
+  @ [
+      Alcotest.test_case "eager on-demand, seed 604 at 20" `Quick
+        eager_on_demand_pin;
     ]
