@@ -1,15 +1,23 @@
-(** One OCaml domain per shard, each draining its own job queue.
+(** The router's executor: where each shard's jobs run.
 
-    The router uses this to pin each shard's engine to a single domain:
-    any domain that wants to touch shard [i]'s state ships a closure to
-    worker [i], so no [Db.t] is ever shared across domains. Without a
-    pool the router runs inline on the calling domain (the
-    deterministic mode the storms use). *)
+    The domain pool ({!create}) runs one OCaml domain per shard, each
+    draining its own job queue: any domain that wants to touch shard
+    [i]'s state ships a closure to worker [i], so no [Db.t] is ever
+    shared across domains. The single-domain executor ({!inline}) runs
+    every job on the caller at once: the deterministic mode the storms
+    use. The router runs one protocol on either. *)
 
 type t
 
 val create : int -> t
-(** Spawn one worker domain per shard. *)
+(** The domain pool: spawn one worker domain per shard. *)
+
+val inline : int -> t
+(** The single-domain executor for [n] shards: {!exec} runs the job in
+    place, {!post} runs it at once (its exception reaches the caller),
+    {!map} is [Array.init] in shard order (stopping at the first
+    raise), {!poll} does nothing and {!pause} is empty. It spawns
+    nothing, so {!shutdown} is a no-op. *)
 
 val size : t -> int
 
@@ -37,6 +45,17 @@ val poll : t -> unit
     no-op from the main domain. A worker running a long job (a
     closed-loop benchmark driver, say) must call this periodically so
     peers' cross-shard calls make progress. *)
+
+val relax : t -> int -> int
+(** [relax t tries] is one step of a cooperative wait for a condition
+    outside the executor: serve one job of the calling worker's own
+    queue ({!poll}), then spin, or sleep 100 µs once [tries] reaches
+    1000. Returns the next step's [tries]. *)
+
+val pause : t -> unit
+(** On the domain pool, wait a random moment of up to 400 µs of wall
+    clock, serving the calling worker's queue. Empty on the
+    single-domain executor, where nothing else could run meanwhile. *)
 
 val map : t -> (int -> 'a) -> 'a array
 (** Run [f i] on every shard's worker concurrently and collect the

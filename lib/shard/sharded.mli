@@ -11,13 +11,17 @@
     + forced [Xfer_out] intent on the source shard,
     + forced [Xfer_in] (marker + value adoption in one record) on the
       target — its durable presence is the transfer's commit point,
-    + [Xfer_end] closing the intent through reserved log headroom —
-      with a pool, posted to the source without waiting
-      ({!Shard_pool.post}); the object stays claimed until it is logged.
+    + [Xfer_end] closing the intent through reserved log headroom,
+      posted to the source without waiting ({!Shard_pool.post}); the
+      object stays claimed until it is logged.
+
+    Every shard job runs through one executor: a {!Shard_pool} domain
+    pool, or the single-domain executor ({!Shard_pool.inline}), which
+    runs a posted close at once. Both run this one protocol.
 
     A crash at any I/O point leaves the pair resolvable at restart:
-    {!recover} runs per-shard recovery (in parallel when a
-    {!Shard_pool} is attached), closes in-doubt intents forward or
+    {!recover} runs per-shard recovery (in parallel on a domain pool),
+    closes in-doubt intents forward or
     backward from the target-side evidence ({!Ariesrh_recovery.Xfer}),
     rebuilds the routing tables from the durable logs alone, and — with
     [config.audit] — cross-checks every transfer pair across shards.
@@ -55,12 +59,13 @@ val create :
   t
 (** [config.shards] engines. A [fault] injector, when given, is shared
     by every shard — the single logical I/O clock the deterministic
-    storms count on (share one only when running inline); without one
-    each shard gets its own inert injector. [pool] (size must equal
-    [config.shards]) routes every shard's work to its own domain;
-    without it everything runs inline on the caller. Backends come from
-    {!Db.set_backend_factory}, so [--backend file] hands each shard its
-    own directory. *)
+    storms count on (share one only on the single-domain executor);
+    without one each shard gets its own inert injector. [pool] (size
+    must equal [config.shards]) is the executor every shard job runs
+    on, usually a domain pool that routes each shard's work to its own
+    domain; without it the router runs on {!Shard_pool.inline}, every
+    job on the caller. Backends come from {!Db.set_backend_factory}, so
+    [--backend file] hands each shard its own directory. *)
 
 val shards : t -> int
 val config : t -> Config.t
@@ -99,10 +104,11 @@ val migrate : t -> Oid.t -> target:int -> unit
 val begin_txn : t -> shard:int -> xid
 val commit : t -> xid -> unit
 val abort : t -> xid -> unit
-(** With a pool, aborting a transaction after a transfer to its shard
-    was refused pauses up to 400 µs (random, serving the worker's
-    queue) before returning, so that retrying at once cannot livelock
-    against the holder. *)
+(** Aborting a transaction after a transfer to its shard was refused
+    runs the executor's {!Shard_pool.pause} before returning: on a
+    domain pool up to 400 µs (random, serving the worker's queue), so
+    that retrying at once cannot livelock against the holder; nothing
+    on the single-domain executor. *)
 
 val is_active : t -> xid -> bool
 val savepoint : t -> xid -> Lsn.t
@@ -129,13 +135,15 @@ val truncate_log : t -> int
 val crash : t -> unit
 
 val recover : t -> Ariesrh_recovery.Report.t array
-(** Per-shard recovery (parallel with a pool), transfer resolution,
+(** Per-shard recovery (parallel on a domain pool, in shard order on
+    the single-domain executor, stopping at the first raise), transfer
+    resolution,
     routing-table rebuild, and — with [config.audit] — the cross-shard
     transfer audit (raising {!Ariesrh_recovery.Audit.Audit_failed} on
     violation), in that order.
 
     With [Config.recovery_mode = On_demand] each shard runs only its
-    analysis pass before this returns (parallel with a pool — the
+    analysis pass before this returns (parallel on a domain pool — the
     forward pass is partitioned by shard), and every shard is
     incrementally available afterwards: accesses drain on first touch
     or refuse with [Errors.Recovering], and the backlog is drained by
@@ -152,10 +160,11 @@ val recovery_backlog : t -> int
 
 val recovery_step : t -> bool
 (** One background drain unit on {e every} shard still recovering (in
-    parallel with a pool); returns whether any backlog remains. *)
+    parallel on a domain pool); returns whether any backlog remains. *)
 
 val await_recovery : t -> unit
-(** Drain every shard's backlog to convergence (parallel with a pool). *)
+(** Drain every shard's backlog to convergence (parallel on a domain
+    pool). *)
 
 val audit : t -> string list
 (** Per-shard {!Db.audit} findings (prefixed with the shard) plus the

@@ -1,8 +1,9 @@
 (* The sharded engine: router parity with the plain Db at shards = 1,
    crash-atomicity of the cross-shard transfer protocol at every I/O
    point of its window, the typed refusal, home-table reconstruction
-   across restarts, the domain-per-shard pool, and the shared pressure
-   view feeding the governors. *)
+   across restarts, both executors (the domain-per-shard pool and the
+   single-domain executor), and the shared pressure view feeding the
+   governors. *)
 
 open Ariesrh_types
 open Ariesrh_core
@@ -308,6 +309,73 @@ let pool_basics () =
   | exception Failure m ->
       Alcotest.(check string) "shutdown re-raises it" "unread" m
 
+(* The single-domain executor: every job on the caller, at once. *)
+let inline_executor () =
+  let ex = Shard_pool.inline 3 in
+  Alcotest.(check int) "size" 3 (Shard_pool.size ex);
+  let me = Domain.self () in
+  Alcotest.(check bool) "exec runs in place" true
+    (Shard_pool.exec ex 2 (fun () -> Domain.self ()) = me);
+  let ran = ref false in
+  Shard_pool.post ex 1 (fun () -> ran := true);
+  Alcotest.(check bool) "post runs at once" true !ran;
+  (match Shard_pool.post ex 1 (fun () -> failwith "now") with
+  | () -> Alcotest.fail "a posted job's exception was not raised"
+  | exception Failure m ->
+      Alcotest.(check string) "post raises to its caller" "now" m);
+  Alcotest.(check int) "nothing parked for the next exec" 4
+    (Shard_pool.exec ex 1 (fun () -> 4));
+  let order = ref [] in
+  let visit i = order := i :: !order; i * 10 in
+  Alcotest.(check (array int)) "map results" [| 0; 10; 20 |]
+    (Shard_pool.map ex visit);
+  Alcotest.(check (list int)) "map in shard order" [ 0; 1; 2 ]
+    (List.rev !order);
+  order := [];
+  (match
+     Shard_pool.map ex (fun i -> if i = 1 then failwith "stop" else visit i)
+   with
+  | _ -> Alcotest.fail "map dropped a raise"
+  | exception Failure m -> Alcotest.(check string) "map raises" "stop" m);
+  Alcotest.(check (list int)) "map stops at the first raise" [ 0 ] !order;
+  (* the pause and poll neither wait nor draw from the global PRNG *)
+  let st = Random.get_state () in
+  Shard_pool.poll ex;
+  Shard_pool.pause ex;
+  Alcotest.(check int) "pause is empty" (Random.State.bits st) (Random.bits ());
+  Shard_pool.shutdown ex
+
+(* Without a pool the close is posted too, and runs at once: the source
+   logs [Xfer_end] right after its [Xfer_out], and nothing of the
+   transfer is left outstanding. *)
+let inline_close_in_protocol_order () =
+  let sh =
+    Sharded.create
+      (Config.make ~n_objects:8 ~objects_per_page:4 ~buffer_capacity:4
+         ~impl:Config.Rh ~locking:true ~shards:2 ())
+  in
+  prelude sh;
+  let b = Sharded.begin_txn sh ~shard:1 in
+  Sharded.add sh b (oid 0) 1;
+  Sharded.commit sh b;
+  (match Sharded.validate sh with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "validate: %s" m);
+  let bodies = ref [] in
+  Log_store.iter_forward (Db.log_store (Sharded.db sh 0)) ~from:Lsn.nil
+    (fun _ r -> bodies := r.Record.body :: !bodies);
+  let rec after_out = function
+    | Record.Xfer_out { xfer_id; _ } :: next :: _ -> Some (xfer_id, next)
+    | _ :: rest -> after_out rest
+    | [] -> None
+  in
+  match after_out (List.rev !bodies) with
+  | Some (id, Record.Xfer_end { xfer_id; committed; _ }) ->
+      Alcotest.(check int) "closes the same transfer" id xfer_id;
+      Alcotest.(check bool) "committed" true committed
+  | Some _ -> Alcotest.fail "the record after Xfer_out is not its Xfer_end"
+  | None -> Alcotest.fail "no Xfer_out on the source log"
+
 let pooled_router_end_to_end () =
   let pool = Shard_pool.create 2 in
   let sh =
@@ -571,6 +639,9 @@ let suite =
       Alcotest.test_case "restart reads forward range plus control records"
         `Quick restart_reads_forward_plus_control;
       Alcotest.test_case "pool basics" `Quick pool_basics;
+      Alcotest.test_case "single-domain executor" `Quick inline_executor;
+      Alcotest.test_case "inline close follows its intent" `Quick
+        inline_close_in_protocol_order;
       Alcotest.test_case "pooled router end to end" `Quick
         pooled_router_end_to_end;
       Alcotest.test_case "pooled workers migrate into each other" `Quick
