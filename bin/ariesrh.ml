@@ -675,11 +675,12 @@ type storm_flags = {
 
 let storm_term ~seeds ~steps ~steps_doc ?objects ~rate ?depth
     ?(depth_doc = "Nested crash-during-recovery levels.") ?crash_step
-    ?clients ?record_cache ?time_travel ?forensic_dir ?shards ~engines () =
-  let flag kind name ~doc fallback default =
+    ?clients ?clients_absent ?record_cache ?time_travel ?forensic_dir ?shards
+    ~engines () =
+  let flag ?absent kind name ~doc fallback default =
     match default with
     | None -> Term.const fallback
-    | Some d -> Arg.(value & opt kind d & info [ name ] ~doc)
+    | Some d -> Arg.(value & opt kind d & info [ name ] ?absent ~doc)
   in
   let engine =
     let absent, all =
@@ -718,7 +719,8 @@ let storm_term ~seeds ~steps ~steps_doc ?objects ~rate ?depth
     $ flag Arg.int "depth" 0 depth ~doc:depth_doc
     $ flag Arg.int "crash-step" 1 crash_step
         ~doc:"Escalate the crash I/O point by this much."
-    $ flag Arg.int "clients" 4 clients ~doc:"Concurrent clients."
+    $ flag ?absent:clients_absent Arg.int "clients" 4 clients
+        ~doc:"Concurrent clients."
     $ flag Arg.int "group-commit" 0 (Some 0)
         ~doc:"Batch commit log forces in groups of this size (0 = force \
               each commit)."
@@ -789,8 +791,10 @@ let storm_cmd =
   let flags =
     storm_term ~seeds:4 ~steps:160
       ~steps_doc:"Scripted workload steps per storm." ~objects:32 ~rate:0.2
-      ~depth:2 ~crash_step:1 ~clients:4 ~record_cache ~time_travel:true
-      ~forensic_dir:"." ~shards:1 ~engines:[ Config.Rh ] ()
+      ~depth:2 ~crash_step:1 ~clients:0
+      ~clients_absent:"max 4 (2 × shards), two per shard"
+      ~record_cache ~time_travel:true ~forensic_dir:"." ~shards:1
+      ~engines:[ Config.Rh ] ()
   in
   let sim_steps =
     Arg.(value & opt int 1200
@@ -867,7 +871,9 @@ let storm_cmd =
                       steps = sim_steps;
                       load =
                         { Crash_storm.default_sim.load with
-                          clients = f.clients } }
+                          clients =
+                            (if f.clients > 0 then f.clients
+                             else max 4 (2 * f.shards)) } }
                   () ) ]
     in
     report_total obs Crash_storm.pp_outcome runs

@@ -64,7 +64,10 @@ let default_sim =
 (* The shared client loop under a crash armed every few I/Os. With
    several shards, a migration that finds the object locked by another
    shard's client is refused by the router and the client skips that op
-   — under the same crash schedule as everything else. *)
+   — under the same crash schedule as everything else. Most touches
+   then first migrate the object, three forced records, so the crash
+   is armed every [crash_every × shards] I/Os: unscaled, it fired
+   before any transaction could delegate. *)
 let run_sim ?(config = default_config) ?impl ?(sim = default_sim) () =
   let outcome = Storm.fresh_outcome () in
   let n_objects = sim.load.n_objects in
@@ -87,6 +90,7 @@ let run_sim ?(config = default_config) ?impl ?(sim = default_sim) () =
     Storm.restart_and_check config outcome ~label:(label what)
       ?failed:(Option.map label failed) fault sh ~expected
   in
+  let crash_every = sim.crash_every * config.shards in
   let handle_crash () =
     outcome.crashes <- outcome.crashes + 1;
     let what = Printf.sprintf "crash #%d" outcome.crashes in
@@ -99,9 +103,9 @@ let run_sim ?(config = default_config) ?impl ?(sim = default_sim) () =
       ~tag:(Printf.sprintf "crash%d" outcome.crashes)
       ~expected:(expected ()) fault sh;
     Storm.Clients.reset clients;
-    Fault.arm_crash_in fault sim.crash_every
+    Fault.arm_crash_in fault crash_every
   in
-  Fault.arm_crash_in fault sim.crash_every;
+  Fault.arm_crash_in fault crash_every;
   for i = 1 to sim.steps do
     outcome.actions <- outcome.actions + 1;
     (try Storm.Clients.step clients ~now:i (i mod sim.load.clients)

@@ -40,7 +40,8 @@ type sim_config = {
   load : Storm.load;
   steps : int;  (** scheduler steps (one client action each) *)
   checkpoint_every : int;  (** fuzzy checkpoint every n commits; 0 = never *)
-  crash_every : int;  (** arm a crash this many I/Os after each restart *)
+  crash_every : int;
+      (** arm a crash this many I/Os per shard after each restart *)
 }
 
 val default_sim : sim_config
@@ -53,9 +54,11 @@ val run_sim :
   outcome
 (** Closed-loop simulated storm on [impl] (default [Rh]): the
     {!Storm.Clients} loop with periodic checkpoints and a crash armed
-    every [crash_every] I/Os. Clients are dealt round-robin onto shards;
-    with several, most touches migrate an object first and contended
-    migrations are refused and skipped. A load with reads adds lock
+    every [crash_every × config.shards] I/Os. Clients are dealt
+    round-robin onto shards; with several, most touches migrate an
+    object first (three forced records, hence the scaled cadence) and
+    contended migrations are refused and skipped. A client delegates
+    only to another client of its own shard. A load with reads adds lock
     waits and deadlock victims (counted in the outcome's [waits] and
     [deadlocks]) to the crash schedule.
     State is reconciled after every restart against the clients'

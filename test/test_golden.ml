@@ -140,11 +140,11 @@ torn_writes=11 torn_flushes=5 amputated=5 repaired_pages=7
 fault_points=63 checks=16 tt_reads=130
 migrations=0 migration_refusals=0 xfers_resolved=0 failures=0|} );
     ( "sim shards=2",
-      {|runs=31 actions=300
-crashes=31 nested=64 recoveries=64
-torn_writes=2 torn_flushes=16 amputated=16 repaired_pages=2
-fault_points=113 checks=32 tt_reads=0
-migrations=56 migration_refusals=1 xfers_resolved=11 failures=0|} );
+      {|runs=19 actions=300
+crashes=19 nested=40 recoveries=40
+torn_writes=4 torn_flushes=11 amputated=11 repaired_pages=4
+fault_points=74 checks=20 tt_reads=0
+migrations=62 migration_refusals=8 xfers_resolved=7 failures=0|} );
     ( "recovery shards=1",
       {|runs=9 actions=301
 crashes=8 nested=16 recoveries=34 instant_opens=24
