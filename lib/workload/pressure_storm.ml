@@ -213,8 +213,8 @@ let run ?(config = default_config) () =
           fatal := true
       | e ->
           Storm.fail outcome
-            (Printf.sprintf "%s step %d: unhandled %s" label !now
-               (Printexc.to_string e));
+            (Format.asprintf "%s step %d: unhandled %a" label !now
+               Errors.pp_exn e);
           fatal := true)
     done
   in
