@@ -953,6 +953,8 @@ let e16 () =
         let dec_cached, reads_cached, st_cached =
           restart_heavy impl ~record_cache:Config.default.Config.record_cache
         in
+        (* a cache the log outgrows: its count pins the replacement policy *)
+        let dec_512, reads_512, st_512 = restart_heavy impl ~record_cache:512 in
         let reads_2shard = restart_reads_2shard impl in
         let ev4, scans4 = evictions impl ~capacity:4 in
         let ev32, scans32 = evictions impl ~capacity:32 in
@@ -960,11 +962,13 @@ let e16 () =
         let fl_grouped, committed' = sim_flushes impl ~group_commit:8 in
         let probes = scope_probes impl in
         let asof_live, asof_bridged = asof_reads impl in
-        ( [ st_cold = st_cached && reads_plain = reads_cached;
+        ( [ st_cold = st_cached && reads_plain = reads_cached
+            && st_cold = st_512 && reads_plain = reads_512;
             2 * dec_cached <= dec_cold; scans4 = ev4 && scans32 = ev32;
             committed = committed' && fl_grouped < fl_eager ],
           [ S name; I dec_cold; I dec_cached;
             F (100. *. (1. -. (float_of_int dec_cached /. float_of_int dec_cold)));
+            I dec_512;
             I ev4; I scans4; I ev32; I scans32; I fl_eager; I fl_grouped;
             I committed; I probes; I reads_plain; I reads_2shard; I asof_live;
             I asof_bridged ] ))
@@ -974,7 +978,8 @@ let e16 () =
   experiment "E16: hot-path logical counters (perf-regression gate)"
     "Six hot paths, measured with deterministic logical\n\
      counters — never wall time, so the gate is exact:\n\
-     (a) decoded-record cache under a restart-heavy workload\n\
+     (a) decoded-record cache under a restart-heavy workload, at the\n\
+     \    default size and at 512 slots, which the log outgrows\n\
      (b) O(1) LRU eviction: frames examined per eviction, across pool sizes\n\
      (c) group commit: log forces under the concurrent simulator\n\
      (d) invoker-indexed scope lookup under heavy delegation\n\
@@ -995,6 +1000,7 @@ let e16 () =
           cost ~head:"dec_cold" "decode_calls_uncached" "| %10d";
           cost ~head:"dec_cache" "decode_calls_cached" "%10d";
           work ~head:"saved" "decode_saved_pct" "%6.1f%%";
+          cost ~head:"dec_c512" "decode_calls_cache512" "%9d";
           cost ~head:"ev4" "evictions_pool4" "| %5d";
           cost ~head:"scan4" "eviction_scans_pool4" "%5d";
           cost ~head:"ev32" "evictions_pool32" "%5d";

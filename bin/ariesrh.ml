@@ -19,6 +19,16 @@ let impl_conv =
   in
   Arg.conv (parse, print)
 
+(* A count that must be at least 1: a bad value is a usage error (exit
+   124), not a crash or a silent fallback deep inside a storm. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* --- observability plumbing shared by every subcommand --- *)
 
 module Obs = Ariesrh_obs
@@ -605,7 +615,7 @@ let lineage_cmd =
 
 let sim_cmd =
   let clients =
-    Arg.(value & opt int 8 & info [ "clients" ] ~doc:"Concurrent clients.")
+    Arg.(value & opt pos_int 8 & info [ "clients" ] ~doc:"Concurrent clients.")
   in
   let txns =
     Arg.(value & opt int 100 & info [ "txns" ] ~doc:"Transactions per client.")
@@ -719,7 +729,7 @@ let storm_term ~seeds ~steps ~steps_doc ?objects ~rate ?depth
     $ flag Arg.int "depth" 0 depth ~doc:depth_doc
     $ flag Arg.int "crash-step" 1 crash_step
         ~doc:"Escalate the crash I/O point by this much."
-    $ flag ?absent:clients_absent Arg.int "clients" 4 clients
+    $ flag ?absent:clients_absent pos_int "clients" 4 clients
         ~doc:"Concurrent clients."
     $ flag Arg.int "group-commit" 0 (Some 0)
         ~doc:"Batch commit log forces in groups of this size (0 = force \
@@ -791,8 +801,9 @@ let storm_cmd =
   let flags =
     storm_term ~seeds:4 ~steps:160
       ~steps_doc:"Scripted workload steps per storm." ~objects:32 ~rate:0.2
-      ~depth:2 ~crash_step:1 ~clients:0
-      ~clients_absent:"max 4 (2 × shards), two per shard"
+      ~depth:2 ~crash_step:1
+      (* 0 is no value [--clients] accepts: it marks the flag absent *)
+      ~clients:0 ~clients_absent:"max 4 (2 × shards), two per shard"
       ~record_cache ~time_travel:true ~forensic_dir:"." ~shards:1
       ~engines:[ Config.Rh ] ()
   in

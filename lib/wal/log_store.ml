@@ -52,9 +52,12 @@ type t = {
      must see rewritten bytes, or a cold restore resurrects the
      pre-surgery attribution the live log has since disowned. *)
   mutable rewrite_hook : (idx:int -> string -> unit) option;
-  (* --- decoded-record cache --- *)
-  cache : (int, Record.t) Hashtbl.t;  (* idx -> decoded record *)
+  (* --- decoded-record cache: record [idx] lives in slot
+     [idx mod cache_cap]; both arrays stay empty until the first cached
+     decode --- *)
   cache_cap : int;  (* 0 = caching disabled *)
+  mutable cache_keys : int array;  (* idx each slot holds, -1 = empty *)
+  mutable cache_recs : Record.t array;  (* the decoded record beside it *)
   mutable decode_calls : int;  (* lifetime Record.decode invocations *)
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -105,8 +108,9 @@ let create ?(page_size = 4096) ?capacity_bytes ?capacity_records
       stats = Log_stats.create ();
       device;
       rewrite_hook = None;
-      cache = Hashtbl.create (min 64 (max 1 record_cache));
       cache_cap = max 0 record_cache;
+      cache_keys = [||];
+      cache_recs = [||];
       decode_calls = 0;
       cache_hits = 0;
       cache_misses = 0;
@@ -145,40 +149,58 @@ let record_cache_misses t = t.cache_misses
    index. It must be invisible: I/O accounting (reads, page fetches,
    seeks) is charged identically on hits and misses, and every mutation
    of [enc] — rewrite, truncate, crash-applied tears, tail amputation,
-   LSN reuse after a crash — evicts the affected indices. Bounded
-   deterministically: when full, it is cleared wholesale (no
-   recency/randomness, so same-seed runs stay byte-identical). Clearing
-   keeps the full-size bucket array: a scan longer than the cache does
-   not regrow and rehash it after every wipe, and the entries it drops
-   are not promoted by the next minor collection through the slots of
-   an abandoned (major-heap) array. *)
+   LSN reuse after a crash — evicts the affected indices. It is
+   direct-mapped: a hit is one key compare, a miss overwrites the slot,
+   and eviction clears a slot only if it holds that index. The policy
+   has no recency or randomness, so same-seed runs stay byte-identical,
+   and a read costs no allocation beyond the decode itself. *)
 let raw_decode t s =
   t.decode_calls <- t.decode_calls + 1;
   Record.decode s
 
+(* What an empty slot's record holds; never read. Filling the array with
+   a long-lived value matters: [Array.make] of a major-heap-sized array
+   forces a minor collection to promote a young fill value first. *)
+let empty_slot = Record.mk_system Record.End
+
 let decode_at t idx =
   if t.cache_cap = 0 then raw_decode t t.enc.(idx)
   else
-    match Hashtbl.find_opt t.cache idx with
-    | Some r ->
-        t.cache_hits <- t.cache_hits + 1;
-        Ok r
-    | None ->
-        t.cache_misses <- t.cache_misses + 1;
-        let res = raw_decode t t.enc.(idx) in
-        (match res with
-        | Ok r ->
-            if Hashtbl.length t.cache >= t.cache_cap then Hashtbl.clear t.cache;
-            Hashtbl.replace t.cache idx r
-        | Error _ -> ());
-        res
+    let slot = idx mod t.cache_cap in
+    if Array.length t.cache_keys > 0 && t.cache_keys.(slot) = idx then begin
+      t.cache_hits <- t.cache_hits + 1;
+      Ok t.cache_recs.(slot)
+    end
+    else begin
+      t.cache_misses <- t.cache_misses + 1;
+      let res = raw_decode t t.enc.(idx) in
+      (match res with
+      | Ok r ->
+          if Array.length t.cache_keys = 0 then begin
+            t.cache_keys <- Array.make t.cache_cap (-1);
+            t.cache_recs <- Array.make t.cache_cap empty_slot
+          end;
+          t.cache_keys.(slot) <- idx;
+          t.cache_recs.(slot) <- r
+      | Error _ -> ());
+      res
+    end
 
-let cache_invalidate t idx = Hashtbl.remove t.cache idx
+let cache_invalidate t idx =
+  if Array.length t.cache_keys > 0 then begin
+    let slot = idx mod t.cache_cap in
+    if t.cache_keys.(slot) = idx then t.cache_keys.(slot) <- -1
+  end
 
+(* [lo .. lo + cache_cap - 1] names every slot once *)
 let cache_invalidate_range t lo hi =
-  for i = lo to hi do
-    Hashtbl.remove t.cache i
-  done
+  if Array.length t.cache_keys > 0 then
+    for i = lo to min hi (lo + t.cache_cap - 1) do
+      let slot = i mod t.cache_cap in
+      let k = t.cache_keys.(slot) in
+      if k >= lo && k <= hi then t.cache_keys.(slot) <- -1
+    done
+
 let amputated_total t = t.amputated_total
 let head t = Lsn.of_int t.count
 let durable t = Lsn.of_int t.durable_count
@@ -641,7 +663,7 @@ let install_archive t ~low ~master frames =
   t.master <- master;
   t.low <- low;
   t.pending_tear <- None;
-  Hashtbl.reset t.cache;
+  cache_invalidate_range t low (count - 1);
   index_rebuild t;
   Log_device.install t.device ~low ~master ~frames:(Array.to_list frames)
 

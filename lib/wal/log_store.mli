@@ -66,10 +66,13 @@ val create :
     cache is semantically invisible: the I/O cost model charges hits and
     misses identically, and {!rewrite}, {!truncate}, {!crash} (volatile
     tail + applied tears) and {!recover_tail} evict the affected entries.
-    When full it is cleared wholesale, keeping same-seed runs
-    deterministic. A live [fault] injector can tear the last record of a
-    crashing flush, raise [Fault.Injected_crash] at flush points, and
-    squeeze the byte budget at append points. *)
+    It is direct-mapped: record [idx] lives in slot [idx mod record_cache],
+    a read of a different record in that slot replaces it, and its two
+    arrays are allocated on the first cached decode. The policy is
+    deterministic, keeping same-seed runs byte-identical. A live [fault]
+    injector can tear the last record of a crashing flush, raise
+    [Fault.Injected_crash] at flush points, and squeeze the byte budget
+    at append points. *)
 
 val stats : t -> Log_stats.t
 

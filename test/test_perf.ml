@@ -8,14 +8,18 @@
      the same append/rewrite/truncate/crash interleavings and demands
      observational equality after every step (every invalidation rule
      earns its keep here);
+   - a fixed read sequence on a four-slot cache pins the direct-mapped
+     policy: colliding reads evict each other, hit and miss counts are
+     exact, and an eviction clears only the slot its index holds;
    - the intrusive LRU is replayed against a last-used-tick reference
      model on a random skewed access trace — same hits, same misses,
      same victims;
-   - crash storms and pressure storms rerun with the cache off and with
-     group commit on, demanding identical outcomes (cache) and clean
-     oracle verdicts (group commit — its flush batching legitimately
-     shifts the I/O-indexed crash points, so byte equality is not the
-     contract there);
+   - crash storms and pressure storms rerun with the cache off, with a
+     seven-slot cache that collides, and with group commit on,
+     demanding identical outcomes (cache) and clean oracle verdicts
+     (group commit — its flush batching legitimately shifts the
+     I/O-indexed crash points, so byte equality is not the contract
+     there);
    - the quarantined eager seed-3 repro's forensic dump must stay
      byte-identical with the cache on and off. *)
 
@@ -116,7 +120,7 @@ let observe log =
 let cache_equivalence =
   QCheck.Test.make ~count:300 ~name:"cached log reads = fresh decodes"
     lops_arb (fun ops ->
-      (* a tiny cache capacity forces the wholesale-reset path too *)
+      (* a tiny cache capacity forces slot collisions too *)
       let cached = Log_store.create ~record_cache:7 () in
       let cold = Log_store.create ~record_cache:0 () in
       List.iter
@@ -131,6 +135,54 @@ let cache_equivalence =
         "uncached store never touched its cache" 0
         (Log_store.record_cache_hits cold + Log_store.record_cache_misses cold);
       true)
+
+(* --- direct-mapped slots ---------------------------------------------- *)
+
+(* At [record_cache:4], records [idx] and [idx + 4] share a slot. Reads
+   that alternate between the two evict each other and still return the
+   right record, a repeated read hits, and evicting one index never
+   clears a slot that a different index holds. *)
+let cache_slot_collisions () =
+  let add d =
+    Record.mk (Xid.of_int 1) ~prev:Lsn.nil
+      (Record.Update
+         { Record.oid = Oid.of_int 0; page = Page_id.of_int 0; op = Record.Add d })
+  in
+  let log = Log_store.create ~record_cache:4 () in
+  for d = 10 to 21 do
+    ignore (Log_store.append log (add d))
+  done;
+  (* lsn [l] was appended with delta [l + 9] *)
+  let read_delta l =
+    match (Log_store.read log (Lsn.of_int l)).Record.body with
+    | Record.Update { Record.op = Record.Add d; _ } -> d
+    | _ -> Alcotest.failf "lsn %d: not an Add update" l
+  in
+  let expect ~hits ~misses what =
+    Alcotest.(check (pair int int))
+      what (hits, misses)
+      (Log_store.record_cache_hits log, Log_store.record_cache_misses log)
+  in
+  (* lsns 2 and 6 are idx 1 and 5: slot 1 both *)
+  for _ = 1 to 3 do
+    Alcotest.(check int) "lsn 2 decodes right" 11 (read_delta 2);
+    Alcotest.(check int) "lsn 6 decodes right" 15 (read_delta 6)
+  done;
+  expect ~hits:0 ~misses:6 "alternating colliding reads all miss";
+  Alcotest.(check int) "lsn 6 again" 15 (read_delta 6);
+  expect ~hits:1 ~misses:6 "a repeated read hits";
+  Alcotest.(check int) "lsn 3" 12 (read_delta 3);
+  expect ~hits:1 ~misses:7 "slot 2 filled";
+  (* idx 9 maps to slot 1, which holds idx 5: rewriting it leaves the slot *)
+  Log_store.rewrite log (Lsn.of_int 10) (add 50);
+  Alcotest.(check int) "lsn 6 survives idx 9's eviction" 15 (read_delta 6);
+  expect ~hits:2 ~misses:7 "the other index's slot is intact";
+  Log_store.rewrite log (Lsn.of_int 6) (add 60);
+  Alcotest.(check int) "lsn 6 rewritten" 60 (read_delta 6);
+  Alcotest.(check int) "lsn 10 rewritten" 50 (read_delta 10);
+  Alcotest.(check int) "lsn 3 untouched" 12 (read_delta 3);
+  expect ~hits:3 ~misses:9 "only the rewritten indices missed";
+  Alcotest.(check int) "one decode per miss" 9 (Log_store.decode_calls log)
 
 (* --- LRU parity against a reference model --------------------------- *)
 
@@ -192,6 +244,10 @@ let lru_matches_reference_model () =
 let storm_spec =
   { Gen.default with n_objects = 24; n_steps = 60; p_delegate = 0.25 }
 
+(* Every storm log here fits the default cache, so the default run never
+   evicts; at this size the storms' reads collide in their slots. *)
+let small_cache = 7
+
 let scripted_storm_cache_parity () =
   let run record_cache =
     Crash_storm.run_script
@@ -199,10 +255,13 @@ let scripted_storm_cache_parity () =
       storm_spec
   in
   let on = run Config.default.Config.record_cache in
+  let small = run small_cache in
   let off = run 0 in
   if not (Storm.ok on) then
     Alcotest.failf "storm failed: %a" Crash_storm.pp_outcome on;
-  Alcotest.(check bool) "identical outcomes cache on/off" true (on = off)
+  Alcotest.(check bool) "identical outcomes cache on/off" true (on = off);
+  Alcotest.(check bool) "identical outcomes at a colliding cache" true
+    (small = off)
 
 let sim_storm_cache_parity () =
   let run record_cache =
@@ -212,10 +271,13 @@ let sim_storm_cache_parity () =
       ()
   in
   let on = run Config.default.Config.record_cache in
+  let small = run small_cache in
   let off = run 0 in
   if not (Storm.ok on) then
     Alcotest.failf "storm failed: %a" Crash_storm.pp_outcome on;
-  Alcotest.(check bool) "identical outcomes cache on/off" true (on = off)
+  Alcotest.(check bool) "identical outcomes cache on/off" true (on = off);
+  Alcotest.(check bool) "identical outcomes at a colliding cache" true
+    (small = off)
 
 let pressure_storm_cache_parity () =
   let run record_cache =
@@ -232,10 +294,13 @@ let pressure_storm_cache_parity () =
       ()
   in
   let on = run Config.default.Config.record_cache in
+  let small = run small_cache in
   let off = run 0 in
   if not (Pressure_storm.ok on) then
     Alcotest.failf "storm failed: %a" Pressure_storm.pp_outcome on;
-  Alcotest.(check bool) "identical outcomes cache on/off" true (on = off)
+  Alcotest.(check bool) "identical outcomes cache on/off" true (on = off);
+  Alcotest.(check bool) "identical outcomes at a colliding cache" true
+    (small = off)
 
 (* Group commit moves log forces, so the I/O-indexed fault plan lands
    crashes at different points — outcomes legitimately differ from the
@@ -310,6 +375,8 @@ let forensic_dump_bytes_cache_invariant () =
 let suite =
   QCheck_alcotest.to_alcotest cache_equivalence
   :: [
+       Alcotest.test_case "record cache: slot collisions" `Quick
+         cache_slot_collisions;
        Alcotest.test_case "LRU matches the reference model" `Quick
          lru_matches_reference_model;
        Alcotest.test_case "scripted storm: cache parity" `Quick
