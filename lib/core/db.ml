@@ -5,6 +5,7 @@ open Ariesrh_lock
 open Ariesrh_txn
 open Ariesrh_recovery
 module Fault = Ariesrh_fault.Fault
+module Major_array = Ariesrh_util.Major_array
 module Obs = Ariesrh_obs
 
 (* Per-transaction rollback reservation: space set aside in the log so
@@ -417,13 +418,13 @@ let append_on_chain_reserved t (info : Txn_table.info) body =
 
 (* --- rollback-space ledger --- *)
 
-(* The codec is fixed-size per body shape, so the cost of any future
-   record can be computed exactly from a throwaway instance. *)
+(* The codec's size is fixed per body shape, so the cost of any future
+   record is a constant of its shape, taken once from a probe instance.
+   Plain values, computed at module initialisation: a [lazy] forced by
+   two domains beginning their first transactions at once raises
+   [CamlinternalLazy.Undefined]. *)
 let probe_xid = Xid.of_int 1
 let record_cost body = Record.encoded_size (Record.mk probe_xid ~prev:Lsn.nil body)
-(* plain values, computed once at module initialisation: a [lazy]
-   forced by two domains beginning their first transactions at once
-   raises [CamlinternalLazy.Undefined] *)
 let base_cost = record_cost Record.Abort + record_cost Record.End
 let anchor_cost = record_cost Record.Anchor
 
@@ -432,10 +433,24 @@ let delegate_cost =
     (Record.Delegate
        { tee = probe_xid; tee_prev = Lsn.nil; oid = Oid.of_int 0; op = None })
 
-let clr_cost (u : Record.update) =
+(* a CLR carries the inverse of the update it undoes, which has the
+   update's op shape *)
+let clr_cost_of op =
   record_cost
     (Record.Clr
-       { upd = u; undone = Lsn.nil; invoker = probe_xid; undo_next = Lsn.nil })
+       {
+         upd = { oid = Oid.of_int 0; page = Page_id.of_int 0; op };
+         undone = Lsn.nil;
+         invoker = probe_xid;
+         undo_next = Lsn.nil;
+       })
+
+let clr_add_cost = clr_cost_of (Record.Add 0)
+let clr_set_cost = clr_cost_of (Record.Set { before = 0; after = 0 })
+
+let clr_cost = function
+  | Record.Add _ -> clr_add_cost
+  | Record.Set _ -> clr_set_cost
 
 let ledger_of t xid =
   let k = Xid.to_int xid in
@@ -735,7 +750,7 @@ let log_update t (info : Txn_table.info) oid op =
   let u = { Record.oid; page; op } in
   (* an update is admitted only together with space for the CLR that may
      later undo it — the invariant that keeps rollback Log_full-proof *)
-  let clr = clr_cost u in
+  let clr = clr_cost op in
   let lsn =
     Log_store.append_with_reserve t.log ~reserve_bytes:clr ~reserve_records:1
       (Record.mk info.xid ~prev:info.last_lsn (Record.Update u))
@@ -1306,7 +1321,8 @@ let backup t =
   let b =
     {
       pages =
-        Array.init (Disk.page_count t.disk) (fun i ->
+        Major_array.init ~fill:Page.placeholder (Disk.page_count t.disk)
+          (fun i ->
             (* checked: a backup taken from a torn or stale (lost-write)
                main image would bake the corruption into the snapshot —
                heal first, then copy *)
@@ -1482,8 +1498,8 @@ let backup_to_archive t =
       Buffer_pool.flush_all t.pool;
       Disk.sync t.disk;
       let pages =
-        Array.init (Disk.page_count t.disk) (fun i ->
-            Disk.peek_main t.disk (Page_id.of_int i))
+        Major_array.init ~fill:Page.placeholder (Disk.page_count t.disk)
+          (fun i -> Disk.peek_main t.disk (Page_id.of_int i))
       in
       let complete_upto = Log_store.durable t.log in
       Archive.put_snapshot a ~pages ~complete_upto
@@ -1750,7 +1766,9 @@ let scrub_archive t =
         bad_wal;
       (match (Archive.snapshot a, bad_pages) with
       | Some s, _ :: _ ->
-          let pages = Array.map Page.copy s.Archive.pages in
+          let pages =
+            Major_array.map ~fill:Page.placeholder Page.copy s.Archive.pages
+          in
           let healed_any = ref false in
           List.iter
             (fun i ->

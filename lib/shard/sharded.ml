@@ -6,6 +6,7 @@ module Audit = Ariesrh_recovery.Audit
 module Xfer = Ariesrh_recovery.Xfer
 module Log_store = Ariesrh_wal.Log_store
 module Fault = Ariesrh_fault.Fault
+module Major_array = Ariesrh_util.Major_array
 
 (* The router: N independent engines (per-shard WAL, buffer pool, lock
    table), objects hash-partitioned by [base_home], transactions pinned
@@ -79,6 +80,9 @@ type t = {
   mutable resolved_back : int;
 }
 
+(* never read: the long-lived fill of [avail] under construction *)
+let no_home = Atomic.make 0
+
 let create ?fault ?(tracing = false) ?pool config =
   Config.validate config;
   let n = config.Config.shards in
@@ -101,7 +105,8 @@ let create ?fault ?(tracing = false) ?pool config =
     dbs;
     executor;
     avail =
-      Array.init config.Config.n_objects (fun o -> Atomic.make (o mod n));
+      Major_array.init ~fill:no_home config.Config.n_objects (fun o ->
+          Atomic.make (o mod n));
     epoch = Atomic.make 0;
     refused = Array.init n (fun _ -> Atomic.make false);
     mu = Mutex.create ();

@@ -1,4 +1,5 @@
 open Ariesrh_types
+module Major_array = Ariesrh_util.Major_array
 
 (* A media archive: the durable copy of last resort.
 
@@ -191,7 +192,7 @@ let read_pages_file dir ~slots ~complete_upto ~master =
         let pb = page_bytes slots in
         let b = Bytes.create pb in
         let pages =
-          Array.init n (fun i ->
+          Major_array.init ~fill:Page.placeholder n (fun i ->
               if read_upto fd path ~off:(16 + (i * pb)) b pb < pb then
                 raise (Archive_corrupt { path; what = "pages image truncated" });
               let checksum = Int64.to_int (Bytes.get_int64_le b 0) in
@@ -397,7 +398,11 @@ let iter_wal t f =
 
 let put_snapshot t ~pages ~complete_upto ~master =
   let s =
-    { pages = Array.map Page.copy pages; complete_upto; master }
+    {
+      pages = Major_array.map ~fill:Page.placeholder Page.copy pages;
+      complete_upto;
+      master;
+    }
   in
   t.snapshot <- Some s;
   match t.dir with

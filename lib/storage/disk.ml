@@ -1,4 +1,5 @@
 open Ariesrh_types
+module Major_array = Ariesrh_util.Major_array
 module Fault = Ariesrh_fault.Fault
 
 type stats = { mutable page_reads : int; mutable page_writes : int }
@@ -31,8 +32,11 @@ let create ?(fault = Fault.none ()) ?(backend = Backend.Sim) ~pages
     match Page_device.load device with
     | Some (main, shadow) -> (main, shadow)
     | None ->
-        (Array.init pages (fun _ -> Page.create ~slots:slots_per_page),
-         Array.init pages (fun _ -> Page.create ~slots:slots_per_page))
+        let fresh () =
+          Major_array.init ~fill:Page.placeholder pages (fun _ ->
+              Page.create ~slots:slots_per_page)
+        in
+        (fresh (), fresh ())
   in
   {
     pages = main;

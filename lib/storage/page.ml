@@ -21,6 +21,10 @@ let create ~slots =
   let values = Array.make slots 0 in
   { page_lsn = Lsn.nil; values; checksum = fingerprint Lsn.nil values }
 
+(* never read or written: the long-lived fill of a page array under
+   construction *)
+let placeholder = create ~slots:1
+
 let copy t = { page_lsn = t.page_lsn; values = Array.copy t.values; checksum = t.checksum }
 let slots t = Array.length t.values
 let page_lsn t = t.page_lsn

@@ -10,6 +10,10 @@ type t
 val create : slots:int -> t
 (** All slots start at 0 with [page_lsn = Lsn.nil]. *)
 
+val placeholder : t
+(** A page that is never read or written: the long-lived [~fill] for
+    building a page array with {!Ariesrh_util.Major_array}. *)
+
 val copy : t -> t
 val slots : t -> int
 val page_lsn : t -> Lsn.t

@@ -7,6 +7,7 @@ module Lineage = Ariesrh_obs.Lineage
 module Db = Ariesrh_core.Db
 module Config = Ariesrh_core.Config
 module Errors = Ariesrh_core.Errors
+module Major_array = Ariesrh_util.Major_array
 
 type coverage = { from_ : Lsn.t; upto : Lsn.t; bridged : bool }
 
@@ -191,6 +192,20 @@ type version = {
   v_surgeries : surgery list;
   v_status : status;
 }
+
+(* never read: the long-lived fill of [sc_versions] under construction *)
+let no_version =
+  {
+    v_lsn = Lsn.nil;
+    v_oid = Oid.of_int 0;
+    v_op = Record.Add 0;
+    v_writer = Xid.of_int 1;
+    v_provenance = Xid.of_int 1;
+    v_holder = Xid.of_int 1;
+    v_transfers = [];
+    v_surgeries = [];
+    v_status = Live;
+  }
 
 let status_str = function
   | Live -> "live"
@@ -436,7 +451,7 @@ let scan db ~objects ~upto =
     }
   in
   let versions =
-    Array.of_list (List.rev_map finalize !order)
+    Major_array.of_list ~fill:no_version (List.rev_map finalize !order)
   in
   { sc_upto = upto; sc_versions = versions; sc_commits = commits;
     sc_begins = begins; sc_adoptions = List.rev !adoptions }

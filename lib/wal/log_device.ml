@@ -338,13 +338,13 @@ let load = function
             end)
           f.segs;
         f.segs <- List.filter (fun s -> Sys.file_exists s.path) f.segs;
-        let frames = Array.of_list (List.rev !acc) in
+        let frames = List.rev !acc in
         let first_idx = (List.hd f.segs).first_idx in
-        f.count <- first_idx + Array.length frames;
+        f.count <- first_idx + List.length frames;
         if f.count = 0 then None
         else begin
           let enc = Array.make f.count "" in
-          Array.iteri (fun i s -> enc.(first_idx + i) <- s) frames;
+          List.iteri (fun i s -> enc.(first_idx + i) <- s) frames;
           (* anything below the truncation point is reclaimed space *)
           for i = 0 to min f.low f.count - 1 do
             enc.(i) <- ""

@@ -172,145 +172,183 @@ let tag_of_body = function
   | Xfer_in _ -> 15
   | Xfer_end _ -> 16
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+(* Every field has a fixed width: a tag or flag is one byte, an id, LSN
+   or length a 4-byte little-endian u32, a value an 8-byte little-endian
+   i64. So a record's size follows from its body's shape alone, and
+   [encode] writes each field once, at its final offset. *)
 
-let put_u32 b v =
-  if v < 0 then invalid_arg "Record codec: negative u32";
-  put_u8 b (v land 0xff);
-  put_u8 b ((v lsr 8) land 0xff);
-  put_u8 b ((v lsr 16) land 0xff);
-  put_u8 b ((v lsr 24) land 0xff)
+let header_size = 9 (* tag, writer, prev *)
+let trailer_size = 4 (* FNV-1a checksum of everything before it *)
+let update_size (u : update) = match u.op with Set _ -> 25 | Add _ -> 17
 
-let put_i64 b v =
-  let v = Int64.of_int v in
-  for i = 0 to 7 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
-  done
+(* three counted lists: 13 bytes a transaction, 8 a dirty page, and 16
+   an object entry plus 12 a scope *)
+let ckpt_size ck =
+  let ob n (o : ckpt_ob) = n + 16 + (12 * List.length o.ck_scopes) in
+  12 + (13 * List.length ck.ck_txns) + (8 * List.length ck.ck_dpt)
+  + List.fold_left ob 0 ck.ck_obs
 
-let put_op b = function
+let body_size = function
+  | Begin | Commit | Abort | End | Ckpt_begin | Anchor -> 0
+  | Update u -> update_size u
+  | Clr { upd; _ } -> update_size upd + 12
+  | Delegate { op = None; _ } -> 13
+  | Delegate { op = Some _; _ } -> 21
+  | Ckpt_end ck -> ckpt_size ck
+  | Rewrite_begin { deleg; targets } ->
+      (match deleg with None -> 1 | Some _ -> 13) + 4 + (4 * List.length targets)
+  | Rewrite_clr { before; after; _ } ->
+      12 + String.length before + String.length after
+  | Rewrite_end _ -> 5
+  | Xfer_out _ -> 24
+  | Xfer_in _ -> 36
+  | Xfer_end _ -> 9
+
+let encoded_size t = header_size + body_size t.body + trailer_size
+
+(* Each writer stores one field at [pos] and returns the offset after
+   it. *)
+let set_u8 b pos v =
+  Bytes.set b pos (Char.unsafe_chr (v land 0xff));
+  pos + 1
+
+let set_u32 b pos v =
+  if v < 0 || v > 0xffff_ffff then
+    invalid_arg "Record codec: u32 out of range";
+  Bytes.set_int32_le b pos (Int32.of_int v);
+  pos + 4
+
+let set_i64 b pos v =
+  Bytes.set_int64_le b pos (Int64.of_int v);
+  pos + 8
+
+let set_bool b pos v = set_u8 b pos (if v then 1 else 0)
+
+let set_update b pos (u : update) =
+  let pos = set_u32 b pos (Oid.to_int u.oid) in
+  let pos = set_u32 b pos (Page_id.to_int u.page) in
+  match u.op with
   | Set { before; after } ->
-      put_u8 b 1;
-      put_i64 b before;
-      put_i64 b after
-  | Add d ->
-      put_u8 b 2;
-      put_i64 b d
+      let pos = set_u8 b pos 1 in
+      let pos = set_i64 b pos before in
+      set_i64 b pos after
+  | Add d -> set_i64 b (set_u8 b pos 2) d
 
-let put_update b (u : update) =
-  put_u32 b (Oid.to_int u.oid);
-  put_u32 b (Page_id.to_int u.page);
-  put_op b u.op
+let set_list b pos set xs =
+  List.fold_left (set b) (set_u32 b pos (List.length xs)) xs
 
-let put_list b put xs =
-  put_u32 b (List.length xs);
-  List.iter (put b) xs
+let set_bytes b pos s =
+  let n = String.length s in
+  let pos = set_u32 b pos n in
+  Bytes.blit_string s 0 b pos n;
+  pos + n
 
-let put_bytes b s =
-  put_u32 b (String.length s);
-  Buffer.add_string b s
+let set_ckpt_txn b pos (c : ckpt_txn) =
+  let pos = set_u32 b pos (Xid.to_int c.ck_xid) in
+  let pos =
+    set_u8 b pos
+      (match c.ck_status with
+      | Ck_active -> 0
+      | Ck_committed -> 1
+      | Ck_rolling_back -> 2)
+  in
+  let pos = set_u32 b pos (Lsn.to_int c.ck_last_lsn) in
+  set_u32 b pos (Lsn.to_int c.ck_undo_next)
 
-let put_ckpt b ck =
-  put_list b
-    (fun b (c : ckpt_txn) ->
-      put_u32 b (Xid.to_int c.ck_xid);
-      put_u8 b
-        (match c.ck_status with
-        | Ck_active -> 0
-        | Ck_committed -> 1
-        | Ck_rolling_back -> 2);
-      put_u32 b (Lsn.to_int c.ck_last_lsn);
-      put_u32 b (Lsn.to_int c.ck_undo_next))
-    ck.ck_txns;
-  put_list b
-    (fun b (p, l) ->
-      put_u32 b (Page_id.to_int p);
-      put_u32 b (Lsn.to_int l))
-    ck.ck_dpt;
-  put_list b
-    (fun b (o : ckpt_ob) ->
-      put_u32 b (Xid.to_int o.ck_owner);
-      put_u32 b (Oid.to_int o.ck_oid);
-      put_u32 b (match o.ck_deleg with None -> 0 | Some x -> Xid.to_int x);
-      put_list b
-        (fun b (s : ckpt_scope) ->
-          put_u32 b (Xid.to_int s.ck_invoker);
-          put_u32 b (Lsn.to_int s.ck_first);
-          put_u32 b (Lsn.to_int s.ck_last))
-        o.ck_scopes)
-    ck.ck_obs
+let set_dpt_entry b pos (p, l) =
+  set_u32 b (set_u32 b pos (Page_id.to_int p)) (Lsn.to_int l)
+
+let set_scope b pos (s : ckpt_scope) =
+  let pos = set_u32 b pos (Xid.to_int s.ck_invoker) in
+  let pos = set_u32 b pos (Lsn.to_int s.ck_first) in
+  set_u32 b pos (Lsn.to_int s.ck_last)
+
+let set_ob b pos (o : ckpt_ob) =
+  let pos = set_u32 b pos (Xid.to_int o.ck_owner) in
+  let pos = set_u32 b pos (Oid.to_int o.ck_oid) in
+  let pos =
+    set_u32 b pos (match o.ck_deleg with None -> 0 | Some x -> Xid.to_int x)
+  in
+  set_list b pos set_scope o.ck_scopes
+
+let set_body b pos = function
+  | Begin | Commit | Abort | End | Ckpt_begin | Anchor -> pos
+  | Update u -> set_update b pos u
+  | Clr { upd; undone; invoker; undo_next } ->
+      let pos = set_update b pos upd in
+      let pos = set_u32 b pos (Lsn.to_int undone) in
+      let pos = set_u32 b pos (Xid.to_int invoker) in
+      set_u32 b pos (Lsn.to_int undo_next)
+  | Delegate { tee; tee_prev; oid; op } -> (
+      let pos = set_u32 b pos (Xid.to_int tee) in
+      let pos = set_u32 b pos (Lsn.to_int tee_prev) in
+      let pos = set_u32 b pos (Oid.to_int oid) in
+      match op with
+      | None -> set_u8 b pos 0
+      | Some (l, x) ->
+          let pos = set_u8 b pos 1 in
+          let pos = set_u32 b pos (Lsn.to_int l) in
+          set_u32 b pos (Xid.to_int x))
+  | Ckpt_end ck ->
+      let pos = set_list b pos set_ckpt_txn ck.ck_txns in
+      let pos = set_list b pos set_dpt_entry ck.ck_dpt in
+      set_list b pos set_ob ck.ck_obs
+  | Rewrite_begin { deleg; targets } ->
+      let pos =
+        match deleg with
+        | None -> set_u8 b pos 0
+        | Some (tor, tee, oid) ->
+            let pos = set_u8 b pos 1 in
+            let pos = set_u32 b pos (Xid.to_int tor) in
+            let pos = set_u32 b pos (Xid.to_int tee) in
+            set_u32 b pos (Oid.to_int oid)
+      in
+      set_list b pos (fun b pos l -> set_u32 b pos (Lsn.to_int l)) targets
+  | Rewrite_clr { target; before; after } ->
+      let pos = set_u32 b pos (Lsn.to_int target) in
+      set_bytes b (set_bytes b pos before) after
+  | Rewrite_end { begin_lsn; committed } ->
+      set_bool b (set_u32 b pos (Lsn.to_int begin_lsn)) committed
+  | Xfer_out { xfer_id; hop; oid; target; value } ->
+      let pos = set_u32 b pos xfer_id in
+      let pos = set_u32 b pos hop in
+      let pos = set_u32 b pos (Oid.to_int oid) in
+      let pos = set_u32 b pos target in
+      set_i64 b pos value
+  | Xfer_in { xfer_id; hop; oid; page; source; before; value } ->
+      let pos = set_u32 b pos xfer_id in
+      let pos = set_u32 b pos hop in
+      let pos = set_u32 b pos (Oid.to_int oid) in
+      let pos = set_u32 b pos (Page_id.to_int page) in
+      let pos = set_u32 b pos source in
+      let pos = set_i64 b pos before in
+      set_i64 b pos value
+  | Xfer_end { xfer_id; oid; committed } ->
+      let pos = set_u32 b pos xfer_id in
+      set_bool b (set_u32 b pos (Oid.to_int oid)) committed
 
 (* FNV-1a over the first [len] bytes of [s] *)
 let fnv1a s len =
   let h = ref 0x811c9dc5 in
   for i = 0 to len - 1 do
     h :=
-      (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0x7fffffff
+      (!h lxor Char.code (Bytes.unsafe_get s i)) * 0x01000193 land 0x7fffffff
   done;
   !h
 
+(* One pass: the buffer is allocated at the record's exact size, the
+   fields land at their final offsets, the checksum is taken over them
+   in place, and the buffer becomes the string without a copy. *)
 let encode t =
-  let b = Buffer.create 64 in
-  put_u8 b (tag_of_body t.body);
-  put_u32 b (match t.xid with None -> 0 | Some x -> Xid.to_int x);
-  put_u32 b (Lsn.to_int t.prev);
-  (match t.body with
-  | Begin | Commit | Abort | End | Ckpt_begin | Anchor -> ()
-  | Update u -> put_update b u
-  | Clr { upd; undone; invoker; undo_next } ->
-      put_update b upd;
-      put_u32 b (Lsn.to_int undone);
-      put_u32 b (Xid.to_int invoker);
-      put_u32 b (Lsn.to_int undo_next)
-  | Delegate { tee; tee_prev; oid; op } ->
-      put_u32 b (Xid.to_int tee);
-      put_u32 b (Lsn.to_int tee_prev);
-      put_u32 b (Oid.to_int oid);
-      (match op with
-      | None -> put_u8 b 0
-      | Some (l, x) ->
-          put_u8 b 1;
-          put_u32 b (Lsn.to_int l);
-          put_u32 b (Xid.to_int x))
-  | Ckpt_end ck -> put_ckpt b ck
-  | Rewrite_begin { deleg; targets } ->
-      (match deleg with
-      | None -> put_u8 b 0
-      | Some (tor, tee, oid) ->
-          put_u8 b 1;
-          put_u32 b (Xid.to_int tor);
-          put_u32 b (Xid.to_int tee);
-          put_u32 b (Oid.to_int oid));
-      put_list b (fun b l -> put_u32 b (Lsn.to_int l)) targets
-  | Rewrite_clr { target; before; after } ->
-      put_u32 b (Lsn.to_int target);
-      put_bytes b before;
-      put_bytes b after
-  | Rewrite_end { begin_lsn; committed } ->
-      put_u32 b (Lsn.to_int begin_lsn);
-      put_u8 b (if committed then 1 else 0)
-  | Xfer_out { xfer_id; hop; oid; target; value } ->
-      put_u32 b xfer_id;
-      put_u32 b hop;
-      put_u32 b (Oid.to_int oid);
-      put_u32 b target;
-      put_i64 b value
-  | Xfer_in { xfer_id; hop; oid; page; source; before; value } ->
-      put_u32 b xfer_id;
-      put_u32 b hop;
-      put_u32 b (Oid.to_int oid);
-      put_u32 b (Page_id.to_int page);
-      put_u32 b source;
-      put_i64 b before;
-      put_i64 b value
-  | Xfer_end { xfer_id; oid; committed } ->
-      put_u32 b xfer_id;
-      put_u32 b (Oid.to_int oid);
-      put_u8 b (if committed then 1 else 0));
-  let payload = Buffer.contents b in
-  let b2 = Buffer.create (String.length payload + 4) in
-  Buffer.add_string b2 payload;
-  put_u32 b2 (fnv1a payload (String.length payload));
-  Buffer.contents b2
+  let size = encoded_size t in
+  let b = Bytes.create size in
+  let pos = set_u8 b 0 (tag_of_body t.body) in
+  let pos = set_u32 b pos (match t.xid with None -> 0 | Some x -> Xid.to_int x) in
+  let pos = set_u32 b pos (Lsn.to_int t.prev) in
+  let lim = set_body b pos t.body in
+  assert (lim = size - trailer_size);
+  ignore (set_u32 b lim (fnv1a b lim));
+  Bytes.unsafe_to_string b
 
 type decode_error =
   | Truncated
@@ -426,7 +464,7 @@ let get_ckpt c =
 let decode_exn s =
   if String.length s < 13 then raise (Bad Truncated);
   let lim = String.length s - 4 in
-  if u32_at s lim <> fnv1a s lim then raise (Bad Checksum_mismatch);
+  if u32_at s lim <> fnv1a (Bytes.unsafe_of_string s) lim then raise (Bad Checksum_mismatch);
   let c = { s; pos = 0; lim } in
   let tag = get_u8 c in
   let xid_raw = get_u32 c in
@@ -511,4 +549,3 @@ let decode_exn s =
 
 let decode s = match decode_exn s with t -> Ok t | exception Bad e -> Error e
 
-let encoded_size t = String.length (encode t)

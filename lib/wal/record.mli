@@ -163,7 +163,16 @@ val is_update : t -> bool
 val pp : Format.formatter -> t -> unit
 
 val encode : t -> string
-(** Binary encoding, checksummed. *)
+(** Binary encoding: a one-byte tag, the writer (0 for none) and [prev]
+    as little-endian u32s, the body's fields, then a u32 FNV-1a
+    checksum of everything before it. Every field has a fixed width
+    (flags one byte, ids, LSNs and lengths four, values eight), so a
+    record's size depends only on its body's shape: the list lengths of
+    a [Ckpt_end] or [Rewrite_begin] and the image lengths of a
+    [Rewrite_clr], and nothing else. The bytes are written in one pass
+    into a buffer of exactly {!encoded_size} bytes. Raises
+    [Invalid_argument] if a u32 field is negative or above 2{^32} - 1;
+    i64 fields take any [int]. *)
 
 type decode_error =
   | Truncated  (** fewer bytes than the fixed header + trailer *)
@@ -180,3 +189,7 @@ val decode : string -> (t, decode_error) result
     end-of-log rather than failing restart. *)
 
 val encoded_size : t -> int
+(** [String.length (encode r)], computed from the body's shape without
+    encoding. Two records of the same shape have the same size, which is
+    what lets [Db] reserve space for a future record (a CLR, an abort
+    and end pair) as a constant. *)

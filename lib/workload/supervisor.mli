@@ -23,7 +23,7 @@
     volatile-tail-is-lost semantics hold anyway because the file
     backend only ever writes the durable prefix to the device; fsync
     placement is exercised and counted, but actual power loss is out of
-    scope (see DESIGN.md §13). *)
+    scope (see [lib/storage/backend.mli]). *)
 
 open Ariesrh_core
 

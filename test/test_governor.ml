@@ -633,8 +633,37 @@ let eager_group_commit_pins_truncation () =
   Alcotest.(check bool) "the governor truncated" true
     (o.governor.Governor.truncations > 0)
 
+(* An update reserves space for the CLR that may undo it, a constant of
+   its op's shape. That constant must be the size of the CLR rollback
+   then appends, to the byte: [Log_store.unreserve] clamps at zero, so a
+   constant too large would go unnoticed, and one too small would let
+   rollback outgrow the space it was promised. *)
+let clr_reservation_is_exact () =
+  List.iter
+    (fun (name, update) ->
+      let db = mk () in
+      let log = Db.log_store db in
+      let x = Db.begin_txn db in
+      let before = Log_store.reserved_bytes log in
+      update db x (oid 3);
+      let reserved = Log_store.reserved_bytes log - before in
+      let from = Log_store.head log in
+      Db.abort db x;
+      let clrs = ref [] in
+      Log_store.iter_forward log ~from (fun _ r ->
+          match r.Record.body with
+          | Record.Clr _ -> clrs := String.length (Record.encode r) :: !clrs
+          | _ -> ());
+      Alcotest.(check (list int)) name [ reserved ] !clrs)
+    [
+      ("add", fun db x o -> Db.add db x o 5);
+      ("set", fun db x o -> Db.write db x o 7);
+    ]
+
 let suite =
   [
+    Alcotest.test_case "CLR reservation is the appended CLR's size" `Quick
+      clr_reservation_is_exact;
     Alcotest.test_case "byte capacity enforced" `Quick byte_capacity_enforced;
     Alcotest.test_case "record capacity enforced" `Quick
       record_capacity_enforced;

@@ -31,6 +31,7 @@ module Record = Ariesrh_wal.Record
 module Buffer_pool = Ariesrh_storage.Buffer_pool
 module Disk = Ariesrh_storage.Disk
 module Prng = Ariesrh_util.Prng
+module Temporal = Ariesrh_temporal.Temporal
 
 (* --- cache-equivalence property ------------------------------------ *)
 
@@ -372,6 +373,37 @@ let forensic_dump_bytes_cache_invariant () =
   let off = storm 0 "perf_parity_cache_off" in
   Alcotest.(check string) "storm outcome identical cache on/off" on off
 
+(* --- no forced minor collections ------------------------------------ *)
+
+(* OCaml 5.1 runs a minor collection before it fills an array too big for
+   the minor heap with a young value. Store creation and [as_of] sit in
+   timed benchmark windows, where one such collection shifts the GC's
+   whole schedule, so neither may force one. Each runs right after a
+   collection and allocates far less than the minor heap holds, so any
+   collection counted is a forced one. *)
+let minor_collections f =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  f ();
+  (Gc.quick_stat ()).Gc.minor_collections - before
+
+let no_forced_minor_collections () =
+  Alcotest.(check int) "create a 1024-page store" 0
+    (minor_collections (fun () ->
+         ignore (Disk.create ~pages:1024 ~slots_per_page:4 ())));
+  let db = Db.create (Config.make ~n_objects:8 ~objects_per_page:4 ()) in
+  let o = Oid.of_int 0 in
+  for _ = 1 to 300 do
+    let x = Db.begin_txn db in
+    Db.add db x o 1;
+    Db.commit db x
+  done;
+  let lsn = Log_store.durable (Db.log_store db) in
+  let value = ref 0 in
+  Alcotest.(check int) "as_of over 300 committed versions" 0
+    (minor_collections (fun () -> value := Temporal.as_of db ~lsn o));
+  Alcotest.(check int) "as_of value" 300 !value
+
 let suite =
   QCheck_alcotest.to_alcotest cache_equivalence
   :: [
@@ -389,4 +421,6 @@ let suite =
          storms_pass_under_group_commit;
        Alcotest.test_case "fixed seed-3 repro: cache parity, no dump" `Quick
          forensic_dump_bytes_cache_invariant;
+       Alcotest.test_case "store creation and as_of force no collection"
+         `Quick no_forced_minor_collections;
      ]

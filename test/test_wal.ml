@@ -149,25 +149,58 @@ let truncation_detected () =
   | Error e ->
       Alcotest.failf "wrong error: %a" Record.pp_decode_error e
 
-(* random record generator for the codec property *)
-let gen_op =
+(* random record generator for the codec properties, over three field
+   generators: u32 naturals (objects, pages, LSNs, ids, lengths), xids,
+   and i64 values *)
+type fields = {
+  nat : int QCheck.Gen.t;
+  pos : int QCheck.Gen.t;
+  value : int QCheck.Gen.t;
+}
+
+let small_fields =
+  QCheck.Gen.
+    {
+      nat = int_bound 1000;
+      pos = int_range 1 1000;
+      value = int_range (-1000000) 1000000;
+    }
+
+(* the ends of each field's range, and anything in between *)
+let edge_fields =
+  let u32_max = 0xffff_ffff in
+  QCheck.Gen.
+    {
+      nat =
+        oneof
+          [
+            oneofl [ 0; 1; 0x7fff_ffff; 0x8000_0000; u32_max - 1; u32_max ];
+            int_bound u32_max;
+          ];
+      pos = oneof [ oneofl [ 1; 0x8000_0000; u32_max ]; int_range 1 u32_max ];
+      value =
+        oneof
+          [
+            oneofl [ min_int; max_int; -1; 0; 1; 1 lsl 32; -(1 lsl 32) ];
+            int;
+          ];
+    }
+
+let gen_op f =
   QCheck.Gen.(
     oneof
       [
-        map2
-          (fun before after -> Record.Set { before; after })
-          (int_range (-1000000) 1000000)
-          (int_range (-1000000) 1000000);
-        map (fun d -> Record.Add d) (int_range (-1000) 1000);
+        map2 (fun before after -> Record.Set { before; after }) f.value f.value;
+        map (fun d -> Record.Add d) f.value;
       ])
 
-let gen_update =
+let gen_update f =
   QCheck.Gen.(
     map3
       (fun o p op -> { Record.oid = oid o; page = pid p; op })
-      (int_bound 500) (int_bound 100) gen_op)
+      f.nat f.nat (gen_op f))
 
-let gen_ckpt =
+let gen_ckpt f =
   QCheck.Gen.(
     let small_list g = list_size (int_bound 3) g in
     let gen_txn =
@@ -179,15 +212,15 @@ let gen_ckpt =
             ck_last_lsn = lsn last;
             ck_undo_next = lsn undo;
           })
-        (int_range 1 1000)
+        f.pos
         (oneofl [ Record.Ck_active; Record.Ck_committed; Record.Ck_rolling_back ])
-        (pair (int_bound 1000) (int_bound 1000))
+        (pair f.nat f.nat)
     in
     let gen_scope =
       map3
         (fun inv first last ->
           { Record.ck_invoker = xid inv; ck_first = lsn first; ck_last = lsn last })
-        (int_range 1 1000) (int_bound 1000) (int_bound 1000)
+        f.pos f.nat f.nat
     in
     let gen_ob =
       map3
@@ -198,28 +231,24 @@ let gen_ckpt =
             ck_deleg = Option.map xid deleg;
             ck_scopes = scopes;
           })
-        (pair (int_range 1 1000) (int_bound 500))
-        (option (int_range 1 1000))
-        (small_list gen_scope)
+        (pair f.pos f.nat) (option f.pos) (small_list gen_scope)
     in
     map3
       (fun ck_txns ck_dpt ck_obs -> { Record.ck_txns; ck_dpt; ck_obs })
       (small_list gen_txn)
-      (small_list (map2 (fun p l -> (pid p, lsn l)) (int_bound 100) (int_bound 1000)))
+      (small_list (map2 (fun p l -> (pid p, lsn l)) f.nat f.nat))
       (small_list gen_ob))
 
-(* u32 fields carry naturals below 2^32; i64 fields any native int *)
-let gen_u32 = QCheck.Gen.int_bound 100_000
-
-let gen_record =
+(* all 16 body shapes *)
+let gen_record_of f =
   QCheck.Gen.(
-    let* x = int_range 1 1000 in
-    let* prev = int_bound 1000 in
+    let* x = f.pos in
+    let* prev = f.nat in
     let mk body = Record.mk (xid x) ~prev:(lsn prev) body in
     oneof
       [
         return (mk Record.Begin);
-        map (fun u -> mk (Record.Update u)) gen_update;
+        map (fun u -> mk (Record.Update u)) (gen_update f);
         return (mk Record.Commit);
         return (mk Record.Abort);
         return (mk Record.End);
@@ -233,13 +262,13 @@ let gen_record =
                    invoker = xid inv;
                    undo_next = lsn prev;
                  }))
-          gen_update (int_bound 1000) (int_range 1 1000);
+          (gen_update f) f.nat f.pos;
         map3
           (fun tee tp o ->
             mk
               (Record.Delegate
                  { tee = xid tee; tee_prev = lsn tp; oid = oid o; op = None }))
-          (int_range 1 1000) (int_bound 1000) (int_bound 500);
+          f.pos f.nat f.nat;
         map3
           (fun tee o (l, inv) ->
             mk
@@ -250,28 +279,25 @@ let gen_record =
                    oid = oid o;
                    op = Some (lsn l, xid inv);
                  }))
-          (int_range 1 1000) (int_bound 500)
-          (pair (int_bound 1000) (int_range 1 1000));
+          f.pos f.nat (pair f.nat f.pos);
         return (mk Record.Anchor);
         return (Record.mk_system Record.Ckpt_begin);
-        map (fun ck -> Record.mk_system (Record.Ckpt_end ck)) gen_ckpt;
+        map (fun ck -> Record.mk_system (Record.Ckpt_end ck)) (gen_ckpt f);
         map3
           (fun (xfer_id, hop) (o, target) value ->
             Record.mk_system
               (Record.Xfer_out { xfer_id; hop; oid = oid o; target; value }))
-          (pair gen_u32 gen_u32) (pair (int_bound 500) gen_u32) int;
+          (pair f.nat f.nat) (pair f.nat f.nat) f.value;
         map3
           (fun (xfer_id, hop) (o, p, source) (before, value) ->
             Record.mk_system
               (Record.Xfer_in
                  { xfer_id; hop; oid = oid o; page = pid p; source; before; value }))
-          (pair gen_u32 gen_u32)
-          (triple (int_bound 500) (int_bound 100) gen_u32)
-          (pair int int);
+          (pair f.nat f.nat) (triple f.nat f.nat f.nat) (pair f.value f.value);
         map3
           (fun xfer_id o committed ->
             Record.mk_system (Record.Xfer_end { xfer_id; oid = oid o; committed }))
-          gen_u32 (int_bound 500) bool;
+          f.nat f.nat bool;
         map2
           (fun targets deleg ->
             Record.mk_system
@@ -283,25 +309,70 @@ let gen_record =
                        deleg;
                    targets = List.map lsn targets;
                  }))
-          (list_size (int_bound 8) (int_bound 1000))
-          (option (triple (int_range 1 1000) (int_range 1 1000) (int_bound 500)));
+          (list_size (int_bound 8) f.nat)
+          (option (triple f.pos f.pos f.nat));
         map3
           (fun target before after ->
             Record.mk_system (Record.Rewrite_clr { target = lsn target; before; after }))
-          (int_bound 1000)
+          f.nat
           (string_size (int_bound 40))
           (string_size (int_bound 40));
         map2
           (fun b committed ->
             Record.mk_system
               (Record.Rewrite_end { begin_lsn = lsn b; committed }))
-          (int_bound 1000) bool;
+          f.nat bool;
       ])
+
+let gen_record = gen_record_of small_fields
 
 let codec_roundtrip_prop =
   QCheck.Test.make ~count:500 ~name:"codec roundtrips on random records"
-    (QCheck.make gen_record)
+    (QCheck.make (gen_record_of edge_fields))
     (fun r -> Record.decode (Record.encode r) = Ok r)
+
+(* The one-pass encoder writes exactly the bytes of the buffer-built
+   encoder it replaced (test/record_ref.ml), and its size function
+   agrees with what it writes, on every body shape and at the ends of
+   every field's range. *)
+let codec_matches_reference_prop =
+  QCheck.Test.make ~count:1000
+    ~name:"codec bytes equal the reference encoder's"
+    (QCheck.make
+       ~print:(fun r -> Format.asprintf "%a" Record.pp r)
+       (gen_record_of edge_fields))
+    (fun r ->
+      let s = Record.encode r in
+      String.equal s (Record_ref.encode r)
+      && Record.encoded_size r = String.length s)
+
+(* A u32 field refuses what it cannot hold, at either end. The reference
+   encoder kept only the low 32 bits, so oid 2^32+5 read back as 5. *)
+let codec_refuses_wide_u32 () =
+  let upd o =
+    Record.mk (xid 1) ~prev:(lsn o)
+      (Record.Update { oid = oid o; page = pid 0; op = Record.Add 1 })
+  in
+  let too_wide = (1 lsl 32) + 5 in
+  Alcotest.(check bool) "2^32 - 1 roundtrips" true
+    (Record.decode (Record.encode (upd 0xffff_ffff)) = Ok (upd 0xffff_ffff));
+  List.iter
+    (fun r ->
+      Alcotest.check_raises "u32 above 2^32 - 1"
+        (Invalid_argument "Record codec: u32 out of range") (fun () ->
+          ignore (Record.encode r)))
+    [
+      upd too_wide;
+      upd (1 lsl 32);
+      Record.mk_system
+        (Record.Xfer_end { xfer_id = too_wide; oid = oid 0; committed = true });
+    ];
+  Alcotest.check_raises "negative u32"
+    (Invalid_argument "Record codec: u32 out of range") (fun () ->
+      ignore
+        (Record.encode
+           (Record.mk_system
+              (Record.Xfer_end { xfer_id = -1; oid = oid 0; committed = true }))))
 
 (* --- decoder totality: adversarial bytes --- *)
 
@@ -1100,6 +1171,9 @@ let suite =
     Alcotest.test_case "truncation detected" `Quick truncation_detected;
     Alcotest.test_case "rewrite records render" `Quick rewrite_records_render;
     QCheck_alcotest.to_alcotest codec_roundtrip_prop;
+    QCheck_alcotest.to_alcotest codec_matches_reference_prop;
+    Alcotest.test_case "codec refuses a u32 above 2^32 - 1" `Quick
+      codec_refuses_wide_u32;
     QCheck_alcotest.to_alcotest decoder_total_on_damage;
     QCheck_alcotest.to_alcotest decoder_total_past_checksum;
     Alcotest.test_case "store append/read" `Quick store_append_read;
